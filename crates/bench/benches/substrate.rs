@@ -1,5 +1,6 @@
 //! Criterion micro-benchmarks for the simulation substrate: matching
-//! sampling (serial and pool-sharded), counter-output agent RNG, metrics
+//! sampling (serial and pool-sharded), the engine's fused partner-table
+//! builder against sample-then-scatter, counter-output agent RNG, metrics
 //! observation, the estimator, and the engine execution paths the
 //! `experiments` binary actually drives ([`Engine::run`] serial and
 //! sharded, [`BatchRunner`]) — the benches exercise the same code paths as
@@ -12,7 +13,8 @@ use popstab_core::params::Params;
 use popstab_core::state::AgentState;
 use popstab_sim::batch::{job_seed, ShardPool};
 use popstab_sim::matching::{
-    sample_matching, sample_matching_into, sample_matching_into_par, Matching, MatchingModel,
+    sample_matching, sample_matching_into, sample_matching_into_par, sample_partners_into,
+    Matching, MatchingModel,
 };
 use popstab_sim::protocols::Inert;
 use popstab_sim::rng::counter_seed;
@@ -95,6 +97,68 @@ fn bench_partner_table(c: &mut Criterion) {
     c.bench_function("partner_table_16k", |b| {
         b.iter(|| matching.partner_table(m))
     });
+}
+
+fn bench_partner_table_fused(c: &mut Criterion) {
+    // The engine's one-pass partner-table builder against the reference
+    // it replaced (sample the pairs, then scatter them serially), at the
+    // keyed-permutation threshold and at 2^20, serial and on a 2-shard
+    // pool: the ratio of each `fused` line to its `sample_then_scatter`
+    // twin is the per-round saving.
+    let mut group = c.benchmark_group("matching/partner_table_fused");
+    for m in [1usize << 16, 1 << 20] {
+        group.throughput(Throughput::Elements(m as u64));
+        let mut out = Matching::default();
+        let mut shuffle = Vec::new();
+        let mut partners = Vec::new();
+        let mut round = 0u64;
+        ShardPool::with(2, |pool| {
+            for (label, pool) in [("serial", None), ("2shards", Some(pool))] {
+                let id = BenchmarkId::new(format!("sample_then_scatter_{label}"), m);
+                group.bench_with_input(id, &m, |b, &m| {
+                    b.iter(|| {
+                        round += 1;
+                        let key = counter_seed(5, round, 0);
+                        match pool {
+                            Some(pool) => sample_matching_into_par(
+                                &mut out,
+                                &mut shuffle,
+                                m,
+                                MatchingModel::Full,
+                                key,
+                                pool,
+                            ),
+                            None => sample_matching_into(
+                                &mut out,
+                                &mut shuffle,
+                                m,
+                                MatchingModel::Full,
+                                key,
+                            ),
+                        }
+                        out.partner_table_into(&mut partners, m);
+                        out.matched_agents()
+                    })
+                });
+                let id = BenchmarkId::new(format!("fused_{label}"), m);
+                group.bench_with_input(id, &m, |b, &m| {
+                    b.iter(|| {
+                        round += 1;
+                        let key = counter_seed(5, round, 0);
+                        sample_partners_into(
+                            &mut partners,
+                            &mut shuffle,
+                            m,
+                            MatchingModel::Full,
+                            key,
+                            pool,
+                        )
+                    })
+                });
+            }
+        });
+    }
+    group.finish();
 }
 
 fn bench_counter_rng(c: &mut Criterion) {
@@ -194,6 +258,7 @@ criterion_group!(
     bench_matching,
     bench_matching_par,
     bench_partner_table,
+    bench_partner_table_fused,
     bench_counter_rng,
     bench_engine_paths,
     bench_observe,

@@ -802,8 +802,10 @@ fn step_range(
             for (b, &p) in chunk.iter().enumerate() {
                 let sel = p != UNMATCHED;
                 let idx = if sel { p as usize } else { 0 };
-                // SAFETY: every partner slot indexes the live population
-                // (`partner_table_into` invariant), and `wire8` covers it.
+                // SAFETY: a matched partner slot indexes the live
+                // population (`ColumnarStep::step` contract, which
+                // `sample_partners_into` upholds), and `wire8` covers it;
+                // an unmatched lane reads slot 0 and masks the byte off.
                 let byte = unsafe { *wire8.get_unchecked(idx) } & 0u8.wrapping_sub(u8::from(sel));
                 t |= u64::from(byte) << (b * 8);
             }
@@ -1194,7 +1196,7 @@ fn step_lane(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use popstab_sim::matching::{sample_matching_into, Matching};
+    use popstab_sim::matching::sample_partners_into;
     use popstab_sim::rng::{rng_from_seed, round_key};
     use popstab_sim::{MatchingModel, Protocol};
 
@@ -1229,17 +1231,15 @@ mod tests {
     }
 
     fn partner_table(n: usize, seed: u64, round: u64) -> Vec<u32> {
-        let mut matching = Matching::default();
-        let mut shuffle = Vec::new();
-        sample_matching_into(
-            &mut matching,
-            &mut shuffle,
+        let mut partners = Vec::new();
+        sample_partners_into(
+            &mut partners,
+            &mut Vec::new(),
             n,
             MatchingModel::Full,
             round_key(seed ^ 0x6d61, round),
+            None,
         );
-        let mut partners = Vec::new();
-        matching.partner_table_into(&mut partners, n);
         partners
     }
 

@@ -71,8 +71,12 @@ pub trait ColumnarStep<S>: fmt::Debug + Send {
     /// Runs one step phase over the resident columns (which must be
     /// current, i.e. `load` or a previous `step`/`apply` produced them).
     ///
-    /// `partners[i]` is agent `i`'s partner slot this round, or
-    /// [`UNMATCHED`](crate::matching::UNMATCHED); `round_key` is the
+    /// `partners` is the round's partner table as
+    /// [`sample_partners_into`](crate::matching::sample_partners_into)
+    /// builds it: one entry per resident agent, `partners[i]` agent `i`'s
+    /// partner slot (`< self.len()`, and `partners[partners[i]] == i`) or
+    /// [`UNMATCHED`](crate::matching::UNMATCHED). Implementations may rely
+    /// on that bound to index without checks. `round_key` is the
     /// engine's per-round agent-stream key (agent `i` draws from
     /// [`slot_rng`](crate::rng::slot_rng)`(round_key, i)`). Split and death
     /// slots must be pushed exactly as the scalar loop pushes them:

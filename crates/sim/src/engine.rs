@@ -28,8 +28,8 @@
 //! bit-identical to the serial paths for every worker count. The matching
 //! is counter-keyed the same way (see [`crate::matching`]): round `r`'s
 //! pairs are a pure function of `round_key(match_key, r)`, and for large
-//! populations their construction shards across the same pool as the step
-//! phase.
+//! populations the pass that writes them into the partner table shards
+//! across the same pool as the step phase.
 
 use crate::adversary::{Adversary, Alteration, NoOpAdversary, RoundContext};
 use crate::agent::{Action, Protocol};
@@ -37,7 +37,7 @@ use crate::batch::{shard_range, SendPtr, ShardPool};
 use crate::columns::ColumnarStep;
 use crate::config::SimConfig;
 use crate::driver::{EngineView, Observer, RunOutcome, RunSpec, Stop, Threads};
-use crate::matching::{sample_matching_into, sample_matching_into_par, Matching, UNMATCHED};
+use crate::matching::{sample_partners_into, UNMATCHED};
 use crate::rng::{derive_seed, derive_stream, round_key, slot_rng, SimRng};
 use crate::snapshot::{Snapshot, SnapshotError, SnapshotReader, SnapshotState};
 
@@ -78,15 +78,16 @@ pub struct RoundReport {
 /// Persistent per-round working memory.
 ///
 /// The engine's round loop needs several population-sized buffers (the
-/// matching, the partner table, the simultaneous message snapshot, the
-/// split/death work lists). Allocating them fresh every round dominated the
-/// hot path at large `N`, so they live here and are reused; buffer reuse is
-/// invisible to the simulation semantics (asserted round-for-round by the
-/// `scratch_engine_matches_fresh_allocation_engine` property test and by the
-/// golden-trace fixtures under `tests/golden/`).
+/// partner table with its small-population shuffle scratch, the
+/// simultaneous message snapshot, the split/death work lists); the matching
+/// itself is never held as pairs, since [`sample_partners_into`] samples it
+/// straight into `partners`. Allocating the buffers fresh every round
+/// dominated the hot path at large `N`, so they live here and are reused;
+/// buffer reuse is invisible to the simulation semantics (asserted
+/// round-for-round by the `scratch_engine_matches_fresh_allocation_engine`
+/// property test and by the golden-trace fixtures under `tests/golden/`).
 #[derive(Debug)]
 struct RoundScratch<M> {
-    matching: Matching,
     shuffle: Vec<u32>,
     partners: Vec<u32>,
     messages: Vec<Option<M>>,
@@ -98,7 +99,6 @@ struct RoundScratch<M> {
 impl<M> Default for RoundScratch<M> {
     fn default() -> Self {
         RoundScratch {
-            matching: Matching::default(),
             shuffle: Vec::new(),
             partners: Vec::new(),
             messages: Vec::new(),
@@ -282,8 +282,7 @@ impl<P: Protocol, A: Adversary<P::State>> Engine<P, A> {
     pub fn approx_mem_bytes(&self) -> usize {
         let agents = self.agents.capacity() * std::mem::size_of::<P::State>();
         let s = &self.scratch;
-        let scratch = std::mem::size_of_val(s.matching.pairs())
-            + s.shuffle.capacity() * std::mem::size_of::<u32>()
+        let scratch = s.shuffle.capacity() * std::mem::size_of::<u32>()
             + s.partners.capacity() * std::mem::size_of::<u32>()
             + s.messages.capacity() * std::mem::size_of::<Option<P::Message>>()
             + (s.splits.capacity() + s.deaths.capacity() + s.to_delete.capacity())
@@ -499,10 +498,10 @@ impl<P: Protocol, A: Adversary<P::State>> Engine<P, A> {
         report
     }
 
-    /// Phases 1–2: adversary alterations, then the matching over survivors
-    /// and its compact partner table. The matching is counter-keyed per
-    /// round, so the serial sampler and the pool-sharded sampler produce
-    /// identical pairs — `pool` only changes who computes them.
+    /// Phases 1–2: adversary alterations, then the matching over survivors,
+    /// sampled straight into its compact partner table. The matching is
+    /// counter-keyed per round, so the serial and the pool-sharded builder
+    /// produce identical tables — `pool` only changes who computes them.
     fn phase_adversary_and_matching(
         &mut self,
         scratch: &mut RoundScratch<P::Message>,
@@ -537,27 +536,14 @@ impl<P: Protocol, A: Adversary<P::State>> Engine<P, A> {
         // Phase 2: matching over survivors.
         let population = self.live_population();
         let mkey = round_key(self.match_key, self.round);
-        match pool {
-            Some(pool) => sample_matching_into_par(
-                &mut scratch.matching,
-                &mut scratch.shuffle,
-                population,
-                self.cfg.matching,
-                mkey,
-                pool,
-            ),
-            None => sample_matching_into(
-                &mut scratch.matching,
-                &mut scratch.shuffle,
-                population,
-                self.cfg.matching,
-                mkey,
-            ),
-        }
-        report.matched = scratch.matching.matched_agents();
-        scratch
-            .matching
-            .partner_table_into(&mut scratch.partners, population);
+        report.matched = sample_partners_into(
+            &mut scratch.partners,
+            &mut scratch.shuffle,
+            population,
+            self.cfg.matching,
+            mkey,
+            pool,
+        );
     }
 
     /// Phase 3, serial flavor: simultaneous message exchange, then one step
@@ -876,17 +862,20 @@ impl<P: Protocol, A: Adversary<P::State>> Engine<P, A> {
 
 /// The unified run driver.
 ///
-/// The `Send`/`Sync` bounds come from [`Threads::Sharded`], whose step scan
-/// shards the two `O(population)` stretches of every round — the step phase
-/// and the matching-pair construction — across one persistent [`ShardPool`];
-/// the per-agent counter RNG and the counter-keyed matching permutation make
-/// the results **bit-identical to the serial loop for every worker count**
-/// (asserted by the `sharded_run_*` property tests and the CI determinism
-/// diff). The remaining phases (adversary, partner-table scatter,
-/// split/death application) stay serial — they are `O(K + matched)` scatter
-/// work against the `O(population)` scans. Sharding is worth it only when
-/// single rounds are large: the pool synchronizes twice per round, so at
-/// small populations [`Threads::Serial`] wins.
+/// The `Send`/`Sync` bounds come from [`Threads::Sharded`], which shards
+/// the two `O(population)` stretches of every round — the step phase and
+/// the partner-table pass of the matching — across one persistent
+/// [`ShardPool`]; the per-agent counter RNG and the counter-keyed matching
+/// permutation make the results **bit-identical to the serial loop for
+/// every worker count** (asserted by the `sharded_run_*` property tests and
+/// the CI determinism diff). The remaining phases (adversary, split/death
+/// application) stay serial — they are `O(K + splits + deaths)` work
+/// against the `O(population)` passes — as does the keyed shuffle that
+/// matches populations under
+/// [`KEYED_PERMUTATION_MIN_POPULATION`](crate::matching::KEYED_PERMUTATION_MIN_POPULATION).
+/// Sharding is worth it only when single rounds are large: the pool
+/// synchronizes several times per round, so at small populations
+/// [`Threads::Serial`] wins.
 impl<P, A> Engine<P, A>
 where
     P: Protocol + Sync,

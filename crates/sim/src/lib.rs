@@ -90,8 +90,9 @@
 //!   The matching is counter-*keyed* the same way
 //!   ([`matching::MATCHING_STREAM_VERSION`]): each round's pairs are a
 //!   pure function of its round key, and above
-//!   [`matching::KEYED_PERMUTATION_MIN_POPULATION`] their construction
-//!   shards across the same pool — `--round-threads 32` and
+//!   [`matching::KEYED_PERMUTATION_MIN_POPULATION`] the one pass that
+//!   writes them into the round's partner table shards across the same
+//!   pool — `--round-threads 32` and
 //!   `--round-threads 1` produce the same trajectory byte for byte (CI
 //!   diffs them every push).
 //!

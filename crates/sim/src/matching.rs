@@ -19,11 +19,23 @@
 //! space ([`SlotPermutation`]). Because `perm(i)` is a stateless function
 //! of `(key, i)`, pair `p` of a large matching can be computed
 //! independently of every other pair — so the construction shards across
-//! the engine's [`ShardPool`]
-//! ([`sample_matching_into_par`]) with results **bit-identical to the
-//! serial sampler for every worker count**, removing the last serial
-//! `O(population)` stretch from the parallel round exactly where
-//! populations are large enough for it to bound the speedup.
+//! the engine's [`ShardPool`] with results **bit-identical to the serial
+//! sampler for every worker count**.
+//!
+//! # The engine's path and the reference
+//!
+//! The engine never materializes the pairs. [`sample_partners_into`]
+//! samples the round straight into its partner table in one pass: pair `p`
+//! writes `partners[π(2p)] = π(2p+1)` and back, and every slot `π(j)` past
+//! the matched prefix gets [`UNMATCHED`]. Because π is a bijection, every
+//! slot is written exactly once, so the table needs no pre-fill and the
+//! pass shards across the pool like the step phase does.
+//!
+//! The pair API — [`sample_matching_into`], [`sample_matching_into_par`],
+//! [`Matching`] and [`Matching::partner_table_into`] — is the reference
+//! implementation of the same function of `(population, model, mkey)`.
+//! Tests pin the builder equal to it, and both evaluate pair `p` through
+//! one shared definition, so the two cannot drift apart.
 
 use rand::seq::SliceRandom;
 use rand::Rng;
@@ -91,7 +103,8 @@ impl MatchingModel {
 }
 
 /// Sentinel for "unmatched" in the compact partner table built by
-/// [`Matching::partner_table`]. A real partner index cannot reach it:
+/// [`sample_partners_into`] and [`Matching::partner_table`]. A real
+/// partner index cannot reach it:
 /// matchings index agents with `u32`, and the pair list itself would
 /// overflow memory long before `2³² − 1` agents.
 pub const UNMATCHED: u32 = u32::MAX;
@@ -135,7 +148,8 @@ impl Matching {
     }
 
     /// As [`partner_table`](Matching::partner_table), but reusing `table`'s
-    /// allocation (the engine's per-round path).
+    /// allocation. This serial scatter is the reference the engine's fused
+    /// [`sample_partners_into`] is pinned against.
     pub fn partner_table_into(&self, table: &mut Vec<u32>, population: usize) {
         table.clear();
         table.resize(population, UNMATCHED);
@@ -361,18 +375,13 @@ fn planned_pairs(population: usize, model: MatchingModel, mkey: u64) -> usize {
     (target_agents / 2).min(population / 2)
 }
 
-/// Fills `out` with the first `n_pairs` pairs of a keyed Fisher–Yates
-/// shuffle of the slot space — the sub-[`KEYED_PERMUTATION_MIN_POPULATION`]
-/// branch of the sampler. Exactly uniform; serial (each swap depends on
-/// the last), but a pure function of the round key, so the parallel round
-/// paths compute it identically inline.
-fn shuffle_matching_into(
-    out: &mut Matching,
-    indices: &mut Vec<u32>,
-    population: usize,
-    n_pairs: usize,
-    mkey: u64,
-) {
+/// Leaves `indices` a keyed partial Fisher–Yates shuffle of the slot space
+/// whose first `2·n_pairs` entries are the matched pairs — the
+/// sub-[`KEYED_PERMUTATION_MIN_POPULATION`] branch of the sampler. Exactly
+/// uniform; serial (each swap depends on the last), but a pure function of
+/// the round key, so the parallel round paths compute it identically
+/// inline. The whole buffer stays a permutation of `0..population`.
+fn keyed_shuffle(indices: &mut Vec<u32>, population: usize, n_pairs: usize, mkey: u64) {
     let mut rng = CounterRng::keyed(sub_seed(mkey, PERM_SUBSTREAM));
     indices.clear();
     indices.extend(0..population as u32);
@@ -381,8 +390,27 @@ fn shuffle_matching_into(
         let j = rng.random_range(i..population);
         indices.swap(i, j);
     }
+}
+
+/// Fills `out` with the pairs of [`keyed_shuffle`].
+fn shuffle_matching_into(
+    out: &mut Matching,
+    indices: &mut Vec<u32>,
+    population: usize,
+    n_pairs: usize,
+    mkey: u64,
+) {
+    keyed_shuffle(indices, population, n_pairs, mkey);
     out.pairs
         .extend(indices[..2 * n_pairs].chunks_exact(2).map(|c| (c[0], c[1])));
+}
+
+/// Pair `p` of the keyed-permutation branch: slots `(π(2p), π(2p+1))`. The
+/// one definition the pair samplers and [`sample_partners_into`] share.
+#[inline]
+fn keyed_pair(perm: &SlotPermutation, p: usize) -> (u32, u32) {
+    let j = 2 * p as u64;
+    (perm.apply(j) as u32, perm.apply(j + 1) as u32)
 }
 
 /// Samples the matching of the round keyed by `mkey` over `population`
@@ -391,9 +419,6 @@ fn shuffle_matching_into(
 /// The result is a pure function of `(population, model, mkey)`: the engine
 /// derives `mkey = round_key(match_master, round)`, so round `r`'s matching
 /// is addressable without replaying rounds `0..r`. Cost is `O(population)`.
-/// `indices` is shuffle scratch for the small-population branch (see
-/// [`KEYED_PERMUTATION_MIN_POPULATION`]), reused so the per-round engine
-/// loop performs no allocations.
 pub fn sample_matching(population: usize, model: MatchingModel, mkey: u64) -> Matching {
     let mut out = Matching::default();
     let mut indices = Vec::new();
@@ -402,7 +427,10 @@ pub fn sample_matching(population: usize, model: MatchingModel, mkey: u64) -> Ma
 }
 
 /// As [`sample_matching`], but writing into `out` and using `indices` as
-/// shuffle scratch (the engine's per-round serial path).
+/// shuffle scratch for the small-population branch (see
+/// [`KEYED_PERMUTATION_MIN_POPULATION`]), so repeated calls allocate
+/// nothing. The reference serial sampler; the engine samples through
+/// [`sample_partners_into`].
 pub fn sample_matching_into(
     out: &mut Matching,
     indices: &mut Vec<u32>,
@@ -423,12 +451,7 @@ pub fn sample_matching_into(
         return;
     }
     let perm = SlotPermutation::new(sub_seed(mkey, PERM_SUBSTREAM), population as u64);
-    out.pairs.extend((0..n_pairs).map(|p| {
-        (
-            perm.apply(2 * p as u64) as u32,
-            perm.apply(2 * p as u64 + 1) as u32,
-        )
-    }));
+    out.pairs.extend((0..n_pairs).map(|p| keyed_pair(&perm, p)));
 }
 
 /// As [`sample_matching_into`], with the pair construction sharded across
@@ -464,15 +487,106 @@ pub fn sample_matching_into_par(
     pool.dispatch(&|s| {
         let (lo, hi) = shard_range(n_pairs, nshards, s);
         for p in lo..hi {
-            let pair = (
-                perm.apply(2 * p as u64) as u32,
-                perm.apply(2 * p as u64 + 1) as u32,
-            );
+            let pair = keyed_pair(&perm, p);
             // SAFETY: pair slot `p` belongs to exactly one shard range and
             // lies within the buffer resized above.
             unsafe { base.get().add(p).write(pair) };
         }
     });
+}
+
+/// Samples the matching of the round keyed by `mkey` straight into its
+/// partner table and returns the number of matched agents: afterwards
+/// `partners.len() == population`, and `partners[i] = j` iff `{i, j}` is
+/// matched, [`UNMATCHED`] otherwise. This is the engine's per-round path.
+///
+/// The table and count equal [`sample_matching_into`] followed by
+/// [`Matching::partner_table_into`] and [`Matching::matched_agents`], for
+/// every `pool` (`None` runs serially). No pair buffer is built:
+///
+/// * above [`KEYED_PERMUTATION_MIN_POPULATION`], pair `p` writes
+///   `partners[π(2p)] = π(2p+1)` and back, and each slot `π(j)` with
+///   `j ≥ 2·n_pairs` gets [`UNMATCHED`]. The pair range and the unmatched
+///   range are each split with `shard_range`, so the one pass shards
+///   across `pool`. It evaluates π once per agent whatever the model's γ;
+/// * below it, the table is written straight from the keyed shuffle, the
+///   same way, serially.
+///
+/// π (or the shuffle) is a permutation of `0..population`, so every slot is
+/// written exactly once. The buffer is therefore never pre-filled: an
+/// existing `partners` is only truncated or tail-extended to `population`,
+/// and its old contents are overwritten. `shuffle` is scratch for the
+/// small-population branch.
+pub fn sample_partners_into(
+    partners: &mut Vec<u32>,
+    shuffle: &mut Vec<u32>,
+    population: usize,
+    model: MatchingModel,
+    mkey: u64,
+    pool: Option<&ShardPool>,
+) -> usize {
+    partners.truncate(population);
+    partners.resize(population, UNMATCHED);
+    let n_pairs = if population < 2 {
+        0
+    } else {
+        planned_pairs(population, model, mkey)
+    };
+    if n_pairs == 0 {
+        partners.fill(UNMATCHED);
+        return 0;
+    }
+    if population < KEYED_PERMUTATION_MIN_POPULATION {
+        keyed_shuffle(shuffle, population, n_pairs, mkey);
+        let (pairs, rest) = shuffle.split_at(2 * n_pairs);
+        for c in pairs.chunks_exact(2) {
+            partners[c[0] as usize] = c[1];
+            partners[c[1] as usize] = c[0];
+        }
+        for &i in rest {
+            partners[i as usize] = UNMATCHED;
+        }
+        return 2 * n_pairs;
+    }
+    // The write site's disjointness needs every `π(j) as u32` exact.
+    assert!(
+        population <= UNMATCHED as usize,
+        "{population} agents overflow u32 partner slots"
+    );
+    let perm = SlotPermutation::new(sub_seed(mkey, PERM_SUBSTREAM), population as u64);
+    let unmatched = population - 2 * n_pairs;
+    let nshards = pool.map_or(1, ShardPool::shards);
+    let base = SendPtr(partners.as_mut_ptr());
+    let shard = |s: usize| {
+        let put = |slot: u32, partner: u32| {
+            debug_assert!((slot as usize) < population);
+            // SAFETY: `slot = π(j)` for an index `j` that only this shard
+            // owns: the shards' `shard_range` slices of the pair range
+            // (`j < 2·n_pairs`) and of the unmatched range (`j ≥ 2·n_pairs`)
+            // partition `0..population`. π is a bijection of
+            // `0..population` (`SlotPermutation::apply`, checked
+            // exhaustively by `slot_permutation_is_a_bijection_at_every_size`),
+            // so no two writes of the pass hit the same slot, and
+            // `π(j) < population = partners.len()` keeps every write in
+            // bounds. `u32` has no drop glue to skip over.
+            unsafe { base.get().add(slot as usize).write(partner) };
+        };
+        let (lo, hi) = shard_range(n_pairs, nshards, s);
+        for p in lo..hi {
+            let (a, b) = keyed_pair(&perm, p);
+            put(a, b);
+            put(b, a);
+        }
+        let (lo, hi) = shard_range(unmatched, nshards, s);
+        for j in (2 * n_pairs + lo)..(2 * n_pairs + hi) {
+            put(perm.apply(j as u64) as u32, UNMATCHED);
+        }
+    };
+    match pool {
+        Some(pool) => pool.dispatch(&shard),
+        None => shard(0),
+    }
+    2 * n_pairs
 }
 
 /// Samples a full uniformly random permutation matching with a serial
@@ -718,20 +832,22 @@ mod tests {
         assert!(MatchingModel::Full.validate().is_ok());
     }
 
+    /// Populations straddling [`KEYED_PERMUTATION_MIN_POPULATION`]: the
+    /// small sizes pin the inline-shuffle branch, 65536 and 70001 the
+    /// sharded permutation.
+    const POPULATIONS: [usize; 11] = [0, 1, 2, 3, 7, 64, 257, 1000, 65_535, 65_536, 70_001];
+
+    const MODELS: [MatchingModel; 3] = [
+        MatchingModel::Full,
+        MatchingModel::ExactFraction(0.37),
+        MatchingModel::RandomFraction { min_gamma: 0.25 },
+    ];
+
     #[test]
     fn parallel_sampler_is_bit_identical_to_serial_for_every_shard_count() {
         use crate::batch::ShardPool;
-        // Straddles KEYED_PERMUTATION_MIN_POPULATION: the small sizes pin
-        // the inline-shuffle branch, 65536/70001 the sharded permutation.
-        for population in [0usize, 1, 2, 3, 7, 64, 257, 1000, 65_536, 70_001] {
-            for (t, model) in [
-                MatchingModel::Full,
-                MatchingModel::ExactFraction(0.37),
-                MatchingModel::RandomFraction { min_gamma: 0.25 },
-            ]
-            .into_iter()
-            .enumerate()
-            {
+        for population in POPULATIONS {
+            for (t, model) in MODELS.into_iter().enumerate() {
                 let mkey = trial_key(10, (population as u64) << 8 | t as u64);
                 let mut serial = Matching::default();
                 let mut scratch = Vec::new();
@@ -749,6 +865,95 @@ mod tests {
                         );
                     });
                     assert_eq!(serial, par, "pop {population}, {shards} shards");
+                }
+            }
+        }
+    }
+
+    /// The reference table and matched count: sample the pairs, then
+    /// scatter them.
+    fn reference_partners(population: usize, model: MatchingModel, mkey: u64) -> (Vec<u32>, usize) {
+        let mut m = Matching::default();
+        sample_matching_into(&mut m, &mut Vec::new(), population, model, mkey);
+        let mut table = Vec::new();
+        m.partner_table_into(&mut table, population);
+        (table, m.matched_agents())
+    }
+
+    #[test]
+    fn partner_builder_equals_sample_then_scatter_for_every_shard_count() {
+        use crate::batch::ShardPool;
+        for population in POPULATIONS {
+            for (t, model) in MODELS.into_iter().enumerate() {
+                let mkey = trial_key(16, (population as u64) << 8 | t as u64);
+                let (want, want_matched) = reference_partners(population, model, mkey);
+                let (mut table, mut shuffle) = (Vec::new(), Vec::new());
+                let matched =
+                    sample_partners_into(&mut table, &mut shuffle, population, model, mkey, None);
+                assert_eq!(
+                    (&table, matched),
+                    (&want, want_matched),
+                    "pop {population}, serial"
+                );
+                for shards in [1usize, 2, 3, 8] {
+                    let matched = ShardPool::with(shards, |pool| {
+                        sample_partners_into(
+                            &mut table,
+                            &mut shuffle,
+                            population,
+                            model,
+                            mkey,
+                            Some(pool),
+                        )
+                    });
+                    assert_eq!(
+                        (&table, matched),
+                        (&want, want_matched),
+                        "pop {population}, {shards} shards"
+                    );
+                }
+            }
+        }
+    }
+
+    /// The builder never pre-fills: it relies on π writing every slot once.
+    /// A longer buffer of garbage must come out exactly the reference
+    /// table, so a slot the pass skipped would show up as garbage here.
+    #[test]
+    fn partner_builder_overwrites_every_slot_of_a_dirty_buffer() {
+        use crate::batch::ShardPool;
+        const GARBAGE: u32 = 0xDEAD_BEEF;
+        for population in POPULATIONS {
+            for (t, model) in MODELS.into_iter().enumerate() {
+                let mkey = trial_key(17, (population as u64) << 8 | t as u64);
+                let (want, want_matched) = reference_partners(population, model, mkey);
+                for shards in [None, Some(2usize)] {
+                    let mut table = vec![GARBAGE; population + 97];
+                    let matched = match shards {
+                        None => sample_partners_into(
+                            &mut table,
+                            &mut Vec::new(),
+                            population,
+                            model,
+                            mkey,
+                            None,
+                        ),
+                        Some(k) => ShardPool::with(k, |pool| {
+                            sample_partners_into(
+                                &mut table,
+                                &mut Vec::new(),
+                                population,
+                                model,
+                                mkey,
+                                Some(pool),
+                            )
+                        }),
+                    };
+                    assert_eq!(
+                        (&table, matched),
+                        (&want, want_matched),
+                        "pop {population}, {shards:?} shards"
+                    );
                 }
             }
         }

@@ -4,8 +4,8 @@
 
 use proptest::prelude::*;
 
-use popstab_sim::batch::{job_seed, BatchRunner};
-use popstab_sim::matching::{sample_matching, MatchingModel, UNMATCHED};
+use popstab_sim::batch::{job_seed, BatchRunner, ShardPool};
+use popstab_sim::matching::{sample_matching, sample_partners_into, MatchingModel, UNMATCHED};
 use popstab_sim::protocols::{Inert, InertState};
 use popstab_sim::rng::counter_seed;
 use popstab_sim::{
@@ -142,6 +142,39 @@ proptest! {
         }
         let matched = table.iter().filter(|&&p| p != UNMATCHED).count();
         prop_assert_eq!(matched, m.matched_agents());
+    }
+
+    /// The engine's fused partner table, on both sides of the keyed
+    /// permutation threshold and at every shard count: an involution with
+    /// no self-matches, in range, and exactly `population − matched`
+    /// unmatched slots.
+    #[test]
+    fn partner_builder_table_is_an_involution(
+        population in prop_oneof![0usize..2000, 65_536usize..68_000],
+        seed in 0u64..500,
+        gamma in 0.05f64..=1.0,
+        shards in 0usize..4,
+    ) {
+        let model = MatchingModel::ExactFraction(gamma);
+        let key = counter_seed(seed, 3, 0);
+        let mut table = Vec::new();
+        let matched = if shards == 0 {
+            sample_partners_into(&mut table, &mut Vec::new(), population, model, key, None)
+        } else {
+            ShardPool::with(shards, |pool| {
+                sample_partners_into(&mut table, &mut Vec::new(), population, model, key, Some(pool))
+            })
+        };
+        prop_assert_eq!(table.len(), population);
+        for (i, &p) in table.iter().enumerate() {
+            if p != UNMATCHED {
+                prop_assert_ne!(p as usize, i, "self-match at {}", i);
+                prop_assert!((p as usize) < population);
+                prop_assert_eq!(table[p as usize], i as u32);
+            }
+        }
+        let unmatched = table.iter().filter(|&&p| p == UNMATCHED).count();
+        prop_assert_eq!(unmatched, population - matched);
     }
 
     #[test]
