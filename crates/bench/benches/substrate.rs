@@ -1,15 +1,16 @@
 //! Criterion micro-benchmarks for the simulation substrate: matching
 //! sampling (serial and pool-sharded), the engine's fused partner-table
 //! builder against sample-then-scatter, counter-output agent RNG, metrics
-//! observation, the estimator, and the engine execution paths the
-//! `experiments` binary actually drives ([`Engine::run`] serial and
-//! sharded, [`BatchRunner`]) — the benches exercise the same code paths as
-//! the figures, not a bespoke serial loop.
+//! observation, the estimator, the snapshot codec, and the engine
+//! execution paths the `experiments` binary actually drives
+//! ([`Engine::run`] serial and sharded, [`BatchRunner`]) — the benches
+//! exercise the same code paths as the figures, not a bespoke serial loop.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 
 use popstab_analysis::estimator::VarianceEstimator;
 use popstab_core::params::Params;
+use popstab_core::protocol::PopulationStability;
 use popstab_core::state::AgentState;
 use popstab_sim::batch::{job_seed, ShardPool};
 use popstab_sim::matching::{
@@ -18,7 +19,8 @@ use popstab_sim::matching::{
 };
 use popstab_sim::protocols::Inert;
 use popstab_sim::rng::counter_seed;
-use popstab_sim::{BatchRunner, Engine, RoundStats, RunSpec, SimConfig};
+use popstab_sim::snapshot::seal;
+use popstab_sim::{BatchRunner, Engine, RoundStats, RunSpec, SimConfig, Snapshot};
 
 fn bench_matching(c: &mut Criterion) {
     let mut group = c.benchmark_group("matching");
@@ -224,6 +226,33 @@ fn bench_engine_paths(c: &mut Criterion) {
     group.finish();
 }
 
+fn bench_snapshot_codec(c: &mut Criterion) {
+    // The checkpoint codec at 2^20 agents: the trailer checksum alone over
+    // a snapshot-sized buffer, then the whole encode (which seals) and
+    // decode (which verifies the seal before parsing) of a
+    // PopulationStability snapshot.
+    let mut group = c.benchmark_group("snapshot/codec");
+    group.sample_size(10);
+    let buf: Vec<u8> = (0..24u32 << 20)
+        .map(|i| i.wrapping_mul(0x9E37) as u8)
+        .collect();
+    group.throughput(Throughput::Bytes(buf.len() as u64));
+    group.bench_function("seal_24MiB", |b| b.iter(|| seal(&buf)));
+
+    let n = 1u64 << 20;
+    let params = Params::for_target(n).expect("bench scale is a power of four");
+    let cfg = SimConfig::builder().seed(6).target(n).build().unwrap();
+    let engine = Engine::with_population(PopulationStability::new(params), cfg, n as usize);
+    let snap = engine.snapshot();
+    let bytes = snap.to_bytes();
+    group.throughput(Throughput::Bytes(bytes.len() as u64));
+    group.bench_function("to_bytes_1M_agents", |b| b.iter(|| snap.to_bytes().len()));
+    group.bench_function("from_bytes_1M_agents", |b| {
+        b.iter(|| Snapshot::from_bytes(&bytes).unwrap().population())
+    });
+    group.finish();
+}
+
 fn bench_observe(c: &mut Criterion) {
     let params = Params::for_target(4096).unwrap();
     let agents: Vec<AgentState> = (0..4096)
@@ -261,6 +290,7 @@ criterion_group!(
     bench_partner_table_fused,
     bench_counter_rng,
     bench_engine_paths,
+    bench_snapshot_codec,
     bench_observe,
     bench_estimator
 );

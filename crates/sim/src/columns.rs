@@ -36,7 +36,7 @@
 //! every agent whose behavior is observable (draws are counter-addressable,
 //! so batching cannot reorder them), and a `store` after any number of
 //! resident rounds must leave `Vec<P::State>`, the split/death lists, and
-//! therefore traces, snapshots (format v2) and golden fixtures
+//! therefore traces, snapshots and golden fixtures
 //! bit-identical to the scalar path. Engines expose
 //! [`set_columnar`](crate::Engine::set_columnar) so equivalence tests can
 //! pin the two paths against each other; `tests/columnar_equivalence.rs`

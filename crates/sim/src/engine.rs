@@ -398,20 +398,13 @@ impl<P: Protocol, A: Adversary<P::State>> Engine<P, A> {
             !self.vec_stale,
             "snapshot of a stale agent vector (engine failed to materialize)"
         );
-        let mut agent_bytes = Vec::new();
-        for agent in &self.agents {
-            agent.encode(&mut agent_bytes);
-        }
-        Snapshot {
-            label: String::new(),
-            state_tag: P::State::state_tag(),
-            config: self.cfg.clone(),
-            round: self.round,
-            halted: self.halted,
-            adv_rng_state: self.adv_rng.raw_state(),
-            agent_count: self.agents.len() as u64,
-            agent_bytes,
-        }
+        Snapshot::capture(
+            &self.agents,
+            &self.cfg,
+            self.round,
+            self.halted,
+            self.adv_rng.raw_state(),
+        )
     }
 
     /// Rebuilds an engine from a [`Snapshot`], resuming exactly where

@@ -133,9 +133,9 @@
 //!   never move a draw: every agent draw is already addressed by `(seed,
 //!   round, slot)`, so evaluating eight slots per call reads exactly the
 //!   words the scalar loop would have read. No stream version changes —
-//!   agent stream v3, matching stream v2 and snapshot format v2 are
-//!   untouched, old snapshots restore, and the golden fixtures pass
-//!   unchanged against the columnar path. `tests/columnar_equivalence.rs`
+//!   the agent stream, matching stream and snapshot format are
+//!   untouched, snapshots restore across the two paths, and the golden
+//!   fixtures pass unchanged against the columnar path. `tests/columnar_equivalence.rs`
 //!   drives random `(seed, rounds, workers)` through both paths (clean and
 //!   adversarial) comparing traces, full agent vectors and snapshot bytes;
 //!   a CI leg repeats the diff at N = 2²⁰ and byte-compares mid-run
@@ -168,11 +168,12 @@
 //!   shard has finished, and `try_dispatch` reports it as a
 //!   [`ShardPanic`](prelude::ShardPanic) error naming the shard, leaving
 //!   the pool usable.
-//! * **Snapshots are tamper-evident and torn-write-proof.** Format v2
-//!   appends an FNV-1a 64 checksum over the entire payload, verified at
-//!   decode before any field is parsed; `Snapshot::write_to_file` writes
-//!   through a temp file + fsync + atomic rename, so a crash mid-write
-//!   leaves the previous file intact. Every decode error carries the byte
+//! * **Snapshots are tamper-evident and torn-write-proof.** Since format
+//!   v2 a checksum over the entire payload is appended and verified at
+//!   decode before any field is parsed; format v3's four-lane word
+//!   checksum (`snapshot::seal`) runs at memory speed.
+//!   `Snapshot::write_to_file` writes through a temp file + fsync + atomic
+//!   rename, so a crash mid-write leaves the previous file intact. Every decode error carries the byte
 //!   offset and section name of the damage
 //!   ([`SnapshotError`](prelude::SnapshotError)), and a malformed file of
 //!   any shape — truncated anywhere, any single bit flipped, absurd length

@@ -134,7 +134,7 @@ fn columnar_recorded_stats_match_scalar() {
 
 /// Snapshot mid-run on the columnar path, restore, continue columnar: the
 /// stitched trajectory equals both the uninterrupted columnar run and the
-/// scalar run — format v2 passes through the columns unchanged.
+/// scalar run — the snapshot format passes through the columns unchanged.
 #[test]
 fn columnar_snapshot_resume_round_trips() {
     let params = Params::for_target(TARGET).unwrap();
