@@ -1,9 +1,9 @@
 //! Criterion micro-benchmarks for the struct-of-arrays hot path: the
 //! lane-batched coin kernel against its scalar twin, and full engine
 //! rounds on the columnar step path against the scalar `Protocol::step`
-//! loop — the same opt-in (`Engine::set_columnar`) the `experiments bench`
-//! workloads and the CI columnar smoke leg drive, at the two scales where
-//! the layout starts to matter.
+//! loop (selected with `Engine::set_columnar(false)`; every other engine
+//! runs the columnar path), at the two scales where the layout starts to
+//! matter.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 

@@ -114,28 +114,28 @@ fn bench_partner_table_fused(c: &mut Criterion) {
         let mut shuffle = Vec::new();
         let mut partners = Vec::new();
         let mut round = 0u64;
-        ShardPool::with(2, |pool| {
-            for (label, pool) in [("serial", None), ("2shards", Some(pool))] {
+        for (label, shards) in [("serial", 1), ("2shards", 2)] {
+            ShardPool::with(shards, |pool| {
                 let id = BenchmarkId::new(format!("sample_then_scatter_{label}"), m);
                 group.bench_with_input(id, &m, |b, &m| {
                     b.iter(|| {
                         round += 1;
                         let key = counter_seed(5, round, 0);
-                        match pool {
-                            Some(pool) => sample_matching_into_par(
+                        match pool.shards() {
+                            1 => sample_matching_into(
+                                &mut out,
+                                &mut shuffle,
+                                m,
+                                MatchingModel::Full,
+                                key,
+                            ),
+                            _ => sample_matching_into_par(
                                 &mut out,
                                 &mut shuffle,
                                 m,
                                 MatchingModel::Full,
                                 key,
                                 pool,
-                            ),
-                            None => sample_matching_into(
-                                &mut out,
-                                &mut shuffle,
-                                m,
-                                MatchingModel::Full,
-                                key,
                             ),
                         }
                         out.partner_table_into(&mut partners, m);
@@ -157,8 +157,8 @@ fn bench_partner_table_fused(c: &mut Criterion) {
                         )
                     })
                 });
-            }
-        });
+            });
+        }
     }
     group.finish();
 }

@@ -32,11 +32,10 @@
 //! `experiments --n 1048576,4194304 bench` for a large-N-only sweep.
 //! Other experiments ignore it.
 //!
-//! `--columnar` (or `POPSTAB_COLUMNAR=1`) opts every scenario/snapshot/
-//! resume engine into the columnar (struct-of-arrays) step path. Also a
-//! pure performance knob: the columnar kernels replay the scalar
-//! trajectory bit-for-bit, which the CI columnar smoke leg diffs at
-//! `N = 2^20` to prove.
+//! Engines run the columnar (struct-of-arrays) step path wherever the
+//! protocol offers one; the columnar kernels replay the scalar trajectory
+//! bit-for-bit, which `tests/columnar_equivalence.rs` pins up to
+//! `N = 2^16`.
 //!
 //! `snapshot <name> --at R -o FILE` runs registry entry `<name>` to round
 //! `R` and writes the engine state as a versioned snapshot; `resume FILE
@@ -138,8 +137,7 @@ const IDS: &[Experiment] = &[
 
 fn usage() {
     eprintln!(
-        "usage: experiments [--quick] [--jobs N] [--round-threads N] [--n LIST] [--columnar] \
-         <id>... | all"
+        "usage: experiments [--quick] [--jobs N] [--round-threads N] [--n LIST] <id>... | all"
     );
     eprintln!("       experiments --list | scenario <name>...");
     eprintln!("       experiments snapshot <name> --at <round> -o <file>");
@@ -242,8 +240,7 @@ fn cmd_run_recoverable(
             }
             let scenario = hook();
             match popstab_sim::Engine::restore(scenario.protocol, scenario.adversary, &snap) {
-                Ok(mut engine) => {
-                    engine.set_columnar(popstab_sim::batch::columnar_default());
+                Ok(engine) => {
                     eprintln!(
                         "resuming `{name}` from `{}` at round {}",
                         path.display(),
@@ -328,7 +325,6 @@ fn cmd_resume(file: &str, rounds: u64, trace: bool) -> ExitCode {
                 return ExitCode::FAILURE;
             }
         };
-    engine.set_columnar(popstab_sim::batch::columnar_default());
     let spec = RunSpec::rounds(rounds).threads(Threads::from_env());
     if trace {
         // Golden-trace format, one line per executed round, nothing else:
@@ -398,7 +394,6 @@ fn main() -> ExitCode {
         match arg.as_str() {
             "--quick" | "-q" => quick = true,
             "--trace" => trace = true,
-            "--columnar" => popstab_sim::batch::set_columnar_default(true),
             "--at" | "--rounds" => {
                 let Some(n) = args.next().and_then(|v| v.parse::<u64>().ok()) else {
                     eprintln!("{arg} needs a non-negative integer");
@@ -492,6 +487,18 @@ fn main() -> ExitCode {
         usage();
         return ExitCode::FAILURE;
     }
+    // The two parallelism axes multiply: every batch job spins up its own
+    // intra-round pool, in registry scenarios and fork sweeps too. Unless
+    // the batch width was pinned explicitly, shrink it so jobs ×
+    // round-threads ≈ the machine (oversubscribing CPU-bound threads only
+    // adds contention; results are identical either way).
+    let round_threads = popstab_sim::batch::round_threads();
+    if round_threads > 1 && !jobs_given && std::env::var_os("POPSTAB_JOBS").is_none() {
+        let avail = std::thread::available_parallelism()
+            .map(|n| n.get())
+            .unwrap_or(1);
+        popstab_sim::batch::set_default_jobs((avail / round_threads).max(1));
+    }
     // `snapshot <name>` / `resume <file>` drive the checkpoint tooling.
     if selected[0] == "snapshot" {
         let Some(name) = selected.get(1) else {
@@ -537,17 +544,6 @@ fn main() -> ExitCode {
             (entry.run)(quick);
         }
         return ExitCode::SUCCESS;
-    }
-    // The two parallelism axes multiply: every batch job spins up its own
-    // intra-round pool. Unless the batch width was pinned explicitly, shrink
-    // it so jobs × round-threads ≈ the machine (oversubscribing CPU-bound
-    // threads only adds contention; results are identical either way).
-    let round_threads = popstab_sim::batch::round_threads();
-    if round_threads > 1 && !jobs_given && std::env::var_os("POPSTAB_JOBS").is_none() {
-        let avail = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1);
-        popstab_sim::batch::set_default_jobs((avail / round_threads).max(1));
     }
     if selected.iter().any(|s| s == "all") {
         // `bench` overwrites the committed BENCH_engine.json with

@@ -4,8 +4,8 @@
 //! near equilibrium at five scales (the powers of four bracketing 1k, 10k
 //! and 100k agents, plus the large-N pair `2^20` and `2^22` that the
 //! columnar store exists for), in several configurations. Every engine
-//! opts into the columnar (struct-of-arrays) step path — the shipping
-//! fast-path configuration, bit-identical to the scalar loop — so the
+//! runs the columnar (struct-of-arrays) step path, which the protocol
+//! offers and every engine takes — bit-identical to the scalar loop — so the
 //! numbers here track what the resident-column kernels actually deliver,
 //! and `mem_bytes_per_agent` reports the resident footprint that layout
 //! buys. `--n <list>` (comma-separated targets, powers of four ≥ 1024)
@@ -83,11 +83,7 @@ pub fn valid_target(n: u64) -> bool {
 fn engine_at(n: u64, seed: u64) -> Engine<PopulationStability> {
     let params = Params::for_target(n).expect("bench target is a power of four");
     let cfg = SimConfig::builder().seed(seed).target(n).build().unwrap();
-    let mut engine = Engine::with_population(PopulationStability::new(params), cfg, n as usize);
-    // The columnar store is the configuration these numbers describe; the
-    // trajectory is bit-identical to the scalar loop either way.
-    engine.set_columnar(true);
-    engine
+    Engine::with_population(PopulationStability::new(params), cfg, n as usize)
 }
 
 fn measure(n: u64, rounds: u64, workers: usize, round_threads: usize, reps: u32) -> Workload {

@@ -172,9 +172,8 @@ fn clean_1048576_scenario() -> SnapshotScenario {
 /// epoch-based) horizon — an epoch at this scale is thousands of rounds,
 /// so the entry covers a short window that still exercises the matching,
 /// step, and apply phases at `N = 2^20`. The report comes from the
-/// per-round [`RoundReport`]s alone, so on the columnar path
-/// (`--columnar`) the population stays resident in the column store for
-/// the whole run.
+/// per-round [`RoundReport`]s alone, so the population stays resident in
+/// the column store for the whole run.
 fn run_clean_1048576(quick: bool) {
     let rounds = if quick { 40 } else { 120 };
     let (mut lo, mut hi) = (usize::MAX, 0);

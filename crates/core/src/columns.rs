@@ -268,72 +268,47 @@ impl StabilityColumns {
         self.len = last;
     }
 
-    /// Serial wire + step passes over the full range.
-    fn step_serial(
-        &mut self,
-        partners: &[u32],
-        round_key: u64,
-        splits: &mut Vec<usize>,
-        deaths: &mut Vec<usize>,
-    ) {
-        let StabilityColumns {
-            params,
-            len,
-            round,
-            to_recruit,
-            lineage,
-            active,
-            recruiting,
-            color,
-            is_leader,
-            wire8,
-            block_round,
-            block_uniform,
-            hazards,
-            ..
-        } = self;
-        hazards.clear();
-        wire_range(
-            params,
-            0,
-            *len,
-            round,
-            lineage,
-            active.words(),
-            recruiting.words(),
-            color.words(),
-            wire8,
-            block_round,
-            block_uniform,
-            hazards,
-        );
-        let lin = ColPtr::new(lineage.as_mut_ptr());
-        let mut st = StateRange {
-            round,
-            to_recruit,
-            active: active.words_mut(),
-            recruiting: recruiting.words_mut(),
-            color: color.words_mut(),
-            is_leader: is_leader.words_mut(),
-        };
-        step_range(
-            params,
-            round_key,
-            0,
-            *len,
-            partners,
-            wire8,
-            hazards,
-            lin,
-            &mut st,
-            block_round,
-            block_uniform,
-            splits,
-            deaths,
-        );
+    /// The transpose pass, sharded over word-aligned ranges of `pool`.
+    fn load_pooled(&mut self, agents: &[AgentState], pool: &ShardPool) {
+        use std::slice;
+        let n = agents.len();
+        self.resize(n);
+        let nw = n.div_ceil(64);
+        let shards = pool.shards();
+        let rnd_p = ColPtr::new(self.round.as_mut_ptr());
+        let tr_p = ColPtr::new(self.to_recruit.as_mut_ptr());
+        let lin_p = ColPtr::new(self.lineage.as_mut_ptr());
+        let act_p = ColPtr::new(self.active.words_mut().as_mut_ptr());
+        let rec_p = ColPtr::new(self.recruiting.words_mut().as_mut_ptr());
+        let col_p = ColPtr::new(self.color.words_mut().as_mut_ptr());
+        let il_p = ColPtr::new(self.is_leader.words_mut().as_mut_ptr());
+        let params = &self.params;
+        pool.dispatch(&|s| {
+            let (wlo, whi) = word_shard_range(nw, shards, s);
+            if wlo == whi {
+                return;
+            }
+            let (lo, hi) = (wlo * 64, (whi * 64).min(n));
+            let (len, wlen) = (hi - lo, whi - wlo);
+            // SAFETY: disjoint word-aligned ranges per shard; the agent
+            // slice is only read.
+            unsafe {
+                load_range(
+                    params,
+                    &agents[lo..hi],
+                    slice::from_raw_parts_mut(rnd_p.get().add(lo), len),
+                    slice::from_raw_parts_mut(tr_p.get().add(lo), len),
+                    slice::from_raw_parts_mut(lin_p.get().add(lo), len),
+                    slice::from_raw_parts_mut(act_p.get().add(wlo), wlen),
+                    slice::from_raw_parts_mut(rec_p.get().add(wlo), wlen),
+                    slice::from_raw_parts_mut(col_p.get().add(wlo), wlen),
+                    slice::from_raw_parts_mut(il_p.get().add(wlo), wlen),
+                );
+            }
+        });
     }
 
-    /// Pool-sharded wire + step passes over word-aligned shard ranges,
+    /// The wire + step passes, sharded over word-aligned ranges of `pool`,
     /// with a barrier in between (the step pass reads *global* wire bits
     /// and hazards written by the wire pass).
     fn step_pooled(
@@ -460,7 +435,7 @@ impl StabilityColumns {
         });
 
         // Shard s covers smaller slots than shard s + 1, so concatenation
-        // in shard order reproduces the serial loop's ascending slot order.
+        // in shard order keeps the splits and deaths in ascending slot order.
         for out in &self.shard_out[..shards] {
             splits.extend_from_slice(&out.splits);
             deaths.extend_from_slice(&out.deaths);
@@ -470,56 +445,9 @@ impl StabilityColumns {
 
 impl ColumnarStep<AgentState> for StabilityColumns {
     fn load(&mut self, agents: &[AgentState], pool: Option<&ShardPool>) {
-        use std::slice;
-        let n = agents.len();
-        self.resize(n);
         match pool {
-            Some(pool) if pool.shards() > 1 => {
-                let nw = n.div_ceil(64);
-                let shards = pool.shards();
-                let rnd_p = ColPtr::new(self.round.as_mut_ptr());
-                let tr_p = ColPtr::new(self.to_recruit.as_mut_ptr());
-                let lin_p = ColPtr::new(self.lineage.as_mut_ptr());
-                let act_p = ColPtr::new(self.active.words_mut().as_mut_ptr());
-                let rec_p = ColPtr::new(self.recruiting.words_mut().as_mut_ptr());
-                let col_p = ColPtr::new(self.color.words_mut().as_mut_ptr());
-                let il_p = ColPtr::new(self.is_leader.words_mut().as_mut_ptr());
-                let params = &self.params;
-                pool.dispatch(&|s| {
-                    let (wlo, whi) = word_shard_range(nw, shards, s);
-                    if wlo == whi {
-                        return;
-                    }
-                    let (lo, hi) = (wlo * 64, (whi * 64).min(n));
-                    let (len, wlen) = (hi - lo, whi - wlo);
-                    // SAFETY: disjoint word-aligned ranges per shard; the
-                    // agent slice is only read.
-                    unsafe {
-                        load_range(
-                            params,
-                            &agents[lo..hi],
-                            slice::from_raw_parts_mut(rnd_p.get().add(lo), len),
-                            slice::from_raw_parts_mut(tr_p.get().add(lo), len),
-                            slice::from_raw_parts_mut(lin_p.get().add(lo), len),
-                            slice::from_raw_parts_mut(act_p.get().add(wlo), wlen),
-                            slice::from_raw_parts_mut(rec_p.get().add(wlo), wlen),
-                            slice::from_raw_parts_mut(col_p.get().add(wlo), wlen),
-                            slice::from_raw_parts_mut(il_p.get().add(wlo), wlen),
-                        );
-                    }
-                });
-            }
-            _ => load_range(
-                &self.params,
-                agents,
-                &mut self.round,
-                &mut self.to_recruit,
-                &mut self.lineage,
-                self.active.words_mut(),
-                self.recruiting.words_mut(),
-                self.color.words_mut(),
-                self.is_leader.words_mut(),
-            ),
+            Some(pool) => self.load_pooled(agents, pool),
+            None => ShardPool::with(1, |pool| self.load_pooled(agents, pool)),
         }
     }
 
@@ -538,10 +466,10 @@ impl ColumnarStep<AgentState> for StabilityColumns {
         self.block_round.resize(nw, 0);
         self.block_uniform.resize(nw, false);
         match pool {
-            Some(pool) if pool.shards() > 1 => {
+            Some(pool) => self.step_pooled(partners, round_key, pool, splits, deaths),
+            None => ShardPool::with(1, |pool| {
                 self.step_pooled(partners, round_key, pool, splits, deaths);
-            }
-            _ => self.step_serial(partners, round_key, splits, deaths),
+            }),
         }
     }
 
@@ -1232,14 +1160,16 @@ mod tests {
 
     fn partner_table(n: usize, seed: u64, round: u64) -> Vec<u32> {
         let mut partners = Vec::new();
-        sample_partners_into(
-            &mut partners,
-            &mut Vec::new(),
-            n,
-            MatchingModel::Full,
-            round_key(seed ^ 0x6d61, round),
-            None,
-        );
+        ShardPool::with(1, |pool| {
+            sample_partners_into(
+                &mut partners,
+                &mut Vec::new(),
+                n,
+                MatchingModel::Full,
+                round_key(seed ^ 0x6d61, round),
+                pool,
+            )
+        });
         partners
     }
 

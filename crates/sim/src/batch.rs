@@ -109,34 +109,6 @@ pub fn round_threads_override() -> Option<usize> {
         .filter(|&n| n > 0)
 }
 
-/// Process-wide columnar-step default (0 = scalar, 1 = columnar).
-static COLUMNAR: AtomicUsize = AtomicUsize::new(0);
-
-/// Sets the process-wide columnar-step default consumed by
-/// [`columnar_default`] (the `experiments` binary wires its `--columnar`
-/// flag through here).
-pub fn set_columnar_default(enabled: bool) {
-    COLUMNAR.store(usize::from(enabled), Ordering::Relaxed);
-}
-
-/// Whether engines built by [`Scenario::engine`](crate::Scenario) (and the
-/// snapshot/fork tooling layered on it) opt into the columnar
-/// (struct-of-arrays) step path: the [`set_columnar_default`] override if
-/// set, else the `POPSTAB_COLUMNAR` environment variable (`1`/`true`).
-/// Purely a performance knob — the columnar path is bit-identical to the
-/// scalar loop, which the CI columnar smoke leg diffs to prove.
-pub fn columnar_default() -> bool {
-    if COLUMNAR.load(Ordering::Relaxed) != 0 {
-        return true;
-    }
-    // lint:allow(taint-ambient-nondeterminism): layout knob only — the
-    // columnar kernels replay the scalar trajectory bit-for-bit (the
-    // equivalence suite and the CI columnar smoke leg both enforce it).
-    std::env::var("POPSTAB_COLUMNAR")
-        .map(|v| v == "1" || v.eq_ignore_ascii_case("true"))
-        .unwrap_or(false)
-}
-
 /// Sets the process-wide default worker count used by
 /// [`BatchRunner::from_env`] (the `experiments` binary wires its `--jobs`
 /// flag through here). `0` clears the override.
@@ -540,14 +512,10 @@ impl<P: Protocol, A: Adversary<P::State>> Scenario<P, A> {
         }
     }
 
-    /// Builds the engine this scenario describes. The engine opts into the
-    /// columnar step path when [`columnar_default`] asks for it
-    /// (`--columnar` / `POPSTAB_COLUMNAR`) — bit-identical either way.
+    /// Builds the engine this scenario describes (on the columnar step
+    /// path whenever the protocol offers one, like every engine).
     pub fn engine(self) -> Engine<P, A> {
-        let mut engine =
-            Engine::with_adversary(self.protocol, self.adversary, self.config, self.initial);
-        engine.set_columnar(columnar_default());
-        engine
+        Engine::with_adversary(self.protocol, self.adversary, self.config, self.initial)
     }
 
     /// Builds the engine and drives it through `spec` under `obs`,
@@ -629,9 +597,8 @@ impl<P: Protocol, A: Adversary<P::State>> Scenario<P, A> {
             }
             // Same-process, same protocol type: the tag always matches and
             // the agent column decodes exactly as it was encoded.
-            let mut engine = Engine::restore(protocol.clone(), branch.adversary, &snap)
+            let engine = Engine::restore(protocol.clone(), branch.adversary, &snap)
                 .expect("a freshly taken snapshot restores under its own protocol");
-            engine.set_columnar(columnar_default());
             eval(index, engine)
         })
     }
@@ -752,7 +719,7 @@ struct PoolState {
 /// The pool imposes no determinism by itself — callers get bit-identical
 /// results for every shard count by keying all randomness on data (see
 /// [`crate::rng::counter_seed`]) and merging per-shard output in slot
-/// order, which is exactly what `Engine::run_until_par` does.
+/// order, which is exactly what [`Engine::run`] does.
 pub struct ShardPool {
     shards: usize,
     state: Mutex<PoolState>,

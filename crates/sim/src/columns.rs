@@ -63,9 +63,10 @@ pub trait ColumnarStep<S>: fmt::Debug + Send {
     /// Called by the engine whenever the vector was mutated behind the
     /// columns' back (initial round, adversary alterations, restores).
     ///
-    /// `pool` is `Some` when the engine runs its sharded round path; the
-    /// transpose may fan out across [`dispatch`](ShardPool::dispatch), but
-    /// the result must not depend on the shard count.
+    /// `pool` is the pool the round runs on — the engine always passes
+    /// `Some`, and `None` means one shard. The transpose may fan out across
+    /// [`dispatch`](ShardPool::dispatch), but the result must not depend on
+    /// the shard count.
     fn load(&mut self, agents: &[S], pool: Option<&ShardPool>);
 
     /// Runs one step phase over the resident columns (which must be
@@ -78,7 +79,10 @@ pub trait ColumnarStep<S>: fmt::Debug + Send {
     /// [`UNMATCHED`](crate::matching::UNMATCHED). Implementations may rely
     /// on that bound to index without checks. `round_key` is the
     /// engine's per-round agent-stream key (agent `i` draws from
-    /// [`slot_rng`](crate::rng::slot_rng)`(round_key, i)`). Split and death
+    /// [`slot_rng`](crate::rng::slot_rng)`(round_key, i)`). `pool` means
+    /// what it means for [`load`](Self::load): the engine always passes
+    /// `Some`, `None` is one shard, and the result must not depend on the
+    /// shard count. Split and death
     /// slots must be pushed exactly as the scalar loop pushes them:
     /// ascending slot order (the engine applies splits in push order).
     fn step(

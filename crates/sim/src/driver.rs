@@ -9,8 +9,8 @@
 //!
 //! * **when to stop** — [`Stop`]: a fixed round count, a per-round
 //!   predicate, or an epoch grid,
-//! * **who executes a round** — [`Threads`]: the serial loop or the
-//!   intra-round [`ShardPool`](crate::batch::ShardPool) sharding,
+//! * **who executes a round** — [`Threads`]: how many shards the round's
+//!   [`ShardPool`](crate::batch::ShardPool) has (one for `Serial`),
 //! * **what to observe** — [`Observer`]: anything from the zero-cost `()`
 //!   to a [`RecordStats`] metrics adapter, composed with [`Stride`] /
 //!   [`Tee`] / [`OnRound`].
@@ -81,13 +81,13 @@ pub enum Stop<F = NoStop> {
 /// How each round executes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Threads {
-    /// The serial round loop.
+    /// One shard on the calling thread.
     Serial,
     /// Shard the `O(population)` phases of every round (step scan, matching
-    /// construction) across a persistent pool of this many workers. The
-    /// trajectory is bit-identical to [`Threads::Serial`] for every worker
-    /// count; worth it only when single rounds are large (the pool
-    /// synchronizes twice per round).
+    /// construction) across a persistent pool of this many workers (`0` is
+    /// clamped to 1). The trajectory is bit-identical to [`Threads::Serial`]
+    /// for every worker count; worth it only when single rounds are large
+    /// (the pool synchronizes several times per round).
     Sharded(usize),
 }
 
@@ -102,17 +102,14 @@ impl Threads {
         }
     }
 
-    /// Collapses the degenerate sharded configurations: `Sharded(0)` and
-    /// `Sharded(1)` describe the same trajectory as [`Threads::Serial`]
-    /// (the determinism contract) but would execute through the sharded
-    /// round body's reserve/merge machinery. [`Engine::run`](crate::Engine::run)
-    /// dispatches on the normalized value, matching
-    /// the normalization [`Threads::from_env`] applies to the environment.
+    /// The shard count of the pool [`Engine::run`](crate::Engine::run)
+    /// executes rounds on: `1` for [`Threads::Serial`], `n.max(1)` for
+    /// `Sharded(n)`.
     #[must_use]
-    pub fn normalized(self) -> Threads {
+    pub fn shards(self) -> usize {
         match self {
-            Threads::Sharded(0 | 1) => Threads::Serial,
-            other => other,
+            Threads::Serial => 1,
+            Threads::Sharded(n) => n.max(1),
         }
     }
 }
@@ -509,15 +506,11 @@ mod tests {
     }
 
     #[test]
-    fn degenerate_sharded_configs_normalize_to_serial() {
-        // `Sharded(0 | 1)` describes a serial trajectory; `Engine::run`
-        // dispatches on the normalized value, so these take the serial
-        // path — consistent with `Threads::from_env`'s treatment of
-        // `POPSTAB_ROUND_THREADS={0,1}`.
-        assert_eq!(Threads::Sharded(0).normalized(), Threads::Serial);
-        assert_eq!(Threads::Sharded(1).normalized(), Threads::Serial);
-        assert_eq!(Threads::Serial.normalized(), Threads::Serial);
-        assert_eq!(Threads::Sharded(4).normalized(), Threads::Sharded(4));
+    fn thread_configs_map_to_pool_shard_counts() {
+        assert_eq!(Threads::Serial.shards(), 1);
+        assert_eq!(Threads::Sharded(0).shards(), 1);
+        assert_eq!(Threads::Sharded(1).shards(), 1);
+        assert_eq!(Threads::Sharded(4).shards(), 4);
     }
 
     // `Threads::from_env` is covered by `batch::tests::round_threads_default_is_serial`,

@@ -25,18 +25,23 @@
 //! `(seed, r, s)`, so the step phase has no serial RNG dependency between
 //! agents and can be sharded across threads
 //! ([`Threads::Sharded`]) with results
-//! bit-identical to the serial paths for every worker count. The matching
+//! bit-identical for every worker count. Every round runs through one
+//! body on a [`ShardPool`]: [`Threads::Serial`] is simply a pool of one
+//! shard, which spawns no threads and runs inline. The matching
 //! is counter-keyed the same way (see [`crate::matching`]): round `r`'s
 //! pairs are a pure function of `round_key(match_key, r)`, and for large
 //! populations the pass that writes them into the partner table shards
 //! across the same pool as the step phase.
+//!
+//! [`Threads::Sharded`]: crate::Threads::Sharded
+//! [`Threads::Serial`]: crate::Threads::Serial
 
 use crate::adversary::{Adversary, Alteration, NoOpAdversary, RoundContext};
 use crate::agent::{Action, Protocol};
 use crate::batch::{shard_range, SendPtr, ShardPool};
 use crate::columns::ColumnarStep;
 use crate::config::SimConfig;
-use crate::driver::{EngineView, Observer, RunOutcome, RunSpec, Stop, Threads};
+use crate::driver::{EngineView, Observer, RunOutcome, RunSpec, Stop};
 use crate::matching::{sample_partners_into, UNMATCHED};
 use crate::rng::{derive_seed, derive_stream, round_key, slot_rng, SimRng};
 use crate::snapshot::{Snapshot, SnapshotError, SnapshotReader, SnapshotState};
@@ -109,9 +114,9 @@ impl<M> Default for RoundScratch<M> {
     }
 }
 
-/// Per-shard output of the parallel step phase: the split/death work lists
-/// one shard's slot range produced. Merged into the round scratch in shard
-/// (= slot) order, so the merged lists match the serial step loop's.
+/// Per-shard output of the scalar step phase: the split/death work lists
+/// one shard's slot range produced. Appended to shard 0's lists in shard
+/// (= slot) order, so the merged lists are independent of the shard count.
 #[derive(Debug, Default)]
 struct StepShard {
     splits: Vec<usize>,
@@ -139,8 +144,7 @@ pub struct Engine<P: Protocol, A: Adversary<P::State> = NoOpAdversary> {
     scratch: RoundScratch<P::Message>,
     /// The protocol's columnar state store, installed at construction when
     /// the protocol opts in ([`Protocol::columnar`]). `Some` switches
-    /// [`phase_step_serial`](Self::phase_step_serial) and
-    /// [`phase_step_parallel`](Self::phase_step_parallel) onto the
+    /// [`phase_step`](Self::phase_step) onto the
     /// struct-of-arrays path — bit-identical by the determinism contract of
     /// [`crate::columns`], so it is invisible to observers, adversaries,
     /// traces, and snapshots. The columns hold the population *resident*
@@ -291,100 +295,6 @@ impl<P: Protocol, A: Adversary<P::State>> Engine<P, A> {
         agents + scratch + columnar
     }
 
-    /// The generic run loop shared by the serial and sharded drivers:
-    /// executes rounds through `exec` until the spec is exhausted, the
-    /// engine halts, or an [`Stop::Until`] predicate fires, notifying `obs`
-    /// after every round.
-    fn drive<F, O>(
-        &mut self,
-        spec: RunSpec<F>,
-        obs: &mut O,
-        scratch: &mut RoundScratch<P::Message>,
-        mut exec: impl FnMut(&mut Self, &mut RoundScratch<P::Message>) -> RoundReport,
-    ) -> RunOutcome
-    where
-        F: FnMut(&RoundReport) -> bool,
-        O: Observer<P>,
-    {
-        let max_rounds = spec.max_rounds();
-        let mut stop = spec.stop;
-        let mut executed = 0u64;
-        let (mut lo, mut hi) = (usize::MAX, 0usize);
-        let mut last: Option<RoundReport> = None;
-        let mut stopped_early = false;
-        // Observers that declare they never read the agent slice let the
-        // columnar path keep its columns resident across rounds instead of
-        // transposing the vector back after every step.
-        let needs_state = obs.needs_engine_state();
-        while executed < max_rounds {
-            if self.halted.is_some() {
-                break;
-            }
-            let report = exec(self, scratch);
-            executed += 1;
-            lo = lo.min(report.population_after);
-            hi = hi.max(report.population_after);
-            if needs_state {
-                self.materialize();
-            }
-            let view = EngineView {
-                agents: &self.agents,
-                round: self.round,
-                halted: self.halted,
-                config: &self.cfg,
-                adv_rng_state: self.adv_rng.raw_state(),
-            };
-            obs.on_round(&report, &view);
-            last = Some(report);
-            if let Stop::Until { stop, .. } = &mut stop {
-                if stop(&report) {
-                    stopped_early = true;
-                    break;
-                }
-            }
-        }
-        // The vector is authoritative again from here on out.
-        self.materialize();
-        let population = self.agents.len();
-        if executed == 0 {
-            lo = population;
-            hi = population;
-        }
-        RunOutcome {
-            executed,
-            halted: self.halted,
-            stopped_early,
-            last: last.unwrap_or(RoundReport {
-                round: self.round,
-                population_before: population,
-                population_after: population,
-                ..RoundReport::default()
-            }),
-            min_population: lo,
-            max_population: hi,
-        }
-    }
-
-    /// The bound-free serial driver: [`Engine::run`] minus the
-    /// [`Threads::Sharded`] arm, so it needs none of that arm's
-    /// `Send`/`Sync` bounds. `spec.threads` is ignored (rounds execute
-    /// serially).
-    ///
-    /// [`Engine::run`] dispatches here for [`Threads::Serial`] (and for
-    /// degenerate `Sharded(0 | 1)` specs); call it directly only for a
-    /// protocol whose state is not thread-safe — every protocol in this
-    /// workspace satisfies the `run` bounds.
-    pub fn run_serial<F, O>(&mut self, spec: RunSpec<F>, obs: &mut O) -> RunOutcome
-    where
-        F: FnMut(&RoundReport) -> bool,
-        O: Observer<P>,
-    {
-        let mut scratch = std::mem::take(&mut self.scratch);
-        let outcome = self.drive(spec, obs, &mut scratch, |e, s| e.round_impl(s));
-        self.scratch = scratch;
-        outcome
-    }
-
     /// Checkpoints the engine into a [`Snapshot`]: config, round counter,
     /// halt flag, adversary-stream position, and every agent's encoded
     /// state. [`Engine::restore`] of the result continues bit-for-bit
@@ -471,35 +381,15 @@ impl<P: Protocol, A: Adversary<P::State>> Engine<P, A> {
         })
     }
 
-    /// One synchronous round against explicit scratch buffers. The serial
-    /// driver funnels through here; the sharded driver funnels through
-    /// [`par_round_impl`](Self::par_round_impl), which differs *only* in how
-    /// the step phase is executed.
-    fn round_impl(&mut self, scratch: &mut RoundScratch<P::Message>) -> RoundReport {
-        let mut report = RoundReport {
-            round: self.round,
-            population_before: self.live_population(),
-            ..RoundReport::default()
-        };
-        if self.halted.is_some() {
-            report.population_after = self.live_population();
-            return report;
-        }
-        self.phase_adversary_and_matching(scratch, &mut report, None);
-        self.phase_step_serial(scratch);
-        self.phase_apply(scratch, &mut report);
-        report
-    }
-
     /// Phases 1–2: adversary alterations, then the matching over survivors,
     /// sampled straight into its compact partner table. The matching is
-    /// counter-keyed per round, so the serial and the pool-sharded builder
-    /// produce identical tables — `pool` only changes who computes them.
+    /// counter-keyed per round, so every shard count of `pool` produces the
+    /// identical table — `pool` only changes who computes it.
     fn phase_adversary_and_matching(
         &mut self,
         scratch: &mut RoundScratch<P::Message>,
         report: &mut RoundReport,
-        pool: Option<&ShardPool>,
+        pool: &ShardPool,
     ) {
         // Phase 1: adversary (sees everything, blind to the coming matching).
         // A real adversary must see the authoritative vector; the declared
@@ -539,86 +429,6 @@ impl<P: Protocol, A: Adversary<P::State>> Engine<P, A> {
         );
     }
 
-    /// Phase 3, serial flavor: simultaneous message exchange, then one step
-    /// per agent under its `(round, slot)`-keyed RNG. Messages are composed
-    /// from pre-step state for every matched agent.
-    fn phase_step_serial(&mut self, scratch: &mut RoundScratch<P::Message>) {
-        if self.phase_step_columnar(scratch, None) {
-            return;
-        }
-        let RoundScratch {
-            partners,
-            messages,
-            splits,
-            deaths,
-            ..
-        } = scratch;
-        messages.clear();
-        messages.extend(partners.iter().map(|&p| {
-            if p == UNMATCHED {
-                None
-            } else {
-                Some(self.protocol.message(&self.agents[p as usize]))
-            }
-        }));
-
-        deaths.clear();
-        splits.clear();
-        let rkey = round_key(self.agent_key, self.round);
-        for (i, incoming) in messages.iter().enumerate() {
-            let mut rng = slot_rng(rkey, i as u64);
-            let action = self
-                .protocol
-                .step(&mut self.agents[i], incoming.as_ref(), &mut rng);
-            match action {
-                Action::Continue => {}
-                Action::Split => splits.push(i),
-                Action::Die => deaths.push(i),
-                // Extended model (§1.2): remove the matched partner. A
-                // kill and a same-round split of the victim both take
-                // effect: the daughter survives, the victim does not.
-                Action::KillPartner => {
-                    let j = partners[i];
-                    if j != UNMATCHED {
-                        deaths.push(j as usize);
-                    }
-                }
-            }
-        }
-    }
-
-    /// The columnar arm of the step phase, shared by the serial and sharded
-    /// flavors: reload the columns if the vector was mutated since they were
-    /// last current, then advance them in place (leaving the vector stale
-    /// until someone materializes it). Returns `false` when no columnar
-    /// stepper is installed.
-    fn phase_step_columnar(
-        &mut self,
-        scratch: &mut RoundScratch<P::Message>,
-        pool: Option<&ShardPool>,
-    ) -> bool {
-        if self.columnar.is_none() {
-            return false;
-        }
-        let rkey = round_key(self.agent_key, self.round);
-        let stepper = self.columnar.as_mut().expect("checked above");
-        scratch.splits.clear();
-        scratch.deaths.clear();
-        if !self.cols_valid {
-            stepper.load(&self.agents, pool);
-            self.cols_valid = true;
-        }
-        stepper.step(
-            &scratch.partners,
-            rkey,
-            pool,
-            &mut scratch.splits,
-            &mut scratch.deaths,
-        );
-        self.vec_stale = true;
-        true
-    }
-
     /// Phase 4 plus bookkeeping: apply splits (append daughters) then
     /// deaths (swap-remove, descending index order so earlier indices stay
     /// valid; kills may duplicate an own-death, so dedup first), and check
@@ -654,159 +464,6 @@ impl<P: Protocol, A: Adversary<P::State>> Engine<P, A> {
         } else if population > self.cfg.max_population {
             self.halted = Some(HaltReason::Exploded);
         }
-    }
-
-    /// Phase 3, parallel flavor: shards the message composition and the
-    /// step/split/death scan over `pool`, merging per-shard work lists in
-    /// slot order. Bit-identical to [`phase_step_serial`](Self::phase_step_serial)
-    /// for every shard count because
-    ///
-    /// * each agent's coin flips come from its own `(round, slot)` counter
-    ///   stream, not from a shared sequential stream,
-    /// * shards cover contiguous disjoint slot ranges in order, so the
-    ///   concatenated split lists equal the serial iteration's, and the
-    ///   death lists are sorted + deduped afterwards either way.
-    fn phase_step_parallel(
-        &mut self,
-        scratch: &mut RoundScratch<P::Message>,
-        pool: &ShardPool,
-        shard_out: &mut [StepShard],
-    ) where
-        P: Sync,
-        P::State: Send + Sync,
-        P::Message: Send,
-    {
-        if self.phase_step_columnar(scratch, Some(pool)) {
-            return;
-        }
-        let RoundScratch {
-            partners,
-            messages,
-            splits,
-            deaths,
-            ..
-        } = scratch;
-        let n = self.agents.len();
-        let nshards = pool.shards();
-        debug_assert_eq!(shard_out.len(), nshards);
-        let partners: &[u32] = partners;
-        let protocol = &self.protocol;
-        let rkey = round_key(self.agent_key, self.round);
-
-        // Message composition: every shard reads agent states (no one
-        // mutates them during this dispatch) and writes the message slots
-        // of its own range. Plain message types (no drop glue — every
-        // protocol in this workspace) write into spare capacity and publish
-        // the length after the barrier; droppy message types are prefilled
-        // with `None` first so that a panicking shard cannot strand
-        // already-written payloads in unreachable capacity (`ptr::write`
-        // over a `None` leaks nothing either way).
-        let prefill = std::mem::needs_drop::<Option<P::Message>>();
-        messages.clear();
-        if prefill {
-            messages.resize_with(n, || None);
-        } else {
-            messages.reserve(n);
-        }
-        let msg_base = SendPtr(messages.as_mut_ptr());
-        let agents_base = SendPtr(self.agents.as_mut_ptr());
-        pool.dispatch(&|s| {
-            let (lo, hi) = shard_range(n, nshards, s);
-            // Indexing (not iterators) keeps the slot arithmetic aligned
-            // with the raw-pointer writes below.
-            #[allow(clippy::needless_range_loop)]
-            for i in lo..hi {
-                let p = partners[i];
-                let msg = if p == UNMATCHED {
-                    None
-                } else {
-                    // SAFETY: shared read; agents are not written to until
-                    // the next dispatch, after this one's barrier.
-                    Some(protocol.message(unsafe { &*agents_base.get().add(p as usize) }))
-                };
-                // SAFETY: slot `i` belongs to exactly one shard range and
-                // lies within the capacity reserved above; it holds either
-                // uninitialized memory (post-`clear`) or a prefilled `None`
-                // — `write` is correct for both, since `None` of a droppy
-                // payload type has nothing to drop.
-                unsafe { msg_base.get().add(i).write(msg) };
-            }
-        });
-        if !prefill {
-            // SAFETY: the dispatch barrier guarantees all `n` slots are
-            // initialized before the length is published.
-            unsafe { messages.set_len(n) };
-        }
-
-        // Step scan: each shard mutates only its own agents, reads only its
-        // own messages, and collects splits/deaths into its own list.
-        let shards_base = SendPtr(shard_out.as_mut_ptr());
-        pool.dispatch(&|s| {
-            let (lo, hi) = shard_range(n, nshards, s);
-            // SAFETY: `dispatch` runs each shard index exactly once, so
-            // this is the only reference to `shard_out[s]`.
-            let out = unsafe { &mut *shards_base.get().add(s) };
-            out.splits.clear();
-            out.deaths.clear();
-            #[allow(clippy::needless_range_loop)]
-            for i in lo..hi {
-                // SAFETY: slot `i` belongs to exactly one shard range; no
-                // other thread touches `agents[i]` or `messages[i]`.
-                let state = unsafe { &mut *agents_base.get().add(i) };
-                // SAFETY: same disjointness argument, and `messages` is only
-                // ever read during the step phase.
-                let incoming = unsafe { &*msg_base.get().add(i) };
-                let mut rng = slot_rng(rkey, i as u64);
-                match protocol.step(state, incoming.as_ref(), &mut rng) {
-                    Action::Continue => {}
-                    Action::Split => out.splits.push(i),
-                    Action::Die => out.deaths.push(i),
-                    Action::KillPartner => {
-                        let j = partners[i];
-                        if j != UNMATCHED {
-                            out.deaths.push(j as usize);
-                        }
-                    }
-                }
-            }
-        });
-
-        // Deterministic merge in slot order (shard s covers smaller slots
-        // than shard s+1).
-        splits.clear();
-        deaths.clear();
-        for out in shard_out.iter() {
-            splits.extend_from_slice(&out.splits);
-            deaths.extend_from_slice(&out.deaths);
-        }
-    }
-
-    /// One round with the step phase sharded over `pool`; everything else
-    /// matches [`round_impl`](Self::round_impl).
-    fn par_round_impl(
-        &mut self,
-        scratch: &mut RoundScratch<P::Message>,
-        pool: &ShardPool,
-        shard_out: &mut [StepShard],
-    ) -> RoundReport
-    where
-        P: Sync,
-        P::State: Send + Sync,
-        P::Message: Send,
-    {
-        let mut report = RoundReport {
-            round: self.round,
-            population_before: self.live_population(),
-            ..RoundReport::default()
-        };
-        if self.halted.is_some() {
-            report.population_after = self.live_population();
-            return report;
-        }
-        self.phase_adversary_and_matching(scratch, &mut report, Some(pool));
-        self.phase_step_parallel(scratch, pool, shard_out);
-        self.phase_apply(scratch, &mut report);
-        report
     }
 
     /// Applies adversary alterations under the budget, in order. `Delete` and
@@ -855,20 +512,24 @@ impl<P: Protocol, A: Adversary<P::State>> Engine<P, A> {
 
 /// The unified run driver.
 ///
-/// The `Send`/`Sync` bounds come from [`Threads::Sharded`], which shards
-/// the two `O(population)` stretches of every round — the step phase and
-/// the partner-table pass of the matching — across one persistent
-/// [`ShardPool`]; the per-agent counter RNG and the counter-keyed matching
-/// permutation make the results **bit-identical to the serial loop for
-/// every worker count** (asserted by the `sharded_run_*` property tests and
-/// the CI determinism diff). The remaining phases (adversary, split/death
-/// application) stay serial — they are `O(K + splits + deaths)` work
-/// against the `O(population)` passes — as does the keyed shuffle that
-/// matches populations under
+/// Every round runs on one persistent [`ShardPool`], whose shard count
+/// comes from [`Threads::shards`]: the two `O(population)` stretches of a
+/// round — the step phase and the partner-table pass of the matching —
+/// shard across it, and the per-agent counter RNG and the counter-keyed
+/// matching permutation make the results **bit-identical for every shard
+/// count** (asserted by the `sharded_run_*` property tests and the CI
+/// determinism diff). [`Threads::Serial`] is the one-shard pool: it spawns
+/// no threads and runs each dispatch inline. The remaining phases
+/// (adversary, split/death application) stay on the calling thread — they
+/// are `O(K + splits + deaths)` work against the `O(population)` passes —
+/// as does the keyed shuffle that matches populations under
 /// [`KEYED_PERMUTATION_MIN_POPULATION`](crate::matching::KEYED_PERMUTATION_MIN_POPULATION).
 /// Sharding is worth it only when single rounds are large: the pool
 /// synchronizes several times per round, so at small populations
 /// [`Threads::Serial`] wins.
+///
+/// [`Threads::shards`]: crate::Threads::shards
+/// [`Threads::Serial`]: crate::Threads::Serial
 impl<P, A> Engine<P, A>
 where
     P: Protocol + Sync,
@@ -881,8 +542,8 @@ where
     ///
     /// This is the one execution entry point: the stop condition
     /// ([`Stop::Rounds`] / [`Stop::Until`] / [`Stop::Epochs`]) and the
-    /// thread configuration ([`Threads::Serial`] /
-    /// [`Threads::Sharded`], one pool persisting across all rounds) live in
+    /// thread configuration ([`Threads::Serial`] / [`Threads::Sharded`],
+    /// one pool persisting across all rounds) live in
     /// the [`RunSpec`]; recording and any other instrumentation live in the
     /// [`Observer`]. With the `()` observer the loop is the allocation-free
     /// fast path; with [`RecordStats`](crate::RecordStats) it reproduces the
@@ -890,37 +551,276 @@ where
     /// function of the seed: the spec's thread configuration and the
     /// observer never change it.
     ///
-    /// The `Send`/`Sync` bounds on this impl block exist for the
-    /// [`Threads::Sharded`] arm (they are satisfied by every protocol in
-    /// this workspace). A protocol with non-thread-safe state can still
-    /// execute serially through the bound-free
-    /// [`run_serial`](Engine::run_serial).
+    /// The `Send`/`Sync` bounds on this impl block are what sharding a
+    /// round across threads needs; every protocol in this workspace
+    /// satisfies them.
     ///
-    /// The thread configuration is [normalized](Threads::normalized)
-    /// before dispatch: `Sharded(0)` and `Sharded(1)` describe a serial
-    /// trajectory (the determinism contract makes them identical to
-    /// [`Threads::Serial`]), so they take the serial path rather than
-    /// paying the sharded arm's per-round merge overhead — the same
-    /// normalization [`Threads::from_env`] applies.
+    /// [`Threads::Serial`]: crate::Threads::Serial
+    /// [`Threads::Sharded`]: crate::Threads::Sharded
     pub fn run<F, O>(&mut self, spec: RunSpec<F>, obs: &mut O) -> RunOutcome
     where
         F: FnMut(&RoundReport) -> bool,
         O: Observer<P>,
     {
-        match spec.threads.normalized() {
-            Threads::Serial => self.run_serial(spec, obs),
-            Threads::Sharded(workers) => {
-                let mut scratch = std::mem::take(&mut self.scratch);
-                let mut shard_out: Vec<StepShard> =
-                    (0..workers).map(|_| StepShard::default()).collect();
-                let outcome = ShardPool::with(workers, |pool| {
-                    self.drive(spec, obs, &mut scratch, |e, s| {
-                        e.par_round_impl(s, pool, &mut shard_out)
-                    })
-                });
-                self.scratch = scratch;
-                outcome
+        let shards = spec.threads.shards();
+        let mut scratch = std::mem::take(&mut self.scratch);
+        // The scalar step phase's work lists of shards `1..` (shard 0
+        // writes straight into the round scratch).
+        let mut lists: Vec<StepShard> = (1..shards).map(|_| StepShard::default()).collect();
+        let outcome = ShardPool::with(shards, |pool| {
+            self.drive(spec, obs, &mut scratch, &mut lists, pool)
+        });
+        self.scratch = scratch;
+        outcome
+    }
+
+    /// The run loop: executes rounds on `pool` until the spec is exhausted,
+    /// the engine halts, or an [`Stop::Until`] predicate fires, notifying
+    /// `obs` after every round.
+    fn drive<F, O>(
+        &mut self,
+        spec: RunSpec<F>,
+        obs: &mut O,
+        scratch: &mut RoundScratch<P::Message>,
+        lists: &mut [StepShard],
+        pool: &ShardPool,
+    ) -> RunOutcome
+    where
+        F: FnMut(&RoundReport) -> bool,
+        O: Observer<P>,
+    {
+        let max_rounds = spec.max_rounds();
+        let mut stop = spec.stop;
+        let mut executed = 0u64;
+        let (mut lo, mut hi) = (usize::MAX, 0usize);
+        let mut last: Option<RoundReport> = None;
+        let mut stopped_early = false;
+        // Observers that declare they never read the agent slice let the
+        // columnar path keep its columns resident across rounds instead of
+        // transposing the vector back after every step.
+        let needs_state = obs.needs_engine_state();
+        while executed < max_rounds {
+            if self.halted.is_some() {
+                break;
             }
+            let report = self.round_on(scratch, lists, pool);
+            executed += 1;
+            lo = lo.min(report.population_after);
+            hi = hi.max(report.population_after);
+            if needs_state {
+                self.materialize();
+            }
+            let view = EngineView {
+                agents: &self.agents,
+                round: self.round,
+                halted: self.halted,
+                config: &self.cfg,
+                adv_rng_state: self.adv_rng.raw_state(),
+            };
+            obs.on_round(&report, &view);
+            last = Some(report);
+            if let Stop::Until { stop, .. } = &mut stop {
+                if stop(&report) {
+                    stopped_early = true;
+                    break;
+                }
+            }
+        }
+        // The vector is authoritative again from here on out.
+        self.materialize();
+        let population = self.agents.len();
+        if executed == 0 {
+            lo = population;
+            hi = population;
+        }
+        RunOutcome {
+            executed,
+            halted: self.halted,
+            stopped_early,
+            last: last.unwrap_or(RoundReport {
+                round: self.round,
+                population_before: population,
+                population_after: population,
+                ..RoundReport::default()
+            }),
+            min_population: lo,
+            max_population: hi,
+        }
+    }
+
+    /// One synchronous round on `pool`, against explicit scratch buffers.
+    fn round_on(
+        &mut self,
+        scratch: &mut RoundScratch<P::Message>,
+        lists: &mut [StepShard],
+        pool: &ShardPool,
+    ) -> RoundReport {
+        let mut report = RoundReport {
+            round: self.round,
+            population_before: self.live_population(),
+            ..RoundReport::default()
+        };
+        if self.halted.is_some() {
+            report.population_after = self.live_population();
+            return report;
+        }
+        self.phase_adversary_and_matching(scratch, &mut report, pool);
+        self.phase_step(scratch, lists, pool);
+        self.phase_apply(scratch, &mut report);
+        report
+    }
+
+    /// Phase 3: simultaneous message exchange, then one step per agent
+    /// under its `(round, slot)`-keyed RNG, sharded over `pool`.
+    ///
+    /// With a columnar stepper installed, the columns are reloaded if the
+    /// vector was mutated since they were last current, then advanced in
+    /// place (leaving the vector stale until someone materializes it).
+    ///
+    /// Otherwise the scalar loop shards the message composition and the
+    /// step/split/death scan, merging per-shard work lists in slot order.
+    /// The result is the same for every shard count because
+    ///
+    /// * each agent's coin flips come from its own `(round, slot)` counter
+    ///   stream, not from a shared sequential stream,
+    /// * messages are composed from pre-step state for every matched agent
+    ///   before any agent steps,
+    /// * shards cover contiguous disjoint slot ranges in order, so the
+    ///   concatenated split lists are in ascending slot order, and the
+    ///   death lists are sorted + deduped afterwards either way.
+    fn phase_step(
+        &mut self,
+        scratch: &mut RoundScratch<P::Message>,
+        lists: &mut [StepShard],
+        pool: &ShardPool,
+    ) {
+        let RoundScratch {
+            partners,
+            messages,
+            splits,
+            deaths,
+            ..
+        } = scratch;
+        let rkey = round_key(self.agent_key, self.round);
+        splits.clear();
+        deaths.clear();
+        if let Some(stepper) = self.columnar.as_mut() {
+            if !self.cols_valid {
+                stepper.load(&self.agents, Some(pool));
+                self.cols_valid = true;
+            }
+            stepper.step(partners, rkey, Some(pool), splits, deaths);
+            self.vec_stale = true;
+            return;
+        }
+        let n = self.agents.len();
+        let nshards = pool.shards();
+        assert_eq!(lists.len(), nshards - 1);
+        let partners: &[u32] = partners;
+        let protocol = &self.protocol;
+
+        // Message composition: every shard reads agent states (no one
+        // mutates them during this dispatch) and writes the message slots
+        // of its own range. Plain message types (no drop glue — every
+        // protocol in this workspace) write into spare capacity and publish
+        // the length after the barrier; droppy message types are prefilled
+        // with `None` first so that a panicking shard cannot strand
+        // already-written payloads in unreachable capacity (`ptr::write`
+        // over a `None` leaks nothing either way).
+        let prefill = std::mem::needs_drop::<Option<P::Message>>();
+        messages.clear();
+        if prefill {
+            messages.resize_with(n, || None);
+        } else {
+            messages.reserve(n);
+        }
+        let msg_base = SendPtr(messages.as_mut_ptr());
+        let agents_base = SendPtr(self.agents.as_mut_ptr());
+        pool.dispatch(&|s| {
+            let (lo, hi) = shard_range(n, nshards, s);
+            // Indexing (not iterators) keeps the slot arithmetic aligned
+            // with the raw-pointer writes below.
+            #[allow(clippy::needless_range_loop)]
+            for i in lo..hi {
+                let p = partners[i];
+                let msg = if p == UNMATCHED {
+                    None
+                } else {
+                    // SAFETY: shared read; agents are not written to until
+                    // the next dispatch, after this one's barrier.
+                    Some(protocol.message(unsafe { &*agents_base.get().add(p as usize) }))
+                };
+                // SAFETY: slot `i` belongs to exactly one shard range and
+                // lies within the capacity reserved above; it holds either
+                // uninitialized memory (post-`clear`) or a prefilled `None`
+                // — `write` is correct for both, since `None` of a droppy
+                // payload type has nothing to drop.
+                unsafe { msg_base.get().add(i).write(msg) };
+            }
+        });
+        if !prefill {
+            // SAFETY: the dispatch barrier guarantees all `n` slots are
+            // initialized before the length is published.
+            unsafe { messages.set_len(n) };
+        }
+
+        // Step scan: each shard mutates only its own agents, reads only its
+        // own messages, and collects splits/deaths into its own lists —
+        // shard 0 into the round's, so a one-shard pool needs no merge.
+        let mut first = StepShard {
+            splits: std::mem::take(splits),
+            deaths: std::mem::take(deaths),
+        };
+        let first_ptr = SendPtr(&mut first as *mut StepShard);
+        let lists_base = SendPtr(lists.as_mut_ptr());
+        pool.dispatch(&|s| {
+            let (lo, hi) = shard_range(n, nshards, s);
+            // SAFETY: `dispatch` runs each shard index exactly once, so
+            // this is the only reference to `first` (shard 0) or to
+            // `lists[s - 1]`, which exists because `lists` holds
+            // `nshards - 1` entries.
+            let out = unsafe {
+                &mut *if s == 0 {
+                    first_ptr.get()
+                } else {
+                    lists_base.get().add(s - 1)
+                }
+            };
+            out.splits.clear();
+            out.deaths.clear();
+            #[allow(clippy::needless_range_loop)]
+            for i in lo..hi {
+                // SAFETY: slot `i` belongs to exactly one shard range; no
+                // other thread touches `agents[i]` or `messages[i]`.
+                let state = unsafe { &mut *agents_base.get().add(i) };
+                // SAFETY: same disjointness argument, and `messages` is only
+                // ever read during the step phase.
+                let incoming = unsafe { &*msg_base.get().add(i) };
+                let mut rng = slot_rng(rkey, i as u64);
+                match protocol.step(state, incoming.as_ref(), &mut rng) {
+                    Action::Continue => {}
+                    Action::Split => out.splits.push(i),
+                    Action::Die => out.deaths.push(i),
+                    // Extended model (§1.2): remove the matched partner. A
+                    // kill and a same-round split of the victim both take
+                    // effect: the daughter survives, the victim does not.
+                    Action::KillPartner => {
+                        let j = partners[i];
+                        if j != UNMATCHED {
+                            out.deaths.push(j as usize);
+                        }
+                    }
+                }
+            }
+        });
+
+        // Deterministic merge in slot order (shard s covers smaller slots
+        // than shard s+1).
+        *splits = first.splits;
+        *deaths = first.deaths;
+        for out in lists.iter() {
+            splits.extend_from_slice(&out.splits);
+            deaths.extend_from_slice(&out.deaths);
         }
     }
 }
@@ -929,6 +829,7 @@ where
 mod tests {
     use super::*;
     use crate::agent::{Observable, Observation};
+    use crate::driver::Threads;
     use crate::matching::MatchingModel;
     use crate::protocols::{Inert, InertState};
     use rand::Rng;
@@ -1368,7 +1269,7 @@ mod tests {
             )
         };
         let serial = run(Threads::Serial);
-        for workers in [1usize, 2, 4] {
+        for workers in [0usize, 1, 2, 4] {
             assert_eq!(serial, run(Threads::Sharded(workers)), "{workers} workers");
         }
     }
@@ -1414,31 +1315,6 @@ mod tests {
         let report = round(&mut engine);
         assert_eq!(report.deleted, 0);
         assert_eq!(engine.population(), 5);
-    }
-
-    #[test]
-    fn sharded_one_takes_the_serial_path() {
-        // `Sharded(0 | 1)` normalizes to `Serial` at the dispatch (the
-        // `Threads::normalized` unit tests pin the mapping itself); here we
-        // pin that the degenerate sharded specs drive the same trajectory
-        // as the serial spec on a seed-sensitive protocol.
-        let run = |threads: Threads| {
-            let cfg = SimConfig::builder()
-                .seed(99)
-                .matching(MatchingModel::RandomFraction { min_gamma: 0.5 })
-                .build()
-                .unwrap();
-            let mut e = Engine::with_population(SplitOnce, cfg, 96);
-            let mut trace = Vec::new();
-            e.run(
-                RunSpec::rounds(8).threads(threads),
-                &mut crate::OnRound(|r: &RoundReport| trace.push(*r)),
-            );
-            trace
-        };
-        let serial = run(Threads::Serial);
-        assert_eq!(serial, run(Threads::Sharded(0)));
-        assert_eq!(serial, run(Threads::Sharded(1)));
     }
 
     #[test]

@@ -502,7 +502,7 @@ pub fn sample_matching_into_par(
 ///
 /// The table and count equal [`sample_matching_into`] followed by
 /// [`Matching::partner_table_into`] and [`Matching::matched_agents`], for
-/// every `pool` (`None` runs serially). No pair buffer is built:
+/// every shard count of `pool`. No pair buffer is built:
 ///
 /// * above [`KEYED_PERMUTATION_MIN_POPULATION`], pair `p` writes
 ///   `partners[π(2p)] = π(2p+1)` and back, and each slot `π(j)` with
@@ -523,7 +523,7 @@ pub fn sample_partners_into(
     population: usize,
     model: MatchingModel,
     mkey: u64,
-    pool: Option<&ShardPool>,
+    pool: &ShardPool,
 ) -> usize {
     partners.truncate(population);
     partners.resize(population, UNMATCHED);
@@ -555,9 +555,9 @@ pub fn sample_partners_into(
     );
     let perm = SlotPermutation::new(sub_seed(mkey, PERM_SUBSTREAM), population as u64);
     let unmatched = population - 2 * n_pairs;
-    let nshards = pool.map_or(1, ShardPool::shards);
+    let nshards = pool.shards();
     let base = SendPtr(partners.as_mut_ptr());
-    let shard = |s: usize| {
+    pool.dispatch(&|s| {
         let put = |slot: u32, partner: u32| {
             debug_assert!((slot as usize) < population);
             // SAFETY: `slot = π(j)` for an index `j` that only this shard
@@ -581,11 +581,7 @@ pub fn sample_partners_into(
         for j in (2 * n_pairs + lo)..(2 * n_pairs + hi) {
             put(perm.apply(j as u64) as u32, UNMATCHED);
         }
-    };
-    match pool {
-        Some(pool) => pool.dispatch(&shard),
-        None => shard(0),
-    }
+    });
     2 * n_pairs
 }
 
@@ -888,13 +884,6 @@ mod tests {
                 let mkey = trial_key(16, (population as u64) << 8 | t as u64);
                 let (want, want_matched) = reference_partners(population, model, mkey);
                 let (mut table, mut shuffle) = (Vec::new(), Vec::new());
-                let matched =
-                    sample_partners_into(&mut table, &mut shuffle, population, model, mkey, None);
-                assert_eq!(
-                    (&table, matched),
-                    (&want, want_matched),
-                    "pop {population}, serial"
-                );
                 for shards in [1usize, 2, 3, 8] {
                     let matched = ShardPool::with(shards, |pool| {
                         sample_partners_into(
@@ -903,7 +892,7 @@ mod tests {
                             population,
                             model,
                             mkey,
-                            Some(pool),
+                            pool,
                         )
                     });
                     assert_eq!(
@@ -927,32 +916,22 @@ mod tests {
             for (t, model) in MODELS.into_iter().enumerate() {
                 let mkey = trial_key(17, (population as u64) << 8 | t as u64);
                 let (want, want_matched) = reference_partners(population, model, mkey);
-                for shards in [None, Some(2usize)] {
+                for shards in [1usize, 2] {
                     let mut table = vec![GARBAGE; population + 97];
-                    let matched = match shards {
-                        None => sample_partners_into(
+                    let matched = ShardPool::with(shards, |pool| {
+                        sample_partners_into(
                             &mut table,
                             &mut Vec::new(),
                             population,
                             model,
                             mkey,
-                            None,
-                        ),
-                        Some(k) => ShardPool::with(k, |pool| {
-                            sample_partners_into(
-                                &mut table,
-                                &mut Vec::new(),
-                                population,
-                                model,
-                                mkey,
-                                Some(pool),
-                            )
-                        }),
-                    };
+                            pool,
+                        )
+                    });
                     assert_eq!(
                         (&table, matched),
                         (&want, want_matched),
-                        "pop {population}, {shards:?} shards"
+                        "pop {population}, {shards} shards"
                     );
                 }
             }

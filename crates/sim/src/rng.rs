@@ -20,7 +20,8 @@
 //! ([`counter_seed`] / [`slot_rng`]). Because no agent's draw depends on any
 //! other agent having drawn first, the engine's step phase can execute
 //! agents in any order — or on any number of threads — and produce
-//! bit-identical results (see `Engine::run_until_par`). This is stream
+//! bit-identical results (see [`Engine::run`](crate::Engine::run) under
+//! [`Threads::Sharded`](crate::Threads::Sharded)). This is stream
 //! version [`AGENT_STREAM_VERSION`]; see `tests/golden/README.md` for the
 //! version history.
 

@@ -153,18 +153,14 @@ proptest! {
         population in prop_oneof![0usize..2000, 65_536usize..68_000],
         seed in 0u64..500,
         gamma in 0.05f64..=1.0,
-        shards in 0usize..4,
+        shards in 1usize..4,
     ) {
         let model = MatchingModel::ExactFraction(gamma);
         let key = counter_seed(seed, 3, 0);
         let mut table = Vec::new();
-        let matched = if shards == 0 {
-            sample_partners_into(&mut table, &mut Vec::new(), population, model, key, None)
-        } else {
-            ShardPool::with(shards, |pool| {
-                sample_partners_into(&mut table, &mut Vec::new(), population, model, key, Some(pool))
-            })
-        };
+        let matched = ShardPool::with(shards, |pool| {
+            sample_partners_into(&mut table, &mut Vec::new(), population, model, key, pool)
+        });
         prop_assert_eq!(table.len(), population);
         for (i, &p) in table.iter().enumerate() {
             if p != UNMATCHED {
@@ -280,10 +276,10 @@ proptest! {
         prop_assert_eq!(stepped.halted(), oneshot.halted());
     }
 
-    /// The tentpole guarantee: intra-round sharding is bit-identical to the
-    /// serial driver for every worker count (including one, which executes
-    /// the parallel code path inline) — same per-round trajectory under
-    /// adversarial churn, splits, deaths and partner-kills.
+    /// The tentpole guarantee: intra-round sharding is bit-identical to
+    /// serial rounds (a one-shard pool) for every worker count — same
+    /// per-round trajectory under adversarial churn, splits, deaths and
+    /// partner-kills.
     #[test]
     fn sharded_run_matches_serial_for_every_worker_count(
         seed in 0u64..300,

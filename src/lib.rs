@@ -83,11 +83,9 @@
 //! | `SimConfig::metrics_every` / `metrics_phase` | `RecordStats::stride(&mut rec, every, phase)` |
 //!
 //! `Engine::run` carries the `P: Sync, P::State: Send + Sync, P::Message:
-//! Send` bounds the sharded arm needs (every protocol in this workspace
-//! satisfies them); a protocol with non-thread-safe state can still run
-//! serially through the bound-free [`Engine::run_serial`](prelude::Engine)
-//! entry point (PR 7 removed the deprecated `run_round`/`run_rounds`/
-//! `run_until` wrappers that used to fill this role).
+//! Send` bounds that sharding a round needs (every protocol in this
+//! workspace satisfies them). `Threads::Serial` runs the same round body on
+//! a one-shard pool, so there is no separate serial path.
 //!
 //! The named `(protocol, adversary, config)` combos the experiment harness
 //! runs are declared as [`sim::Scenario`] values; `experiments --list`
@@ -113,22 +111,24 @@
 //!
 //! # Memory layout & scaling
 //!
-//! The engine stores agents as a plain `Vec<AgentState>` and, on request,
-//! mirrors them into a struct-of-arrays column store tuned for
-//! million-agent populations:
+//! The engine stores agents as a plain `Vec<AgentState>` and, for a
+//! protocol that offers one, mirrors them into a struct-of-arrays column
+//! store tuned for million-agent populations:
 //!
-//! * **Opt-in, never a semantic switch.**
-//!   [`Engine::set_columnar(true)`](prelude::Engine) swaps the step phase
-//!   onto [`core::columns::StabilityColumns`] — 1-bit and 1-byte columns
-//!   (alive/color/phase flags, packed wire bytes) evaluated 64 agents per
+//! * **On wherever offered, never a semantic switch.** Every engine
+//!   running a protocol that offers a columnar twin
+//!   ([`Protocol::columnar`](prelude::Protocol)) steps on it: for the
+//!   paper's protocol that is [`core::columns::StabilityColumns`] — 1-bit
+//!   and 1-byte columns (alive/color/phase flags, packed wire bytes)
+//!   evaluated 64 agents per
 //!   machine word with the lane-batched `_x8` [`CounterRng`](prelude::SimRng)
 //!   kernels. The columns stay *resident* across rounds on the fast path
 //!   (`()`/`OnRound` observers, no-op adversary) and transpose back to the
 //!   vector only when something actually reads it (a recording observer,
 //!   an acting adversary, [`Engine::snapshot`](prelude::Engine),
-//!   [`Engine::agents`](prelude::Engine)). On the CLI, `experiments
-//!   --columnar` (or `POPSTAB_COLUMNAR=1`) opts every scenario /
-//!   snapshot / resume engine in.
+//!   [`Engine::agents`](prelude::Engine)).
+//!   [`Engine::set_columnar(false)`](prelude::Engine) forces the scalar
+//!   loop, which is how the equivalence tests pin the two paths.
 //! * **Bit-for-bit identical, by construction and by gate.** Batching can
 //!   never move a draw: every agent draw is already addressed by `(seed,
 //!   round, slot)`, so evaluating eight slots per call reads exactly the
@@ -137,9 +137,10 @@
 //!   untouched, snapshots restore across the two paths, and the golden
 //!   fixtures pass unchanged against the columnar path. `tests/columnar_equivalence.rs`
 //!   drives random `(seed, rounds, workers)` through both paths (clean and
-//!   adversarial) comparing traces, full agent vectors and snapshot bytes;
-//!   a CI leg repeats the diff at N = 2²⁰ and byte-compares mid-run
-//!   snapshots from both paths.
+//!   adversarial) comparing traces, full agent vectors and snapshot bytes,
+//!   plus a fixed N = 2¹⁶ case on serial and sharded rounds; a CI leg
+//!   checks that N = 2²⁰ runs agree across round-thread counts and resume
+//!   bit-for-bit from a mid-run snapshot.
 //! * **Byte budget.** At large N the resident footprint is the agent
 //!   vector plus a few dozen bits of column state per agent — ~50 B/agent
 //!   total at N = 2²⁰/2²² ([`Engine::approx_mem_bytes`](prelude::Engine)),

@@ -9,28 +9,31 @@
 //! snapshot/restore through the columnar path — comparing per-round
 //! reports, the **full agent state vector** (every field, every slot), the
 //! halt state, and the encoded snapshot bytes across random
-//! `(seed, rounds, workers)`. The golden fixtures pin the same trajectories
-//! against history; this suite pins the two live paths against each other.
+//! `(seed, rounds, workers)`, plus one fixed run at the population where
+//! the keyed-permutation matching takes over. The golden fixtures pin the
+//! same trajectories against history; this suite pins the two live paths
+//! against each other.
 
 use proptest::prelude::*;
 
 use population_stability::adversary::{Trauma, TraumaKind};
 use population_stability::core::state::AgentState;
 use population_stability::prelude::*;
+use population_stability::sim::matching::KEYED_PERMUTATION_MIN_POPULATION;
 use population_stability::sim::{
     MetricsRecorder, NoOpAdversary, OnRound, RecordStats, RoundReport, RunSpec, Threads,
 };
 
 const TARGET: u64 = 1024;
 
-fn clean_engine(seed: u64) -> Engine<PopulationStability> {
-    let params = Params::for_target(TARGET).unwrap();
+fn clean_engine(target: u64, seed: u64) -> Engine<PopulationStability> {
+    let params = Params::for_target(target).unwrap();
     let cfg = SimConfig::builder()
         .seed(seed)
-        .target(TARGET)
+        .target(target)
         .build()
         .unwrap();
-    Engine::with_population(PopulationStability::new(params), cfg, TARGET as usize)
+    Engine::with_population(PopulationStability::new(params), cfg, target as usize)
 }
 
 fn trauma_engine(seed: u64) -> Engine<PopulationStability, Trauma> {
@@ -82,8 +85,8 @@ proptest! {
         workers in 2usize..5,
     ) {
         for threads in [Threads::Serial, Threads::Sharded(workers)] {
-            let scalar = fingerprint(clean_engine(seed), false, rounds, threads);
-            let columnar = fingerprint(clean_engine(seed), true, rounds, threads);
+            let scalar = fingerprint(clean_engine(TARGET, seed), false, rounds, threads);
+            let columnar = fingerprint(clean_engine(TARGET, seed), true, rounds, threads);
             prop_assert_eq!(&scalar.0, &columnar.0, "report traces diverged");
             prop_assert_eq!(&scalar.1, &columnar.1, "agent vectors diverged");
             prop_assert_eq!(scalar.2, columnar.2);
@@ -119,7 +122,7 @@ fn columnar_recorded_stats_match_scalar() {
     let params = Params::for_target(TARGET).unwrap();
     let rounds = 2 * u64::from(params.epoch_len()) + 7;
     let run = |columnar: bool| {
-        let mut engine = clean_engine(0xC01);
+        let mut engine = clean_engine(TARGET, 0xC01);
         engine.set_columnar(columnar);
         let mut rec = MetricsRecorder::new();
         engine.run(RunSpec::rounds(rounds), &mut RecordStats::new(&mut rec));
@@ -141,12 +144,12 @@ fn columnar_snapshot_resume_round_trips() {
     let epoch = u64::from(params.epoch_len());
     let (r, total) = (epoch / 2 + 3, epoch + 11);
 
-    let scalar = fingerprint(clean_engine(7), false, total, Threads::Serial);
-    let straight = fingerprint(clean_engine(7), true, total, Threads::Serial);
+    let scalar = fingerprint(clean_engine(TARGET, 7), false, total, Threads::Serial);
+    let straight = fingerprint(clean_engine(TARGET, 7), true, total, Threads::Serial);
     assert_eq!(scalar.1, straight.1);
     assert_eq!(scalar.3, straight.3);
 
-    let mut prefix = clean_engine(7);
+    let mut prefix = clean_engine(TARGET, 7);
     let mut sink = Vec::new();
     prefix.run(
         RunSpec::rounds(r),
@@ -159,4 +162,31 @@ fn columnar_snapshot_resume_round_trips() {
     assert_eq!(tail.1, straight.1, "resumed columnar agents diverged");
     assert_eq!(tail.2, straight.2);
     assert_eq!(tail.3, straight.3, "resumed snapshot bytes diverged");
+}
+
+/// At `KEYED_PERMUTATION_MIN_POPULATION` agents the partner table comes
+/// from the keyed permutation, built in one pass split across word shards,
+/// and the columnar kernels run over a thousand 64-agent blocks. Scalar and
+/// columnar must agree there on serial and sharded rounds alike, and the
+/// two thread configurations must agree with each other.
+#[test]
+fn columnar_matches_scalar_at_the_keyed_permutation_threshold() {
+    const LARGE: u64 = 1 << 16;
+    const ROUNDS: u64 = 40;
+    assert_eq!(LARGE as usize, KEYED_PERMUTATION_MIN_POPULATION);
+    let mut runs = Vec::new();
+    for threads in [Threads::Serial, Threads::Sharded(3)] {
+        let scalar = fingerprint(clean_engine(LARGE, 2018), false, ROUNDS, threads);
+        let columnar = fingerprint(clean_engine(LARGE, 2018), true, ROUNDS, threads);
+        assert!(scalar
+            .0
+            .iter()
+            .all(|r| r.population_before >= LARGE as usize));
+        assert_eq!(scalar.0, columnar.0, "{threads:?}: report traces diverged");
+        assert_eq!(scalar.1, columnar.1, "{threads:?}: agent vectors diverged");
+        assert_eq!(scalar.2, columnar.2);
+        assert_eq!(scalar.3, columnar.3, "{threads:?}: snapshot bytes diverged");
+        runs.push(columnar);
+    }
+    assert_eq!(runs[0], runs[1], "serial and sharded rounds diverged");
 }
