@@ -62,15 +62,25 @@
 //! overwritten only if it is at round 0 (leader coin) or inactive yet
 //! recruiting (adversarial state, itself recruited this round) — honest
 //! populations have no such lanes. The wire pass lists them (slot,
-//! pre-step lineage) in ascending order; everyone else's lineage is safely
-//! read live from the column, which also makes the pooled step pass
-//! race-free per element (a lineage element is either overwritten and in
-//! the hazard list, or read-only this round).
+//! pre-step lineage) in ascending order; everyone else's lineage is read
+//! live from the column, because no kernel writes it this round.
+//!
+//! Every other column is cut into per-shard `&mut` windows at word-aligned
+//! bounds ([`ShardPool::dispatch_parts`]), but a partner can sit in any
+//! shard's range, so the step pass shares `lineage` whole. It is therefore
+//! a column of [`AtomicU64`] accessed with `Relaxed` ordering, which is a
+//! plain load or store on x86-64. `Relaxed` is enough for two reasons: the
+//! dispatch barrier orders each pass's accesses against the next pass's,
+//! and within the step pass the hazard list, not the memory model,
+//! supplies every pre-step value a partner could latch from an element
+//! that is written concurrently. Wherever the columns are held by `&mut`
+//! (load, apply), lineage is accessed non-atomically through `get_mut`.
+
+use std::sync::atomic::AtomicU64;
+use std::sync::atomic::Ordering::Relaxed;
 
 use popstab_sim::batch::ShardPool;
-use popstab_sim::columns::{
-    tail_mask, word_shard_range, BitCol, ColPtr, ColumnarProtocol, ColumnarStep,
-};
+use popstab_sim::columns::{tail_mask, word_shard_range, BitCol, ColumnarProtocol, ColumnarStep};
 use popstab_sim::matching::UNMATCHED;
 use popstab_sim::rng::{biased_coin_x8, slot_key_x8, slot_rng, LANES};
 use popstab_sim::Action;
@@ -106,7 +116,9 @@ pub struct StabilityColumns {
     // Authoritative state columns (epoch_len is implicit; see module docs).
     round: Vec<u32>,
     to_recruit: Vec<u32>,
-    lineage: Vec<u64>,
+    /// Atomic only because partner latches read it across shards (module
+    /// docs, "Latch hazards"); `Relaxed` accesses are plain moves.
+    lineage: Vec<AtomicU64>,
     active: BitCol,
     recruiting: BitCol,
     color: BitCol,
@@ -144,6 +156,48 @@ struct StateRange<'a> {
     recruiting: &'a mut [u64],
     color: &'a mut [u64],
     is_leader: &'a mut [u64],
+}
+
+impl<'a> StateRange<'a> {
+    /// The authoritative columns cut with `split_at_mut` into one window
+    /// per shard, at the [`word_shard_range`] bounds of `shards`.
+    fn shards(
+        mut round: &'a mut [u32],
+        mut to_recruit: &'a mut [u32],
+        bits: [&'a mut BitCol; 4],
+        shards: usize,
+    ) -> Vec<Self> {
+        let [mut active, mut recruiting, mut color, mut is_leader] = bits.map(BitCol::words_mut);
+        let nw = active.len();
+        (0..shards)
+            .map(|s| {
+                let (wlo, whi) = word_shard_range(nw, shards, s);
+                let (words, lanes) = (whi - wlo, (whi - wlo) * 64);
+                StateRange {
+                    round: front(&mut round, lanes),
+                    to_recruit: front(&mut to_recruit, lanes),
+                    active: front(&mut active, words),
+                    recruiting: front(&mut recruiting, words),
+                    color: front(&mut color, words),
+                    is_leader: front(&mut is_leader, words),
+                }
+            })
+            .collect()
+    }
+}
+
+/// Takes the first `k` items (at most all of them) off the front of `items`.
+fn front<'a, T>(items: &mut &'a mut [T], k: usize) -> &'a mut [T] {
+    items
+        .split_off_mut(..k.min(items.len()))
+        .expect("clipped to the length")
+}
+
+/// Shard `s`'s [`word_shard_range`] over the `n.div_ceil(64)` words of a
+/// population of `n`, and its lane range, clipped to `n`.
+fn ranges(n: usize, shards: usize, s: usize) -> (usize, usize, usize, usize) {
+    let (wlo, whi) = word_shard_range(n.div_ceil(64), shards, s);
+    (wlo, whi, (wlo * 64).min(n), (whi * 64).min(n))
 }
 
 /// Bit 3 of a [`StabilityColumns::wire8`] byte: set on every live lane, so
@@ -216,7 +270,7 @@ impl StabilityColumns {
         let nw = n.div_ceil(64);
         self.round.resize(n, 0);
         self.to_recruit.resize(n, 0);
-        self.lineage.resize(n, 0);
+        self.lineage.resize_with(n, AtomicU64::default);
         self.active.resize_words(nw);
         self.recruiting.resize_words(nw);
         self.color.resize_words(nw);
@@ -230,7 +284,8 @@ impl StabilityColumns {
         let nw = (la + 1).div_ceil(64);
         self.round.push(self.round[i]);
         self.to_recruit.push(self.to_recruit[i]);
-        self.lineage.push(self.lineage[i]);
+        let lineage = *self.lineage[i].get_mut();
+        self.lineage.push(AtomicU64::new(lineage));
         for col in [
             &mut self.active,
             &mut self.recruiting,
@@ -270,41 +325,27 @@ impl StabilityColumns {
 
     /// The transpose pass, sharded over word-aligned ranges of `pool`.
     fn load_pooled(&mut self, agents: &[AgentState], pool: &ShardPool) {
-        use std::slice;
         let n = agents.len();
         self.resize(n);
-        let nw = n.div_ceil(64);
-        let shards = pool.shards();
-        let rnd_p = ColPtr::new(self.round.as_mut_ptr());
-        let tr_p = ColPtr::new(self.to_recruit.as_mut_ptr());
-        let lin_p = ColPtr::new(self.lineage.as_mut_ptr());
-        let act_p = ColPtr::new(self.active.words_mut().as_mut_ptr());
-        let rec_p = ColPtr::new(self.recruiting.words_mut().as_mut_ptr());
-        let col_p = ColPtr::new(self.color.words_mut().as_mut_ptr());
-        let il_p = ColPtr::new(self.is_leader.words_mut().as_mut_ptr());
-        let params = &self.params;
-        pool.dispatch(&|s| {
-            let (wlo, whi) = word_shard_range(nw, shards, s);
-            if wlo == whi {
-                return;
-            }
-            let (lo, hi) = (wlo * 64, (whi * 64).min(n));
-            let (len, wlen) = (hi - lo, whi - wlo);
-            // SAFETY: disjoint word-aligned ranges per shard; the agent
-            // slice is only read.
-            unsafe {
-                load_range(
-                    params,
-                    &agents[lo..hi],
-                    slice::from_raw_parts_mut(rnd_p.get().add(lo), len),
-                    slice::from_raw_parts_mut(tr_p.get().add(lo), len),
-                    slice::from_raw_parts_mut(lin_p.get().add(lo), len),
-                    slice::from_raw_parts_mut(act_p.get().add(wlo), wlen),
-                    slice::from_raw_parts_mut(rec_p.get().add(wlo), wlen),
-                    slice::from_raw_parts_mut(col_p.get().add(wlo), wlen),
-                    slice::from_raw_parts_mut(il_p.get().add(wlo), wlen),
-                );
-            }
+        let (shards, t) = (pool.shards(), self.params.epoch_len());
+        let bits = [
+            &mut self.active,
+            &mut self.recruiting,
+            &mut self.color,
+            &mut self.is_leader,
+        ];
+        let mut lineage = &mut self.lineage[..];
+        let mut parts: Vec<_> =
+            StateRange::shards(&mut self.round, &mut self.to_recruit, bits, shards)
+                .into_iter()
+                .map(|st| {
+                    let lin = front(&mut lineage, st.round.len());
+                    (st, lin)
+                })
+                .collect();
+        pool.dispatch_parts(&mut parts, &|s, (st, lin)| {
+            let (_, _, lo, hi) = ranges(n, shards, s);
+            load_range(t, &agents[lo..hi], st, lin);
         });
     }
 
@@ -319,124 +360,115 @@ impl StabilityColumns {
         splits: &mut Vec<usize>,
         deaths: &mut Vec<usize>,
     ) {
-        use std::slice;
-        let n = self.len;
-        let nw = n.div_ceil(64);
-        let shards = pool.shards();
-        if self.shard_out.len() < shards {
-            self.shard_out.resize_with(shards, ShardOut::default);
+        let StabilityColumns {
+            params,
+            len: n,
+            round,
+            to_recruit,
+            lineage,
+            active,
+            recruiting,
+            color,
+            is_leader,
+            wire8,
+            block_round,
+            block_uniform,
+            hazards,
+            shard_hazards,
+            shard_out,
+        } = self;
+        let (n, shards) = (*n, pool.shards());
+        if shard_out.len() < shards {
+            shard_out.resize_with(shards, ShardOut::default);
         }
-        if self.shard_hazards.len() < shards {
-            self.shard_hazards.resize_with(shards, Vec::new);
+        if shard_hazards.len() < shards {
+            shard_hazards.resize_with(shards, Vec::new);
         }
-        let rnd_p = ColPtr::new(self.round.as_mut_ptr());
-        let tr_p = ColPtr::new(self.to_recruit.as_mut_ptr());
-        let lin_p = ColPtr::new(self.lineage.as_mut_ptr());
-        let act_p = ColPtr::new(self.active.words_mut().as_mut_ptr());
-        let rec_p = ColPtr::new(self.recruiting.words_mut().as_mut_ptr());
-        let col_p = ColPtr::new(self.color.words_mut().as_mut_ptr());
-        let il_p = ColPtr::new(self.is_leader.words_mut().as_mut_ptr());
-        let w8_p = ColPtr::new(self.wire8.as_mut_ptr());
-        let brnd_p = ColPtr::new(self.block_round.as_mut_ptr());
-        let buni_p = ColPtr::new(self.block_uniform.as_mut_ptr());
-        let sh_p = ColPtr::new(self.shard_hazards.as_mut_ptr());
-        let so_p = ColPtr::new(self.shard_out.as_mut_ptr());
-        let params = &self.params;
+        let params: &Params = params;
+        let lineage: &[AtomicU64] = lineage;
 
-        /// The word range of shard `s` and its slot range, clipped to `n`.
-        fn ranges(nw: usize, n: usize, shards: usize, s: usize) -> (usize, usize, usize, usize) {
-            let (wlo, whi) = word_shard_range(nw, shards, s);
-            (wlo, whi, wlo * 64, (whi * 64).min(n))
-        }
-
-        // Pass 1: wire, each shard composing its own agents' wire bits.
-        pool.dispatch(&|s| {
-            let (wlo, whi, lo, hi) = ranges(nw, n, shards, s);
-            if wlo == whi {
-                return;
-            }
-            let (len, wlen) = (hi - lo, whi - wlo);
-            // SAFETY: `word_shard_range` gives disjoint word-aligned
-            // ranges, so no two shards touch the same column element or
-            // bitmask word; the state columns are only read here, and
-            // `shard_hazards[s]` is owned by shard `s` alone (`dispatch`
-            // runs each index once).
-            unsafe {
-                let hz = &mut *sh_p.get().add(s);
-                hz.clear();
-                wire_range(
-                    params,
-                    lo,
-                    len,
-                    slice::from_raw_parts(rnd_p.get().add(lo).cast_const(), len),
-                    slice::from_raw_parts(lin_p.get().add(lo).cast_const(), len),
-                    slice::from_raw_parts(act_p.get().add(wlo).cast_const(), wlen),
-                    slice::from_raw_parts(rec_p.get().add(wlo).cast_const(), wlen),
-                    slice::from_raw_parts(col_p.get().add(wlo).cast_const(), wlen),
-                    slice::from_raw_parts_mut(w8_p.get().add(wlo * 64), wlen * 64),
-                    slice::from_raw_parts_mut(brnd_p.get().add(wlo), wlen),
-                    slice::from_raw_parts_mut(buni_p.get().add(wlo), wlen),
+        // Pass 1: wire, each shard reading its own agents' state and writing
+        // its own windows of the wire columns and its own hazard list.
+        let (mut w8, mut brnd, mut buni) =
+            (&mut wire8[..], &mut block_round[..], &mut block_uniform[..]);
+        let mut parts: Vec<_> = shard_hazards[..shards]
+            .iter_mut()
+            .enumerate()
+            .map(|(s, hz)| {
+                let (wlo, whi, _, _) = ranges(n, shards, s);
+                let words = whi - wlo;
+                (
+                    front(&mut w8, words * 64),
+                    front(&mut brnd, words),
+                    front(&mut buni, words),
                     hz,
-                );
-            }
+                )
+            })
+            .collect();
+        let (rnd, act, rec, col) = (
+            &round[..],
+            active.words(),
+            recruiting.words(),
+            color.words(),
+        );
+        pool.dispatch_parts(&mut parts, &|s, (w8, brnd, buni, hz)| {
+            let (wlo, whi, lo, hi) = ranges(n, shards, s);
+            hz.clear();
+            wire_range(
+                params,
+                lo,
+                &rnd[lo..hi],
+                &lineage[lo..hi],
+                &act[wlo..whi],
+                &rec[wlo..whi],
+                &col[wlo..whi],
+                w8,
+                brnd,
+                buni,
+                hz,
+            );
         });
 
         // Shard s covers smaller slots than shard s + 1, and each shard's
         // hazards are ascending, so concatenation stays sorted by slot.
-        self.hazards.clear();
-        for hz in &self.shard_hazards[..shards] {
-            self.hazards.extend_from_slice(hz);
+        hazards.clear();
+        for hz in &shard_hazards[..shards] {
+            hazards.extend_from_slice(hz);
         }
-        let hazards: &[(u32, u64)] = &self.hazards;
+        let (hazards, wire8) = (&hazards[..], &wire8[..]);
+        let (block_round, block_uniform) = (&block_round[..], &block_uniform[..]);
 
-        // Pass 2: gather + step, each shard writing only its own columns.
-        pool.dispatch(&|s| {
-            let (wlo, whi, lo, hi) = ranges(nw, n, shards, s);
-            if wlo == whi {
-                return;
-            }
-            let (len, wlen) = (hi - lo, whi - wlo);
-            // SAFETY: the pass-1 barrier has completed, so the wire bit
-            // columns and hazards are read-only global state during this
-            // dispatch; each shard mutates only its own word-aligned range
-            // of the state columns. Lineage is global (partner latches may
-            // read across ranges) but race-free per element: any element a
-            // kernel overwrites this round is either outside every other
-            // shard's reads or served from the hazard list (module docs).
-            unsafe {
-                let mut st = StateRange {
-                    round: slice::from_raw_parts_mut(rnd_p.get().add(lo), len),
-                    to_recruit: slice::from_raw_parts_mut(tr_p.get().add(lo), len),
-                    active: slice::from_raw_parts_mut(act_p.get().add(wlo), wlen),
-                    recruiting: slice::from_raw_parts_mut(rec_p.get().add(wlo), wlen),
-                    color: slice::from_raw_parts_mut(col_p.get().add(wlo), wlen),
-                    is_leader: slice::from_raw_parts_mut(il_p.get().add(wlo), wlen),
-                };
-                let wire8 = slice::from_raw_parts(w8_p.get().cast_const(), nw * 64);
-                let out = &mut *so_p.get().add(s);
-                out.splits.clear();
-                out.deaths.clear();
-                step_range(
-                    params,
-                    round_key,
-                    lo,
-                    len,
-                    &partners[lo..hi],
-                    wire8,
-                    hazards,
-                    lin_p,
-                    &mut st,
-                    slice::from_raw_parts(brnd_p.get().add(wlo).cast_const(), wlen),
-                    slice::from_raw_parts(buni_p.get().add(wlo).cast_const(), wlen),
-                    &mut out.splits,
-                    &mut out.deaths,
-                );
-            }
+        // Pass 2: gather + step, each shard writing only its own windows of
+        // the state columns and its own output lists. Lineage is shared:
+        // partner latches read it across shards (module docs).
+        let bits = [active, recruiting, color, is_leader];
+        let mut parts: Vec<_> = StateRange::shards(round, to_recruit, bits, shards)
+            .into_iter()
+            .zip(shard_out.iter_mut())
+            .collect();
+        pool.dispatch_parts(&mut parts, &|s, (st, out)| {
+            let (wlo, whi, lo, hi) = ranges(n, shards, s);
+            out.splits.clear();
+            out.deaths.clear();
+            step_range(
+                params,
+                round_key,
+                lo,
+                &partners[lo..hi],
+                wire8,
+                hazards,
+                lineage,
+                st,
+                &block_round[wlo..whi],
+                &block_uniform[wlo..whi],
+                &mut out.splits,
+                &mut out.deaths,
+            );
         });
 
         // Shard s covers smaller slots than shard s + 1, so concatenation
         // in shard order keeps the splits and deaths in ascending slot order.
-        for out in &self.shard_out[..shards] {
+        for out in &shard_out[..shards] {
             splits.extend_from_slice(&out.splits);
             deaths.extend_from_slice(&out.deaths);
         }
@@ -503,7 +535,7 @@ impl ColumnarStep<AgentState> for StabilityColumns {
                 recruiting: rw[w] >> b & 1 != 0,
                 to_recruit: self.to_recruit[la],
                 is_leader: iw[w] >> b & 1 != 0,
-                lineage: self.lineage[la],
+                lineage: self.lineage[la].load(Relaxed),
                 epoch_len: t,
             });
         }
@@ -527,7 +559,7 @@ impl ColumnarStep<AgentState> for StabilityColumns {
                 .sum::<usize>();
         self.round.capacity() * size_of::<u32>()
             + self.to_recruit.capacity() * size_of::<u32>()
-            + self.lineage.capacity() * size_of::<u64>()
+            + self.lineage.capacity() * size_of::<AtomicU64>()
             + self.active.capacity_bytes()
             + self.recruiting.capacity_bytes()
             + self.color.capacity_bytes()
@@ -545,19 +577,7 @@ impl ColumnarStep<AgentState> for StabilityColumns {
 /// buffer contents and tail bits never leak. Rounds are normalized on the
 /// way in — exact, because the scalar step normalizes before any use and
 /// a store can only observe stepped (hence normalized) agents.
-#[allow(clippy::too_many_arguments)]
-fn load_range(
-    params: &Params,
-    agents: &[AgentState],
-    round: &mut [u32],
-    to_recruit: &mut [u32],
-    lineage: &mut [u64],
-    active: &mut [u64],
-    recruiting: &mut [u64],
-    color: &mut [u64],
-    is_leader: &mut [u64],
-) {
-    let t = params.epoch_len();
+fn load_range(t: u32, agents: &[AgentState], st: &mut StateRange<'_>, lineage: &mut [AtomicU64]) {
     for (w, chunk) in agents.chunks(64).enumerate() {
         let mut wa = 0u64;
         let mut wr = 0u64;
@@ -569,14 +589,14 @@ fn load_range(
             wr |= u64::from(s.recruiting) << l;
             wc |= u64::from(s.color == Color::One) << l;
             il |= u64::from(s.is_leader) << l;
-            round[la] = if s.round < t { s.round } else { s.round % t };
-            to_recruit[la] = s.to_recruit;
-            lineage[la] = s.lineage;
+            st.round[la] = if s.round < t { s.round } else { s.round % t };
+            st.to_recruit[la] = s.to_recruit;
+            *lineage[la].get_mut() = s.lineage;
         }
-        active[w] = wa;
-        recruiting[w] = wr;
-        color[w] = wc;
-        is_leader[w] = il;
+        st.active[w] = wa;
+        st.recruiting[w] = wr;
+        st.color[w] = wc;
+        st.is_leader[w] = il;
     }
 }
 
@@ -589,9 +609,8 @@ fn load_range(
 fn wire_range(
     params: &Params,
     base: usize,
-    len: usize,
     round: &[u32],
-    lineage: &[u64],
+    lineage: &[AtomicU64],
     active: &[u64],
     recruiting: &[u64],
     color: &[u64],
@@ -601,7 +620,7 @@ fn wire_range(
     hazards: &mut Vec<(u32, u64)>,
 ) {
     let t = params.epoch_len();
-    let eval = params.eval_round();
+    let (eval, len) = (params.eval_round(), round.len());
     for w in 0..len.div_ceil(64) {
         let lanes = (len - w * 64).min(64);
         let tailm = tail_mask(lanes);
@@ -671,7 +690,10 @@ fn wire_range(
         while hz != 0 {
             let l = hz.trailing_zeros() as usize;
             hz &= hz - 1;
-            hazards.push(((base + w * 64 + l) as u32, lineage[w * 64 + l]));
+            hazards.push((
+                (base + w * 64 + l) as u32,
+                lineage[w * 64 + l].load(Relaxed),
+            ));
         }
     }
 }
@@ -680,40 +702,40 @@ fn wire_range(
 /// hazard list if the lane's own lineage may change this round, else live
 /// from the column.
 #[inline]
-fn latched_lineage(lin: ColPtr<u64>, hazards: &[(u32, u64)], p: usize) -> u64 {
+fn latched_lineage(lineage: &[AtomicU64], hazards: &[(u32, u64)], p: usize) -> u64 {
     if !hazards.is_empty() {
         if let Ok(k) = hazards.binary_search_by_key(&(p as u32), |h| h.0) {
             return hazards[k].1;
         }
     }
-    // SAFETY: `p` indexes the live population; any lineage element a
-    // kernel overwrites this round belongs to a hazard-listed lane (module
-    // docs), so this element is read-only for the whole step pass.
-    unsafe { lin.get().add(p).cast_const().read() }
+    // Any lineage element a kernel overwrites this round belongs to a
+    // hazard-listed lane (module docs), so this one holds its pre-step
+    // value for the whole step pass.
+    lineage[p].load(Relaxed)
 }
 
 /// Step pass: per block, gather the partners' wire bytes into register
 /// masks and run the round transition, writing results straight into the
 /// columns. `base` is the global slot of the range's first lane
-/// (word-aligned); `wire8` is the *global* wire byte column; splits/deaths
-/// carry global slots in ascending order.
+/// (word-aligned); `wire8` and `lineage` are the *global* columns (a
+/// partner may sit in any shard's range); splits/deaths carry global slots
+/// in ascending order.
 #[allow(clippy::too_many_arguments)]
 fn step_range(
     params: &Params,
     round_key: u64,
     base: usize,
-    len: usize,
     partners: &[u32],
     wire8: &[u8],
     hazards: &[(u32, u64)],
-    lin: ColPtr<u64>,
+    lin: &[AtomicU64],
     st: &mut StateRange<'_>,
     block_round: &[u32],
     block_uniform: &[bool],
     splits: &mut Vec<usize>,
     deaths: &mut Vec<usize>,
 ) {
-    let eval = params.eval_round();
+    let (eval, len) = (params.eval_round(), partners.len());
     for w in 0..len.div_ceil(64) {
         let lanes = (len - w * 64).min(64);
         // Gather this block's partner masks: one masked byte load per lane,
@@ -730,11 +752,10 @@ fn step_range(
             for (b, &p) in chunk.iter().enumerate() {
                 let sel = p != UNMATCHED;
                 let idx = if sel { p as usize } else { 0 };
-                // SAFETY: a matched partner slot indexes the live
-                // population (`ColumnarStep::step` contract, which
-                // `sample_partners_into` upholds), and `wire8` covers it;
-                // an unmatched lane reads slot 0 and masks the byte off.
-                let byte = unsafe { *wire8.get_unchecked(idx) } & 0u8.wrapping_sub(u8::from(sel));
+                // An unmatched lane reads slot 0 and masks the byte off; a
+                // partner slot past the column panics on the bound check
+                // (`ColumnarStep::step` takes any table from safe code).
+                let byte = wire8[idx] & 0u8.wrapping_sub(u8::from(sel));
                 t |= u64::from(byte) << (b * 8);
             }
             let sh = g * 8;
@@ -810,7 +831,7 @@ fn leader_block(
     blk: &Block,
     st: &mut StateRange<'_>,
     w: usize,
-    lin: ColPtr<u64>,
+    lin: &[AtomicU64],
     deaths: &mut Vec<usize>,
 ) {
     // Consistency (Algorithm 7): a matched partner claiming eval kills us
@@ -851,9 +872,9 @@ fn leader_block(
             wc &= !(1u64 << l);
         }
         st.to_recruit[w * 64 + l] = params.subphases();
-        // SAFETY: a winner's own lineage element; if any partner could
-        // latch it, the lane is hazard-listed and readers use the list.
-        unsafe { lin.get().add(slot).write(rng.random::<u64>() | 1) };
+        // A winner's own lineage element; if any partner could latch it,
+        // the lane is hazard-listed and readers use the list.
+        lin[slot].store(rng.random::<u64>() | 1, Relaxed);
     }
     st.color[w] = wc;
     let mut bits = die;
@@ -873,7 +894,7 @@ fn recruit_block(
     blk: &Block,
     st: &mut StateRange<'_>,
     w: usize,
-    lin: ColPtr<u64>,
+    lin: &[AtomicU64],
     plin: &[u64; 64],
     deaths: &mut Vec<usize>,
 ) {
@@ -914,9 +935,9 @@ fn recruit_block(
             wc &= !(1u64 << l);
         }
         st.to_recruit[w * 64 + l] = params.to_recruit_at(rn);
-        // SAFETY: a recruit's own lineage element; if any partner could
-        // latch it, the lane is hazard-listed and readers use the list.
-        unsafe { lin.get().add(blk.slot0 + l).write(plin[l]) };
+        // A recruit's own lineage element; if any partner could latch it,
+        // the lane is hazard-listed and readers use the list.
+        lin[blk.slot0 + l].store(plin[l], Relaxed);
     }
     st.color[w] = wc;
     let mut bits = stand_down;
@@ -943,7 +964,7 @@ fn eval_block(
     blk: &Block,
     st: &mut StateRange<'_>,
     w: usize,
-    lin: ColPtr<u64>,
+    lin: &[AtomicU64],
     splits: &mut Vec<usize>,
     deaths: &mut Vec<usize>,
 ) {
@@ -985,16 +1006,14 @@ fn eval_block(
     st.recruiting[w] &= die_c;
     st.color[w] = color & die_c;
     st.is_leader[w] &= die_c;
-    for l in 0..blk.lanes {
+    // An eval lane's own lineage element; eval lanes advertise `in_eval`
+    // on the wire, so no partner latches them.
+    let lin = &lin[blk.slot0..blk.slot0 + blk.lanes];
+    for (l, lineage) in lin.iter().enumerate() {
         let keep32 = 0u32.wrapping_sub((die_c >> l & 1) as u32);
         st.to_recruit[w * 64 + l] &= keep32;
         let keep64 = 0u64.wrapping_sub(die_c >> l & 1);
-        // SAFETY: an eval lane's own lineage element; eval lanes advertise
-        // `in_eval` on the wire, so no partner latches them.
-        unsafe {
-            let p = lin.get().add(blk.slot0 + l);
-            p.write(p.read() & keep64);
-        }
+        lineage.store(lineage.load(Relaxed) & keep64, Relaxed);
     }
     // One ascending sweep emits deaths and splits in slot order, exactly
     // as the scalar loop pushes them (a lane is in at most one set).
@@ -1030,7 +1049,7 @@ fn step_lane(
     il: &mut u64,
     round: &mut u32,
     to_recruit: &mut u32,
-    lin: ColPtr<u64>,
+    lin: &[AtomicU64],
     splits: &mut Vec<usize>,
     deaths: &mut Vec<usize>,
 ) {
@@ -1060,8 +1079,8 @@ fn step_lane(
             *wr |= bit;
             *to_recruit = params.subphases();
             *il |= bit;
-            // SAFETY: own lineage element; hazard-listed if latchable.
-            unsafe { lin.get().add(slot).write(rng.random::<u64>() | 1) };
+            // Own lineage element; hazard-listed if latchable.
+            lin[slot].store(rng.random::<u64>() | 1, Relaxed);
         } else {
             *wa &= !bit;
         }
@@ -1085,8 +1104,8 @@ fn step_lane(
                 }
                 *wr &= !bit;
                 *to_recruit = params.to_recruit_at(r);
-                // SAFETY: own lineage element; hazard-listed if latchable.
-                unsafe { lin.get().add(slot).write(plin) };
+                // Own lineage element; hazard-listed if latchable.
+                lin[slot].store(plin, Relaxed);
             }
         }
         if params.is_subphase_boundary(r) && *wa & bit != 0 {
@@ -1111,8 +1130,8 @@ fn step_lane(
         *wc &= !bit;
         *il &= !bit;
         *to_recruit = 0;
-        // SAFETY: own lineage element; eval lanes are never latched.
-        unsafe { lin.get().add(slot).write(0) };
+        // Own lineage element; eval lanes are never latched.
+        lin[slot].store(0, Relaxed);
         match action {
             Action::Split => splits.push(slot),
             Action::Die => deaths.push(slot),
@@ -1307,6 +1326,65 @@ mod tests {
         for round in 0..6 {
             assert_step_phase_matches_scalar(&proto, &agents, 1234, round);
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "index out of bounds")]
+    fn stepping_with_an_out_of_range_partner_panics() {
+        let params = Params::for_target(1024).unwrap();
+        let agents: Vec<AgentState> = (0..300).map(|_| AgentState::fresh(&params)).collect();
+        let mut stepper = StabilityColumns::new(params);
+        stepper.load(&agents, None);
+        let mut partners = partner_table(agents.len(), 5, 0);
+        partners[0] = UNMATCHED - 1;
+        stepper.step(
+            &partners,
+            round_key(5, 0),
+            None,
+            &mut Vec::new(),
+            &mut Vec::new(),
+        );
+    }
+
+    #[test]
+    fn shards_emptied_by_a_shrinking_population_report_nothing() {
+        // Three shards over 300 agents all get words; after the population
+        // shrinks to 100 (two words) the third shard is empty and must not
+        // report its lists from the round before again.
+        let params = Params::for_target(1024).unwrap();
+        let t = params.epoch_len();
+        let agents: Vec<AgentState> = (0..300)
+            .map(|i| match i % 3 {
+                0 => AgentState::fresh(&params),
+                1 => AgentState::active_at(&params, t - 1, Color::One),
+                _ => AgentState::desynced(&params, i % (2 * t)),
+            })
+            .collect();
+        let run = |pool: &ShardPool| {
+            let mut stepper = StabilityColumns::new(params.clone());
+            stepper.load(&agents, Some(pool));
+            let mut lists = Vec::new();
+            for (round, n) in [(0u64, 300usize), (1, 100)] {
+                let (mut splits, mut deaths) = (Vec::new(), Vec::new());
+                let partners = partner_table(n, 8, round);
+                stepper.step(
+                    &partners,
+                    round_key(8, round),
+                    Some(pool),
+                    &mut splits,
+                    &mut deaths,
+                );
+                stepper.apply(&[], &(100..stepper.len()).collect::<Vec<_>>());
+                lists.push((splits, deaths));
+            }
+            assert!(
+                lists[0].1.iter().any(|&i| i >= 256),
+                "third shard reported nothing"
+            );
+            lists
+        };
+        let sharded = ShardPool::with(3, run);
+        assert_eq!(sharded, ShardPool::with(1, run));
     }
 
     #[test]

@@ -640,10 +640,12 @@ impl<B> ForkBranch<B> {
     }
 }
 
-/// A raw pointer that may cross thread boundaries. Used by the intra-round
-/// parallel phases (the engine's step phase, the matching sampler) to hand
-/// each shard its disjoint slice of a shared buffer; every use site
-/// documents why its accesses are disjoint.
+/// A raw pointer that may cross thread boundaries. Its one user is the
+/// partner-table scatter of
+/// [`sample_partners_into`](crate::matching::sample_partners_into), whose
+/// writes land at `π(j)` and so cannot be cut into contiguous parts for
+/// [`ShardPool::dispatch_parts`]; the use site documents why its accesses
+/// are disjoint.
 pub(crate) struct SendPtr<T>(pub(crate) *mut T);
 
 impl<T> SendPtr<T> {
@@ -680,6 +682,20 @@ pub(crate) fn shard_range(n: usize, nshards: usize, s: usize) -> (usize, usize) 
     (lo, lo + chunk + usize::from(s < rem))
 }
 
+/// `items` cut at the [`shard_range`] bounds of `nshards` shards, in shard
+/// order: the parts of a [`ShardPool::dispatch_parts`] over `items`.
+pub(crate) fn shard_chunks<T>(mut items: &mut [T], nshards: usize) -> Vec<&mut [T]> {
+    let n = items.len();
+    (0..nshards)
+        .map(|s| {
+            let (lo, hi) = shard_range(n, nshards, s);
+            items
+                .split_off_mut(..hi - lo)
+                .expect("shard ranges cover `items`")
+        })
+        .collect()
+}
+
 /// One dispatched shard body, type- and lifetime-erased so the persistent
 /// workers can hold it across their `recv` loop.
 struct ShardTask(*const (dyn Fn(usize) + Sync));
@@ -714,7 +730,9 @@ struct PoolState {
 /// round. Each [`dispatch`](ShardPool::dispatch) runs `body(shard)` exactly
 /// once for every shard index in `0..n` (shard 0 on the calling thread,
 /// the rest on the workers) and returns only when all of them finished, so
-/// the body may borrow from the caller's stack.
+/// the body may borrow from the caller's stack;
+/// [`dispatch_parts`](ShardPool::dispatch_parts) additionally hands each
+/// shard its own `&mut` part.
 ///
 /// The pool imposes no determinism by itself — callers get bit-identical
 /// results for every shard count by keying all randomness on data (see
@@ -761,12 +779,23 @@ impl ShardPool {
             }
         }
         std::thread::scope(|scope| {
-            for shard in 1..pool.shards {
-                let pool = &pool;
-                scope.spawn(move || pool.worker_loop(shard));
+            let workers: Vec<_> = (1..pool.shards)
+                .map(|shard| {
+                    let pool = &pool;
+                    scope.spawn(move || pool.worker_loop(shard))
+                })
+                .collect();
+            let out = {
+                let _shutdown = Shutdown(&pool);
+                f(&pool)
+            };
+            // The scope only waits for each worker's closure; joining waits
+            // for the thread's exit too, whose frees would otherwise race
+            // the caller's next allocations.
+            for worker in workers {
+                worker.join().expect("workers catch every task panic");
             }
-            let _shutdown = Shutdown(&pool);
-            f(&pool)
+            out
         })
     }
 
@@ -808,6 +837,30 @@ impl ShardPool {
         if let Err((_, payload)) = self.dispatch_inner(body) {
             std::panic::resume_unwind(payload);
         }
+    }
+
+    /// Runs `body(s, &mut parts[s])` for every shard index `s`, with the
+    /// barrier and panic behavior of [`dispatch`](ShardPool::dispatch):
+    /// the safe way to hand each shard its own disjoint `&mut` data
+    /// (typically column windows cut with `split_at_mut` at
+    /// [`word_shard_range`](crate::columns::word_shard_range) bounds).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `parts.len() != self.shards()`, and on concurrent
+    /// dispatches, exactly like `dispatch`.
+    pub fn dispatch_parts<T: Send>(&self, parts: &mut [T], body: &(dyn Fn(usize, &mut T) + Sync)) {
+        assert_eq!(
+            parts.len(),
+            self.shards,
+            "dispatch_parts needs one part per shard"
+        );
+        // Shard `s` is the only one to lock `parts[s]`, once, so every lock
+        // is uncontended and none can be poisoned when taken.
+        let parts: Vec<Mutex<&mut T>> = parts.iter_mut().map(Mutex::new).collect();
+        self.dispatch(&|s| {
+            body(s, &mut parts[s].lock().expect("each part is locked once"));
+        });
     }
 
     /// Like [`dispatch`](ShardPool::dispatch), but a shard panic comes back
@@ -1027,22 +1080,89 @@ mod tests {
 
     #[test]
     fn shard_pool_dispatch_borrows_caller_stack() {
-        // Disjoint writes into a stack buffer through the shared body: the
+        // Disjoint writes into a stack buffer, one chunk per shard: the
         // dispatch barrier makes the borrow sound and the result visible.
         let mut buf = vec![0u64; 97];
-        let n = buf.len();
         ShardPool::with(4, |pool| {
-            let base = buf.as_mut_ptr() as usize;
-            pool.dispatch(&|s| {
-                let lo = n * s / 4;
-                let hi = n * (s + 1) / 4;
-                for i in lo..hi {
-                    // SAFETY: shards cover disjoint index ranges.
-                    unsafe { *(base as *mut u64).add(i) = i as u64 + 1 };
+            pool.dispatch_parts(&mut shard_chunks(&mut buf, 4), &|s, chunk| {
+                let (lo, _) = shard_range(97, 4, s);
+                for (k, v) in chunk.iter_mut().enumerate() {
+                    *v = (lo + k) as u64 + 1;
                 }
             });
         });
         assert!(buf.iter().enumerate().all(|(i, &v)| v == i as u64 + 1));
+    }
+
+    #[test]
+    fn dispatch_parts_visits_every_part_once_with_its_own_index() {
+        for shards in [1usize, 2, 3, 8] {
+            ShardPool::with(shards, |pool| {
+                let mut parts: Vec<Vec<usize>> = vec![Vec::new(); shards];
+                for _ in 0..20 {
+                    pool.dispatch_parts(&mut parts, &|s, part| part.push(s));
+                }
+                for (s, part) in parts.iter().enumerate() {
+                    assert_eq!(part, &vec![s; 20], "shard {s} of {shards}");
+                }
+            });
+        }
+    }
+
+    #[test]
+    fn dispatch_parts_reraises_a_panic_after_every_other_part_is_written() {
+        use std::sync::atomic::AtomicBool;
+        let mut parts = [0u32; 4];
+        let panicking = AtomicBool::new(false);
+        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            ShardPool::with(4, |pool| {
+                pool.dispatch_parts(&mut parts, &|s, part| {
+                    if s == 1 {
+                        panicking.store(true, Ordering::SeqCst);
+                        panic!("shard boom");
+                    }
+                    // Write only once shard 1 is already unwinding.
+                    while !panicking.load(Ordering::SeqCst) {
+                        std::thread::yield_now();
+                    }
+                    *part = s as u32 + 10;
+                });
+            });
+        }));
+        assert!(result.is_err(), "shard panic was swallowed");
+        assert_eq!(parts, [10, 0, 12, 13]);
+    }
+
+    #[test]
+    #[should_panic(expected = "one part per shard")]
+    fn dispatch_parts_rejects_a_part_count_other_than_the_shard_count() {
+        ShardPool::with(2, |pool| pool.dispatch_parts(&mut [0u8; 3], &|_, _| {}));
+    }
+
+    #[test]
+    fn shard_pool_returns_only_after_its_workers_have_exited() {
+        // A thread-local destructor runs while the worker thread exits,
+        // after its closure has returned: the point a scope stops waiting.
+        // The sleep holds the exit open long enough to lose that race.
+        static EXITED: AtomicUsize = AtomicUsize::new(0);
+        struct OnExit;
+        impl Drop for OnExit {
+            fn drop(&mut self) {
+                std::thread::sleep(std::time::Duration::from_millis(20));
+                EXITED.fetch_add(1, Ordering::SeqCst);
+            }
+        }
+        thread_local! {
+            static ON_EXIT: OnExit = const { OnExit };
+        }
+        ShardPool::with(4, |pool| {
+            pool.dispatch(&|s| {
+                if s > 0 {
+                    ON_EXIT.with(|_| {});
+                }
+            });
+        });
+        assert_eq!(EXITED.load(Ordering::SeqCst), 3);
     }
 
     #[test]

@@ -65,8 +65,9 @@ pub trait ColumnarStep<S>: fmt::Debug + Send {
     ///
     /// `pool` is the pool the round runs on — the engine always passes
     /// `Some`, and `None` means one shard. The transpose may fan out across
-    /// [`dispatch`](ShardPool::dispatch), but the result must not depend on
-    /// the shard count.
+    /// [`dispatch_parts`](ShardPool::dispatch_parts), each shard getting
+    /// the column windows of its [`word_shard_range`], but the result must
+    /// not depend on the shard count.
     fn load(&mut self, agents: &[S], pool: Option<&ShardPool>);
 
     /// Runs one step phase over the resident columns (which must be
@@ -76,8 +77,10 @@ pub trait ColumnarStep<S>: fmt::Debug + Send {
     /// [`sample_partners_into`](crate::matching::sample_partners_into)
     /// builds it: one entry per resident agent, `partners[i]` agent `i`'s
     /// partner slot (`< self.len()`, and `partners[partners[i]] == i`) or
-    /// [`UNMATCHED`](crate::matching::UNMATCHED). Implementations may rely
-    /// on that bound to index without checks. `round_key` is the
+    /// [`UNMATCHED`](crate::matching::UNMATCHED). `step` is a safe method,
+    /// so implementations must not index without checks on the strength of
+    /// that bound: a bad table may panic or give unspecified results, but
+    /// never read out of bounds. `round_key` is the
     /// engine's per-round agent-stream key (agent `i` draws from
     /// [`slot_rng`](crate::rng::slot_rng)`(round_key, i)`). `pool` means
     /// what it means for [`load`](Self::load): the engine always passes
@@ -215,57 +218,13 @@ pub fn tail_mask(lanes: usize) -> u64 {
 /// The *word* range shard `s` of `nshards` owns over `n_words` bitmask
 /// words: contiguous, disjoint, covering `0..n_words`, balanced to within
 /// one word. Sharding on word boundaries means no two shards ever touch
-/// the same `u64` of a [`BitCol`], so the per-shard column writes of a
-/// pooled [`ColumnarStep`] are disjoint by construction.
+/// the same `u64` of a [`BitCol`]: a pooled [`ColumnarStep`] cuts its
+/// columns at these bounds with `split_at_mut` and hands each shard its
+/// own `&mut` windows through [`ShardPool::dispatch_parts`].
 #[inline]
 pub fn word_shard_range(n_words: usize, nshards: usize, s: usize) -> (usize, usize) {
     crate::batch::shard_range(n_words, nshards, s)
 }
-
-/// A raw pointer that may cross thread boundaries: the public twin of the
-/// engine's internal shard pointer, for [`ColumnarStep`] implementations
-/// that fan their column passes out over a [`ShardPool`]. Every
-/// dereference site must document why its accesses are disjoint across
-/// shards (word-aligned ranges from [`word_shard_range`] make that
-/// argument structural).
-pub struct ColPtr<T>(*mut T);
-
-impl<T> ColPtr<T> {
-    /// Wraps a raw pointer for cross-shard use.
-    #[inline]
-    pub fn new(ptr: *mut T) -> Self {
-        ColPtr(ptr)
-    }
-
-    /// The wrapped pointer. A method (not field access) so closures capture
-    /// the `ColPtr` itself — edition-2021 disjoint capture would otherwise
-    /// grab the bare `*mut T` field, which is not `Sync`.
-    #[inline]
-    pub fn get(self) -> *mut T {
-        self.0
-    }
-}
-
-impl<T> Clone for ColPtr<T> {
-    fn clone(&self) -> Self {
-        *self
-    }
-}
-impl<T> Copy for ColPtr<T> {}
-
-impl<T> fmt::Debug for ColPtr<T> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "ColPtr({:p})", self.0)
-    }
-}
-
-// SAFETY: dereferencing is the caller's responsibility (each unsafe block
-// at the use sites states its disjointness argument); the pointer value
-// itself is freely copyable across threads.
-unsafe impl<T> Send for ColPtr<T> {}
-// SAFETY: shared references to the wrapper expose only the raw pointer
-// value, never the pointee — same argument as `Send` above.
-unsafe impl<T> Sync for ColPtr<T> {}
 
 #[cfg(test)]
 mod tests {

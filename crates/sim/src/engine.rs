@@ -38,7 +38,7 @@
 
 use crate::adversary::{Adversary, Alteration, NoOpAdversary, RoundContext};
 use crate::agent::{Action, Protocol};
-use crate::batch::{shard_range, SendPtr, ShardPool};
+use crate::batch::{shard_chunks, shard_range, ShardPool};
 use crate::columns::ColumnarStep;
 use crate::config::SimConfig;
 use crate::driver::{EngineView, Observer, RunOutcome, RunSpec, Stop};
@@ -720,49 +720,19 @@ where
         let protocol = &self.protocol;
 
         // Message composition: every shard reads agent states (no one
-        // mutates them during this dispatch) and writes the message slots
-        // of its own range. Plain message types (no drop glue — every
-        // protocol in this workspace) write into spare capacity and publish
-        // the length after the barrier; droppy message types are prefilled
-        // with `None` first so that a panicking shard cannot strand
-        // already-written payloads in unreachable capacity (`ptr::write`
-        // over a `None` leaks nothing either way).
-        let prefill = std::mem::needs_drop::<Option<P::Message>>();
+        // mutates them during this dispatch) and fills the message slots
+        // of its own range.
         messages.clear();
-        if prefill {
-            messages.resize_with(n, || None);
-        } else {
-            messages.reserve(n);
-        }
-        let msg_base = SendPtr(messages.as_mut_ptr());
-        let agents_base = SendPtr(self.agents.as_mut_ptr());
-        pool.dispatch(&|s| {
+        messages.resize_with(n, || None);
+        let agents: &[P::State] = &self.agents;
+        pool.dispatch_parts(&mut shard_chunks(messages, nshards), &|s, msgs| {
             let (lo, hi) = shard_range(n, nshards, s);
-            // Indexing (not iterators) keeps the slot arithmetic aligned
-            // with the raw-pointer writes below.
-            #[allow(clippy::needless_range_loop)]
-            for i in lo..hi {
-                let p = partners[i];
-                let msg = if p == UNMATCHED {
-                    None
-                } else {
-                    // SAFETY: shared read; agents are not written to until
-                    // the next dispatch, after this one's barrier.
-                    Some(protocol.message(unsafe { &*agents_base.get().add(p as usize) }))
-                };
-                // SAFETY: slot `i` belongs to exactly one shard range and
-                // lies within the capacity reserved above; it holds either
-                // uninitialized memory (post-`clear`) or a prefilled `None`
-                // — `write` is correct for both, since `None` of a droppy
-                // payload type has nothing to drop.
-                unsafe { msg_base.get().add(i).write(msg) };
+            for (msg, &p) in msgs.iter_mut().zip(&partners[lo..hi]) {
+                if p != UNMATCHED {
+                    *msg = Some(protocol.message(&agents[p as usize]));
+                }
             }
         });
-        if !prefill {
-            // SAFETY: the dispatch barrier guarantees all `n` slots are
-            // initialized before the length is published.
-            unsafe { messages.set_len(n) };
-        }
 
         // Step scan: each shard mutates only its own agents, reads only its
         // own messages, and collects splits/deaths into its own lists —
@@ -771,31 +741,17 @@ where
             splits: std::mem::take(splits),
             deaths: std::mem::take(deaths),
         };
-        let first_ptr = SendPtr(&mut first as *mut StepShard);
-        let lists_base = SendPtr(lists.as_mut_ptr());
-        pool.dispatch(&|s| {
-            let (lo, hi) = shard_range(n, nshards, s);
-            // SAFETY: `dispatch` runs each shard index exactly once, so
-            // this is the only reference to `first` (shard 0) or to
-            // `lists[s - 1]`, which exists because `lists` holds
-            // `nshards - 1` entries.
-            let out = unsafe {
-                &mut *if s == 0 {
-                    first_ptr.get()
-                } else {
-                    lists_base.get().add(s - 1)
-                }
-            };
+        let mut parts: Vec<_> = shard_chunks(&mut self.agents, nshards)
+            .into_iter()
+            .zip(shard_chunks(messages, nshards))
+            .zip(std::iter::once(&mut first).chain(lists.iter_mut()))
+            .collect();
+        pool.dispatch_parts(&mut parts, &|s, ((states, msgs), out)| {
+            let (lo, _) = shard_range(n, nshards, s);
             out.splits.clear();
             out.deaths.clear();
-            #[allow(clippy::needless_range_loop)]
-            for i in lo..hi {
-                // SAFETY: slot `i` belongs to exactly one shard range; no
-                // other thread touches `agents[i]` or `messages[i]`.
-                let state = unsafe { &mut *agents_base.get().add(i) };
-                // SAFETY: same disjointness argument, and `messages` is only
-                // ever read during the step phase.
-                let incoming = unsafe { &*msg_base.get().add(i) };
+            for (k, (state, incoming)) in states.iter_mut().zip(msgs.iter()).enumerate() {
+                let i = lo + k;
                 let mut rng = slot_rng(rkey, i as u64);
                 match protocol.step(state, incoming.as_ref(), &mut rng) {
                     Action::Continue => {}

@@ -40,7 +40,7 @@
 use rand::seq::SliceRandom;
 use rand::Rng;
 
-use crate::batch::{shard_range, SendPtr, ShardPool};
+use crate::batch::{shard_chunks, shard_range, SendPtr, ShardPool};
 use crate::error::SimError;
 use crate::rng::{sub_seed, CounterRng, SimRng};
 
@@ -483,14 +483,10 @@ pub fn sample_matching_into_par(
     let perm = SlotPermutation::new(sub_seed(mkey, PERM_SUBSTREAM), population as u64);
     out.pairs.resize(n_pairs, (0, 0));
     let nshards = pool.shards();
-    let base = SendPtr(out.pairs.as_mut_ptr());
-    pool.dispatch(&|s| {
-        let (lo, hi) = shard_range(n_pairs, nshards, s);
-        for p in lo..hi {
-            let pair = keyed_pair(&perm, p);
-            // SAFETY: pair slot `p` belongs to exactly one shard range and
-            // lies within the buffer resized above.
-            unsafe { base.get().add(p).write(pair) };
+    pool.dispatch_parts(&mut shard_chunks(&mut out.pairs, nshards), &|s, pairs| {
+        let (lo, _) = shard_range(n_pairs, nshards, s);
+        for (k, pair) in pairs.iter_mut().enumerate() {
+            *pair = keyed_pair(&perm, lo + k);
         }
     });
 }

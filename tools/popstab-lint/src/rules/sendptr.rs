@@ -9,18 +9,23 @@
 //! load-bearing half machine-checked, in two shapes:
 //!
 //! 1. **Dispatchers.** A fn that mentions a shared shard pointer
-//!    (`SendPtr`/`ColPtr`) *and* fans work out over a pool
-//!    (`dispatch`/`try_dispatch`) must call `shard_range` or
+//!    (`SendPtr`) *and* fans work out over a pool
+//!    (`dispatch`/`try_dispatch`/`dispatch_parts`) must call `shard_range` or
 //!    `word_shard_range` in its span — the dispatch site is where
 //!    disjointness is established, so deriving ranges any other way (or
 //!    not at all) is a finding even if every deref happens to be in
 //!    bounds today.
 //! 2. **Deref helpers.** A fn that derefs a shard pointer (`unsafe` +
 //!    pointer mention) without dispatching must be *reachable from* a fn
-//!    that derives ranges — the columnar kernels receive their
-//!    already-partitioned indices from `step_pooled`-style drivers, and
-//!    the item graph verifies that such a driver actually exists. An
-//!    orphaned deref helper nobody range-partitions for is a finding.
+//!    that derives ranges — a kernel that receives already-partitioned
+//!    indices from a range-deriving driver passes, and the item graph
+//!    verifies that such a driver actually exists. An orphaned deref
+//!    helper nobody range-partitions for is a finding.
+//!
+//! Sharded passes that can cut their data into contiguous parts use the
+//! safe `ShardPool::dispatch_parts` and never meet this rule; its one
+//! remaining subject is the partner-table scatter, whose writes land at
+//! `π(j)`.
 //!
 //! Escape: `lint:allow(sendptr-bounds): <why the indices are disjoint>`.
 
@@ -32,9 +37,9 @@ use crate::rules::{Context, Rule};
 pub struct SendPtrBounds;
 
 /// The Send/Sync raw-pointer wrappers the engine shares across shards.
-const PTR_TYPES: &[&str] = &["SendPtr", "ColPtr"];
+const PTR_TYPES: &[&str] = &["SendPtr"];
 /// Pool fan-out entry points.
-const DISPATCHES: &[&str] = &["dispatch", "try_dispatch"];
+const DISPATCHES: &[&str] = &["dispatch", "try_dispatch", "dispatch_parts"];
 /// The blessed range-partitioning fns.
 const RANGES: &[&str] = &["shard_range", "word_shard_range"];
 
@@ -44,7 +49,7 @@ impl Rule for SendPtrBounds {
     }
 
     fn summary(&self) -> &'static str {
-        "`SendPtr`/`ColPtr` crossing a pool dispatch or deref'd in a helper without \
+        "`SendPtr` crossing a pool dispatch or deref'd in a helper without \
          `shard_range`-derived disjoint indices"
     }
 
@@ -166,14 +171,14 @@ fn par_pass(pool: &ShardPool, buf: &mut [u64]) {
     #[test]
     fn deref_helper_reached_from_a_range_driver_passes() {
         let src = "\
-fn driver(pool: &ShardPool, col: ColPtr<u64>, n: usize) {
+fn driver(pool: &ShardPool, col: SendPtr<u64>, n: usize) {
     let nshards = pool.shards();
     pool.dispatch(&|s| {
         let (lo, hi) = word_shard_range(n, nshards, s);
         kernel(col, lo, hi);
     });
 }
-fn kernel(col: ColPtr<u64>, lo: usize, hi: usize) {
+fn kernel(col: SendPtr<u64>, lo: usize, hi: usize) {
     for w in lo..hi {
         unsafe { *col.get().add(w) = 0 };
     }
@@ -185,7 +190,7 @@ fn kernel(col: ColPtr<u64>, lo: usize, hi: usize) {
     #[test]
     fn orphaned_deref_helper_is_flagged() {
         let src = "\
-fn kernel(col: ColPtr<u64>, lo: usize, hi: usize) {
+fn kernel(col: SendPtr<u64>, lo: usize, hi: usize) {
     for w in lo..hi {
         unsafe { *col.get().add(w) = 0 };
     }
@@ -201,7 +206,7 @@ fn kernel(col: ColPtr<u64>, lo: usize, hi: usize) {
         let src = "\
 #[cfg(test)]
 mod tests {
-    fn t(col: ColPtr<u64>) { unsafe { *col.get() = 0 }; }
+    fn t(col: SendPtr<u64>) { unsafe { *col.get() = 0 }; }
 }
 ";
         assert!(diags(src).is_empty());
