@@ -39,20 +39,17 @@ pub use throttle::Throttle;
 pub use trauma::{Trauma, TraumaKind};
 
 use popstab_core::state::AgentState;
+use popstab_sim::RoundHistogram;
 
 /// Returns the most common `round` value among the given agents, or `None`
 /// if the slice is empty. Adversaries use this to forge agents that blend
-/// in with (or deliberately clash with) the honest clock.
+/// in with (or deliberately clash with) the honest clock. Ties go to the
+/// largest round ([`RoundHistogram::majority`]): the result seeds forged
+/// agents, so the tie-break must be a function of the counts alone.
 pub fn majority_round(agents: &[AgentState]) -> Option<u32> {
-    use std::collections::BTreeMap;
-    // Ordered so the tie-break is deterministic (largest round value wins):
-    // the result seeds forged agents, so a HashMap's per-process random
-    // tie-break would leak into trajectories.
-    let mut counts: BTreeMap<u32, usize> = BTreeMap::new();
-    for a in agents {
-        *counts.entry(a.round).or_insert(0) += 1;
-    }
-    counts.into_iter().max_by_key(|&(_, c)| c).map(|(r, _)| r)
+    let mut counts = RoundHistogram::new();
+    counts.add_all(agents.iter().map(|a| a.round));
+    counts.majority().map(|(r, _)| r)
 }
 
 /// The full attack suite at raw (per-round) budget `k`: every strategy the

@@ -9,6 +9,7 @@ use popstab_adversary::{
 };
 use popstab_core::params::Params;
 use popstab_core::state::{AgentState, Color};
+use popstab_sim::metrics::DENSE_ROUND_CAP;
 use popstab_sim::rng::rng_from_seed;
 use popstab_sim::{Adversary, Alteration, RoundContext};
 
@@ -105,6 +106,32 @@ proptest! {
         idx.sort_unstable();
         idx.dedup();
         prop_assert_eq!(idx.len(), alts.len());
+    }
+
+    /// The dense histogram picks the same round as the `BTreeMap` count it
+    /// replaced, ties (largest round wins), forged `u32::MAX` rounds and
+    /// rounds straddling the dense cap included.
+    #[test]
+    fn majority_round_matches_the_ordered_map_reference(
+        rounds in prop::collection::vec(
+            prop_oneof![
+                0u32..4,
+                0u32..200,
+                Just(u32::MAX),
+                (DENSE_ROUND_CAP - 2)..(DENSE_ROUND_CAP + 2),
+            ],
+            0..64,
+        ),
+    ) {
+        let p = params();
+        let agents: Vec<AgentState> =
+            rounds.iter().map(|&r| AgentState::desynced(&p, r)).collect();
+        let mut counts = std::collections::BTreeMap::new();
+        for &r in &rounds {
+            *counts.entry(r).or_insert(0usize) += 1;
+        }
+        let reference = counts.into_iter().max_by_key(|&(_, c)| c).map(|(r, _)| r);
+        prop_assert_eq!(majority_round(&agents), reference);
     }
 
     #[test]

@@ -21,6 +21,9 @@
 //! * `single_fast_rps` — one engine with the `()` observer (the
 //!   recording-free fast path; the Observer abstraction must cost nothing
 //!   here, which the committed-baseline check below enforces),
+//! * `recorded_over_fast` — `single_recorded_rps / single_fast_rps`, the
+//!   share of the fast path's speed a recorded run keeps (recording reads
+//!   the resident columns' stats kernel, so the target is ≥ 0.9),
 //! * `batch_rps` — one engine per [`BatchRunner`] worker, aggregate
 //!   throughput (equals `single_fast_rps` on a single-core host),
 //! * `par_rps` — **one** engine with the step phase of every round sharded
@@ -63,6 +66,9 @@ struct Workload {
     /// `par_rps / par_workers`: intra-round scaling efficiency in
     /// host-independent units (equals `par_rps` on a single-core host).
     par_rps_per_core: f64,
+    /// `single_recorded_rps / single_fast_rps`: what recording every
+    /// round costs against the recording-free path (the target is ≥ 0.9).
+    recorded_over_fast: f64,
 }
 
 /// `--n` override for the scale plan, set once by the CLI before `run`.
@@ -142,6 +148,7 @@ fn measure(n: u64, rounds: u64, workers: usize, round_threads: usize, reps: u32)
         par_workers: round_threads,
         mem_bytes_per_agent: mem_bytes as f64 / n as f64,
         par_rps_per_core: par_rps / round_threads as f64,
+        recorded_over_fast: single_recorded_rps / single_fast_rps,
     }
 }
 
@@ -217,9 +224,9 @@ pub fn run(quick: bool) {
         .map(|&(n, rounds)| {
             let w = measure(n, rounds.max(20), workers, round_threads, reps);
             println!(
-                "N={:<7} rounds={:<5} single_recorded={:>9.0} rps  single_fast={:>9.0} rps  batch({}x)={:>9.0} rps  par({}t)={:>9.0} rps  mem={:>5.1} B/agent",
-                w.n, w.rounds, w.single_recorded_rps, w.single_fast_rps, w.batch_jobs, w.batch_rps,
-                w.par_workers, w.par_rps, w.mem_bytes_per_agent
+                "N={:<7} rounds={:<5} single_recorded={:>9.0} rps  single_fast={:>9.0} rps  recorded/fast={:.2}  batch({}x)={:>9.0} rps  par({}t)={:>9.0} rps  mem={:>5.1} B/agent",
+                w.n, w.rounds, w.single_recorded_rps, w.single_fast_rps, w.recorded_over_fast,
+                w.batch_jobs, w.batch_rps, w.par_workers, w.par_rps, w.mem_bytes_per_agent
             );
             w
         })
@@ -264,7 +271,8 @@ pub fn run(quick: bool) {
             "    {{\"n\": {}, \"rounds\": {}, \"single_recorded_rps\": {:.1}, \
              \"single_fast_rps\": {:.1}, \"batch_rps\": {:.1}, \"batch_jobs\": {}, \
              \"par_rps\": {:.1}, \"par_workers\": {}, \
-             \"mem_bytes_per_agent\": {:.1}, \"par_rps_per_core\": {:.1}}}{}\n",
+             \"mem_bytes_per_agent\": {:.1}, \"par_rps_per_core\": {:.1}, \
+             \"recorded_over_fast\": {:.3}}}{}\n",
             w.n,
             w.rounds,
             w.single_recorded_rps,
@@ -275,6 +283,7 @@ pub fn run(quick: bool) {
             w.par_workers,
             w.mem_bytes_per_agent,
             w.par_rps_per_core,
+            w.recorded_over_fast,
             if i + 1 == workloads.len() { "" } else { "," }
         ));
     }

@@ -25,8 +25,11 @@
 //! The engine transposes `Vec<AgentState>` in ([`ColumnarStep::load`]) only
 //! when the vector was mutated behind the columns' back, and back out
 //! ([`ColumnarStep::store`]) only when an observer, adversary, or snapshot
-//! needs it — on the recording-free fast path each round streams ~17 bytes
-//! per agent instead of two passes over 24-byte structs.
+//! reads it — each resident round streams ~17 bytes per agent instead of
+//! two passes over 24-byte structs. Recorded rounds stay resident too:
+//! [`ColumnarStep::stats`] computes a round's [`RoundStats`] as popcounts
+//! over the flag columns plus one epoch-round histogram over `round`
+//! (uniform blocks counted 64 lanes at a time), never building the vector.
 //!
 //! # Why this is bit-exact (no stream bump)
 //!
@@ -83,7 +86,7 @@ use popstab_sim::batch::ShardPool;
 use popstab_sim::columns::{tail_mask, word_shard_range, BitCol, ColumnarProtocol, ColumnarStep};
 use popstab_sim::matching::UNMATCHED;
 use popstab_sim::rng::{biased_coin_x8, slot_key_x8, slot_rng, LANES};
-use popstab_sim::Action;
+use popstab_sim::{Action, RoundHistogram, RoundStats};
 use rand::Rng;
 
 use crate::coin::toss_biased_coin;
@@ -316,11 +319,25 @@ impl StabilityColumns {
                 let v = col.get(last);
                 col.set(i, v);
             }
-            // Words above ceil(len/64) hold no live lanes; trimming keeps
-            // the push path's growth zero-fill meaningful.
+            // The vacated lane joins the tail, whose bits stay zero
+            // (`BitCol` docs); words above ceil(len/64) hold no live lanes.
+            col.set(last, false);
             col.resize_words(nw);
         }
         self.len = last;
+    }
+
+    /// Whether every flag column holds exactly the population's words,
+    /// with the bits at and above `len` zero ([`BitCol`]'s tail
+    /// invariant, which the popcounts in [`ColumnarStep::stats`] rely on).
+    fn tail_bits_clear(&self) -> bool {
+        let (nw, lanes) = (self.len.div_ceil(64), self.len % 64);
+        [&self.active, &self.recruiting, &self.color, &self.is_leader]
+            .iter()
+            .all(|col| {
+                let words = col.words();
+                words.len() == nw && (lanes == 0 || words[nw - 1] & !tail_mask(lanes) == 0)
+            })
     }
 
     /// The transpose pass, sharded over word-aligned ranges of `pool`.
@@ -539,6 +556,49 @@ impl ColumnarStep<AgentState> for StabilityColumns {
                 epoch_len: t,
             });
         }
+    }
+
+    /// Popcounts over the flag columns and one epoch-round histogram over
+    /// the `round` column. Exact by the store contract (module docs):
+    /// `store` writes the column's round, which is normalized, and pins
+    /// `epoch_len`, so an agent is in eval exactly when its round is
+    /// `epoch_len − 1`.
+    fn stats(&self) -> Option<RoundStats> {
+        debug_assert!(self.tail_bits_clear(), "flag bits set past the population");
+        let (n, nw) = (self.len, self.len.div_ceil(64));
+        let mut stats = RoundStats {
+            population: n,
+            ..RoundStats::default()
+        };
+        let (aw, rw, cw, iw) = (
+            self.active.words(),
+            self.recruiting.words(),
+            self.color.words(),
+            self.is_leader.words(),
+        );
+        let mut rounds = RoundHistogram::new();
+        for w in 0..nw {
+            let lanes = (n - w * 64).min(64);
+            let tailm = tail_mask(lanes);
+            let active = aw[w] & tailm;
+            stats.active += active.count_ones() as usize;
+            stats.color1 += (active & cw[w]).count_ones() as usize;
+            stats.recruiting += (rw[w] & tailm).count_ones() as usize;
+            stats.leaders += (iw[w] & tailm).count_ones() as usize;
+            // A block whose lanes agree on the round counts at once; a
+            // desynced one (adversarial inserts) lane by lane.
+            let block = &self.round[w * 64..w * 64 + lanes];
+            let r0 = block[0];
+            if block.iter().fold(0, |acc, &r| acc | (r ^ r0)) == 0 {
+                rounds.add_n(r0, lanes);
+            } else {
+                rounds.add_all(block.iter().copied());
+            }
+        }
+        stats.color0 = stats.active - stats.color1;
+        stats.in_eval = rounds.count(self.params.eval_round());
+        stats.tally_rounds(&rounds);
+        Some(stats)
     }
 
     fn len(&self) -> usize {
@@ -1385,6 +1445,94 @@ mod tests {
         };
         let sharded = ShardPool::with(3, run);
         assert_eq!(sharded, ShardPool::with(1, run));
+    }
+
+    /// Asserts the stats kernel equals observing the vector `store` builds.
+    fn assert_stats_match_stored(stepper: &StabilityColumns, what: &str) {
+        let mut stored = Vec::new();
+        stepper.store(&mut stored);
+        assert_eq!(
+            stepper.stats(),
+            Some(RoundStats::observe(0, &stored)),
+            "{what}"
+        );
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(24))]
+
+        /// On load and after every step and apply, the stats kernel counts
+        /// what observing the stored vector counts. The populations mix
+        /// desynced rounds (so blocks fall back to per-lane counting),
+        /// leaders of both colors at a drawn density, and active agents,
+        /// and shrink by up to `shrink` extra deaths a round, under one and
+        /// three shards.
+        #[test]
+        fn stats_match_observing_the_stored_vector(
+            seed in 0u64..10_000,
+            n in 0usize..400,
+            leader_every in 1usize..6,
+            shrink in 0usize..48,
+        ) {
+            use rand::Rng;
+            let params = Params::for_target(1024).unwrap();
+            let t = params.epoch_len();
+            let mut g = rng_from_seed(seed);
+            let agents: Vec<AgentState> = (0..n)
+                .map(|i| {
+                    let r = g.random::<u32>() % (2 * t);
+                    let color = if g.random::<bool>() { Color::One } else { Color::Zero };
+                    if i % leader_every == 0 {
+                        return AgentState::leader(&params, color, i as u64 | 1);
+                    }
+                    match i % 3 {
+                        0 => AgentState::desynced(&params, r),
+                        1 => AgentState::active_at(&params, r % t, color),
+                        _ => AgentState::fresh(&params),
+                    }
+                })
+                .collect();
+            for shards in [1, 3] {
+                ShardPool::with(shards, |pool| {
+                    let mut stepper = StabilityColumns::new(params.clone());
+                    stepper.load(&agents, Some(pool));
+                    assert_stats_match_stored(&stepper, "after load");
+                    for round in 0..2 * u64::from(t) / 3 {
+                        let (mut splits, mut deaths) = (Vec::new(), Vec::new());
+                        let partners = partner_table(stepper.len(), seed, round);
+                        let rkey = round_key(seed, round);
+                        stepper.step(&partners, rkey, Some(pool), &mut splits, &mut deaths);
+                        assert_stats_match_stored(&stepper, "after step");
+                        deaths.extend(stepper.len().saturating_sub(shrink)..stepper.len());
+                        deaths.sort_unstable();
+                        deaths.dedup();
+                        stepper.apply(&splits, &deaths);
+                        assert_stats_match_stored(&stepper, "after apply");
+                    }
+                });
+            }
+        }
+    }
+
+    #[test]
+    fn apply_keeps_flag_bits_past_the_population_clear() {
+        // Leaders of color one set every flag column, so each lane that a
+        // death vacates held set bits in all four.
+        let params = Params::for_target(1024).unwrap();
+        let agents: Vec<AgentState> = (0..200)
+            .map(|i| AgentState::leader(&params, Color::One, i | 1))
+            .collect();
+        let mut stepper = StabilityColumns::new(params);
+        stepper.load(&agents, None);
+        assert!(stepper.tail_bits_clear());
+        stepper.apply(&[3, 70], &[0, 5, 64, 150]);
+        assert_eq!(stepper.len(), 198);
+        assert!(stepper.tail_bits_clear(), "deaths left tail bits set");
+        stepper.apply(&[], &(120..198).collect::<Vec<_>>());
+        assert_eq!(stepper.len(), 120);
+        assert!(stepper.tail_bits_clear(), "shrinking left tail bits set");
+        assert_eq!(stepper.stats().map(|s| s.leaders), Some(120));
+        assert_stats_match_stored(&stepper, "after shrinking");
     }
 
     #[test]

@@ -18,16 +18,23 @@
 //! transposes `Vec<P::State>` into the columns; [`ColumnarStep::step`]
 //! and [`ColumnarStep::apply`] then advance the columns round after round
 //! **without touching the vector**; [`ColumnarStep::store`] transposes
-//! back on demand. On the recording-free fast path (`()` observer, no-op
-//! adversary) the engine loads once, keeps the columns resident for the
-//! whole run, and stores once at the end — the per-round traffic drops
-//! from two streams over 24-byte structs to a handful of compact columns.
-//! Whenever something needs the vector (a recording observer, a real
-//! adversary, a snapshot), the engine materializes it first; whenever
-//! something mutates the vector, the engine reloads the columns before
-//! the next step. See [`Engine`](crate::Engine) for the exact gating
-//! ([`Observer::needs_engine_state`](crate::Observer::needs_engine_state),
-//! [`Adversary::is_noop`](crate::Adversary::is_noop)).
+//! back on demand. The engine loads once, keeps the columns resident, and
+//! stores once at the end of a run — the per-round traffic is a handful of
+//! compact columns, not two streams over 24-byte structs. Whatever needs
+//! the vector pays for it when it reads it, and only then:
+//!
+//! * an observer's [`EngineView::agents`](crate::EngineView::agents)
+//!   stores on its first call in a round, and the vector stays current
+//!   until the next step;
+//! * [`EngineView::stats`](crate::EngineView::stats) asks
+//!   [`ColumnarStep::stats`] first, so a [`RecordStats`](crate::RecordStats)
+//!   run over a stepper with a stats kernel never stores mid-run;
+//! * a real adversary ([`Adversary::is_noop`](crate::Adversary::is_noop)
+//!   `false`) and [`Engine::snapshot`](crate::Engine::snapshot) read the
+//!   materialized vector.
+//!
+//! Whenever something mutates the vector, the engine reloads the columns
+//! before the next step.
 //!
 //! # Determinism contract
 //!
@@ -46,6 +53,7 @@ use std::fmt;
 
 use crate::agent::Protocol;
 use crate::batch::ShardPool;
+use crate::metrics::RoundStats;
 
 /// A protocol's columnar state store and step-phase executor, as installed
 /// into an engine.
@@ -109,6 +117,15 @@ pub trait ColumnarStep<S>: fmt::Debug + Send {
     /// after the same rounds.
     fn store(&self, agents: &mut Vec<S>);
 
+    /// The observation part of [`RoundStats`] over the resident population,
+    /// computed in the columns: equal to [`RoundStats::observe`] of the
+    /// vector [`store`](Self::store) would produce, except that `round` is
+    /// left 0 for the caller to set. The default `None` means the stepper
+    /// has no such kernel, and the engine observes the stored vector.
+    fn stats(&self) -> Option<RoundStats> {
+        None
+    }
+
     /// Current population held in the columns.
     fn len(&self) -> usize;
 
@@ -152,8 +169,10 @@ pub fn columnar_box<P: ColumnarProtocol>(protocol: &P) -> Option<Box<dyn Columna
 }
 
 /// A packed bit column: bit `i % 64` of word `i / 64` holds agent `i`'s
-/// flag. The unit of kernel work is one 64-agent word; loaders write whole
-/// words (tail bits zero), so resizing never needs to clear.
+/// flag. The unit of kernel work is one 64-agent word. Bits at and above
+/// the population (the last word's tail) stay zero: loaders write whole
+/// words, and whatever shrinks the population clears the lanes it vacates,
+/// so popcounts over the words count live lanes only.
 #[derive(Debug, Clone, Default)]
 pub struct BitCol {
     words: Vec<u64>,

@@ -42,9 +42,11 @@
 //! assert_eq!(rec.len(), 10);
 //! ```
 
-use std::collections::BTreeMap;
+use std::cell::{Cell, OnceCell};
+use std::fmt;
 
 use crate::agent::Protocol;
+use crate::columns::ColumnarStep;
 use crate::config::SimConfig;
 use crate::engine::{HaltReason, RoundReport};
 use crate::metrics::{MetricsRecorder, RoundStats};
@@ -203,10 +205,90 @@ impl RunOutcome {
     }
 }
 
-/// A read-only snapshot of the engine handed to observers after each round.
+/// The post-round agent vector behind [`EngineView::agents`]: either
+/// current already, or stored from the resident columns on the first read.
+///
+/// The engine lends its own vector for the callback (so a store refills the
+/// buffer it already owns), and dropping this hands the vector back. A read
+/// that materialized it leaves the vector current: the engine clears its
+/// stale flag. Dropping restores the engine on unwinding too, so a
+/// panicking observer cannot lose the population.
+pub(crate) struct LazyAgents<'a, S> {
+    agents: OnceCell<Vec<S>>,
+    /// The engine's vector buffer while `agents` is unfilled.
+    buf: Cell<Vec<S>>,
+    /// The resident columns, while the vector is stale.
+    columns: Option<&'a dyn ColumnarStep<S>>,
+    home: &'a mut Vec<S>,
+    stale: &'a mut bool,
+}
+
+impl<'a, S> LazyAgents<'a, S> {
+    /// Borrows the engine's vector `home` for one callback. `columns` is
+    /// the engine's stepper, which must be `Some` when `*stale`.
+    pub(crate) fn new(
+        home: &'a mut Vec<S>,
+        stale: &'a mut bool,
+        columns: Option<&'a dyn ColumnarStep<S>>,
+    ) -> LazyAgents<'a, S> {
+        let vec = std::mem::take(home);
+        let (agents, buf, columns) = if *stale {
+            (OnceCell::new(), Cell::new(vec), columns)
+        } else {
+            (OnceCell::from(vec), Cell::default(), None)
+        };
+        LazyAgents {
+            agents,
+            buf,
+            columns,
+            home,
+            stale,
+        }
+    }
+
+    fn get(&self) -> &[S] {
+        self.agents.get_or_init(|| {
+            let mut vec = self.buf.take();
+            self.columns
+                .expect("a stale vector has resident columns")
+                .store(&mut vec);
+            vec
+        })
+    }
+}
+
+impl<S> Drop for LazyAgents<'_, S> {
+    fn drop(&mut self) {
+        match self.agents.take() {
+            Some(vec) => {
+                *self.home = vec;
+                *self.stale = false;
+            }
+            None => *self.home = self.buf.take(),
+        }
+    }
+}
+
+impl<S> fmt::Debug for LazyAgents<'_, S> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("LazyAgents")
+            .field("materialized", &self.agents.get().is_some())
+            .finish_non_exhaustive()
+    }
+}
+
+/// A read-only view of the engine handed to observers after each round.
+///
+/// The view is lazy: on the columnar path the population lives in the
+/// resident columns ([`crate::columns`], "Residency"), and
+/// [`agents`](Self::agents) transposes it into `Vec<P::State>` only on its
+/// first call in a round. [`population`](Self::population) and
+/// [`stats`](Self::stats) do not need the vector, so an observer that reads
+/// only those never costs a store.
 #[derive(Debug)]
 pub struct EngineView<'a, P: Protocol> {
-    pub(crate) agents: &'a [P::State],
+    pub(crate) agents: &'a LazyAgents<'a, P::State>,
+    pub(crate) population: usize,
     pub(crate) round: u64,
     pub(crate) halted: Option<HaltReason>,
     pub(crate) config: &'a SimConfig,
@@ -214,14 +296,36 @@ pub struct EngineView<'a, P: Protocol> {
 }
 
 impl<'a, P: Protocol> EngineView<'a, P> {
-    /// All agent states, post-round.
+    /// All agent states, post-round. On the columnar path the first call
+    /// in a round stores the columns into the engine's vector; later calls
+    /// (from this or any other observer) return the same slice.
     pub fn agents(&self) -> &'a [P::State] {
-        self.agents
+        self.agents.get()
     }
 
     /// Population size, post-round.
     pub fn population(&self) -> usize {
-        self.agents.len()
+        self.population
+    }
+
+    /// The observation part of the [`RoundStats`] of the round just
+    /// executed: `round` and every field [`RoundStats::observe`] fills.
+    /// The per-round counts (splits, deaths, alterations) are the
+    /// caller's to add from the [`RoundReport`].
+    ///
+    /// Reads the resident columns when the stepper has a stats kernel
+    /// ([`ColumnarStep::stats`]); otherwise observes
+    /// [`agents`](Self::agents), materializing them if needed. Both give
+    /// the same stats.
+    pub fn stats(&self) -> RoundStats {
+        let round = self.round.saturating_sub(1);
+        match self.agents.columns.and_then(|c| c.stats()) {
+            Some(stats) => {
+                debug_assert_eq!(stats.population, self.population);
+                RoundStats { round, ..stats }
+            }
+            None => RoundStats::observe(round, self.agents()),
+        }
     }
 
     /// Rounds executed so far (the *next* round number).
@@ -264,13 +368,13 @@ pub trait Observer<P: Protocol> {
     fn on_round(&mut self, report: &RoundReport, view: &EngineView<'_, P>);
 
     /// Whether this observer reads the agent state slice
-    /// ([`EngineView::agents`]) from its callback. Defaults to `true` —
-    /// engines running a columnar protocol then materialize
-    /// `Vec<P::State>` from the resident columns before every callback, so
-    /// third-party observers stay correct unexamined. Observers that only
-    /// read the [`RoundReport`] (like [`OnRound`] and `()`) return `false`,
-    /// keeping the columns resident across rounds; combinators delegate to
-    /// what they wrap. Queried once per run, before the first round.
+    /// ([`EngineView::agents`]) from its callback. The engine no longer
+    /// consults it: the view materializes the slice on first read, so an
+    /// observer that never reads it never costs a store, and there is no
+    /// declaration to get wrong. The method remains because the benchmark
+    /// package's `RoundClock` observer still implements it and its tests
+    /// pin the values: `true` by default, `false` for `()` and [`OnRound`].
+    /// Combinators do not forward it.
     fn needs_engine_state(&self) -> bool {
         true
     }
@@ -291,10 +395,6 @@ impl<P: Protocol, O: Observer<P>> Observer<P> for &mut O {
     #[inline]
     fn on_round(&mut self, report: &RoundReport, view: &EngineView<'_, P>) {
         (**self).on_round(report, view);
-    }
-
-    fn needs_engine_state(&self) -> bool {
-        (**self).needs_engine_state()
     }
 }
 
@@ -332,10 +432,6 @@ impl<P: Protocol, O: Observer<P>> Observer<P> for Stride<O> {
             self.inner.on_round(report, view);
         }
     }
-
-    fn needs_engine_state(&self) -> bool {
-        self.inner.needs_engine_state()
-    }
 }
 
 /// Forwards every round to both observers, `a` first.
@@ -354,10 +450,6 @@ impl<P: Protocol, A: Observer<P>, B: Observer<P>> Observer<P> for Tee<A, B> {
     fn on_round(&mut self, report: &RoundReport, view: &EngineView<'_, P>) {
         self.0.on_round(report, view);
         self.1.on_round(report, view);
-    }
-
-    fn needs_engine_state(&self) -> bool {
-        self.0.needs_engine_state() || self.1.needs_engine_state()
     }
 }
 
@@ -388,15 +480,13 @@ impl<P: Protocol, F: FnMut(&RoundReport)> Observer<P> for OnRound<F> {
 /// a round is recorded when `rounds_executed % every == phase` (counting
 /// the engine's global round counter after the round) — plus any round
 /// that ends in extinction, so a collapsing run always keeps its final
-/// sample.
+/// sample. The stats come from [`EngineView::stats`], so on the columnar
+/// path recording reads the resident columns and never stores mid-run.
 #[derive(Debug)]
 pub struct RecordStats<'a> {
     rec: &'a mut MetricsRecorder,
     every: u64,
     phase: u64,
-    /// Epoch-round histogram scratch, reused across recorded rounds
-    /// (ordered so the majority tie-break is deterministic).
-    counts: BTreeMap<u32, usize>,
 }
 
 impl<'a> RecordStats<'a> {
@@ -417,12 +507,7 @@ impl<'a> RecordStats<'a> {
             phase < every,
             "phase {phase} must be smaller than the stride {every}"
         );
-        RecordStats {
-            rec,
-            every,
-            phase,
-            counts: BTreeMap::new(),
-        }
+        RecordStats { rec, every, phase }
     }
 }
 
@@ -431,13 +516,14 @@ impl<P: Protocol> Observer<P> for RecordStats<'_> {
         if view.round() % self.every != self.phase && report.population_after != 0 {
             return;
         }
-        let mut stats = RoundStats::observe_with(report.round, view.agents(), &mut self.counts);
-        stats.splits = report.splits;
-        stats.deaths = report.deaths;
-        stats.adv_inserted = report.inserted;
-        stats.adv_deleted = report.deleted;
-        stats.adv_modified = report.modified;
-        self.rec.record(stats);
+        self.rec.record(RoundStats {
+            splits: report.splits,
+            deaths: report.deaths,
+            adv_inserted: report.inserted,
+            adv_deleted: report.deleted,
+            adv_modified: report.modified,
+            ..view.stats()
+        });
     }
 }
 

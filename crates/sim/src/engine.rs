@@ -41,7 +41,7 @@ use crate::agent::{Action, Protocol};
 use crate::batch::{shard_chunks, shard_range, ShardPool};
 use crate::columns::ColumnarStep;
 use crate::config::SimConfig;
-use crate::driver::{EngineView, Observer, RunOutcome, RunSpec, Stop};
+use crate::driver::{EngineView, LazyAgents, Observer, RunOutcome, RunSpec, Stop};
 use crate::matching::{sample_partners_into, UNMATCHED};
 use crate::rng::{derive_seed, derive_stream, round_key, slot_rng, SimRng};
 use crate::snapshot::{Snapshot, SnapshotError, SnapshotReader, SnapshotState};
@@ -595,10 +595,6 @@ where
         let (mut lo, mut hi) = (usize::MAX, 0usize);
         let mut last: Option<RoundReport> = None;
         let mut stopped_early = false;
-        // Observers that declare they never read the agent slice let the
-        // columnar path keep its columns resident across rounds instead of
-        // transposing the vector back after every step.
-        let needs_state = obs.needs_engine_state();
         while executed < max_rounds {
             if self.halted.is_some() {
                 break;
@@ -607,17 +603,24 @@ where
             executed += 1;
             lo = lo.min(report.population_after);
             hi = hi.max(report.population_after);
-            if needs_state {
-                self.materialize();
-            }
+            // The view lends the observer the vector, stored from the
+            // columns only if the observer reads it; handing it back marks
+            // it current when it was.
+            let agents = LazyAgents::new(
+                &mut self.agents,
+                &mut self.vec_stale,
+                self.columnar.as_deref(),
+            );
             let view = EngineView {
-                agents: &self.agents,
+                agents: &agents,
+                population: report.population_after,
                 round: self.round,
                 halted: self.halted,
                 config: &self.cfg,
                 adv_rng_state: self.adv_rng.raw_state(),
             };
             obs.on_round(&report, &view);
+            drop(agents);
             last = Some(report);
             if let Stop::Until { stop, .. } = &mut stop {
                 if stop(&report) {

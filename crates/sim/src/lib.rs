@@ -132,7 +132,7 @@ pub use engine::{Engine, HaltReason, RoundReport};
 pub use error::SimError;
 pub use fault::FaultPlan;
 pub use matching::{Matching, MatchingModel};
-pub use metrics::{MetricsRecorder, RoundStats};
+pub use metrics::{MetricsRecorder, RoundHistogram, RoundStats};
 pub use rng::SimRng;
 pub use snapshot::{
     Checkpoint, RecoveryScan, Snapshot, SnapshotError, SnapshotReader, SnapshotState,

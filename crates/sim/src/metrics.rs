@@ -42,24 +42,12 @@ pub struct RoundStats {
 impl RoundStats {
     /// Builds the observation-derived part of the stats from a population.
     pub fn observe<S: Observable>(round: u64, agents: &[S]) -> RoundStats {
-        RoundStats::observe_with(round, agents, &mut BTreeMap::new())
-    }
-
-    /// As [`observe`](RoundStats::observe), but reusing `round_counts` as the
-    /// epoch-round histogram scratch (cleared on entry). The engine calls
-    /// this on every recorded round, so the map's allocation is hoisted out
-    /// of the hot loop.
-    pub fn observe_with<S: Observable>(
-        round: u64,
-        agents: &[S],
-        round_counts: &mut BTreeMap<u32, usize>,
-    ) -> RoundStats {
         let mut stats = RoundStats {
             round,
             population: agents.len(),
             ..RoundStats::default()
         };
-        round_counts.clear();
+        let mut rounds = RoundHistogram::new();
         for agent in agents {
             let obs: Observation = agent.observe();
             if obs.active {
@@ -80,18 +68,21 @@ impl RoundStats {
                 stats.leaders += 1;
             }
             if let Some(r) = obs.round_in_epoch {
-                *round_counts.entry(r).or_insert(0) += 1;
+                rounds.add(r);
             }
         }
-        // BTreeMap iteration is key-ordered, so the majority tie-break is
-        // deterministic (largest round value wins) — a HashMap here would
-        // resolve ties in per-process random order.
-        if let Some((&majority, &count)) = round_counts.iter().max_by_key(|&(_, c)| *c) {
-            stats.majority_round = Some(majority);
-            let total: usize = round_counts.values().sum();
-            stats.wrong_round = total - count;
-        }
+        stats.tally_rounds(&rounds);
         stats
+    }
+
+    /// Sets [`majority_round`](Self::majority_round) and
+    /// [`wrong_round`](Self::wrong_round) from the epoch-round histogram of
+    /// the agents that report a round.
+    pub fn tally_rounds(&mut self, rounds: &RoundHistogram) {
+        if let Some((majority, count)) = rounds.majority() {
+            self.majority_round = Some(majority);
+            self.wrong_round = rounds.total() - count;
+        }
     }
 
     /// Signed color imbalance `c0 − c1` among active agents.
@@ -106,6 +97,94 @@ impl RoundStats {
         } else {
             self.active as f64 / self.population as f64
         }
+    }
+}
+
+/// Rounds below this are counted in [`RoundHistogram`]'s dense array.
+/// Honest epoch rounds are far smaller; only forged values reach the map.
+pub const DENSE_ROUND_CAP: u32 = 1 << 16;
+
+/// A histogram of epoch-round values: dense counts for rounds below
+/// [`DENSE_ROUND_CAP`] (grown to the largest one seen), an ordered map for
+/// larger, adversarially forged values.
+#[derive(Debug, Clone, Default)]
+pub struct RoundHistogram {
+    dense: Vec<usize>,
+    sparse: BTreeMap<u32, usize>,
+}
+
+impl RoundHistogram {
+    /// An empty histogram.
+    pub fn new() -> RoundHistogram {
+        RoundHistogram::default()
+    }
+
+    /// Counts one agent at `round`.
+    #[inline]
+    pub fn add(&mut self, round: u32) {
+        self.add_n(round, 1);
+    }
+
+    /// Counts `n` agents at `round`.
+    #[inline]
+    pub fn add_n(&mut self, round: u32, n: usize) {
+        if round < DENSE_ROUND_CAP {
+            let r = round as usize;
+            if r >= self.dense.len() {
+                self.dense.resize(r + 1, 0);
+            }
+            self.dense[r] += n;
+        } else {
+            *self.sparse.entry(round).or_insert(0) += n;
+        }
+    }
+
+    /// Counts one agent per round in `rounds`. Runs of equal rounds are
+    /// tallied in a register and added once per run: agents on one clock
+    /// make long runs, and adding them one at a time would chain every
+    /// increment on the previous one through the same counter.
+    pub fn add_all(&mut self, rounds: impl IntoIterator<Item = u32>) {
+        let mut rounds = rounds.into_iter();
+        let Some(mut current) = rounds.next() else {
+            return;
+        };
+        let mut run = 1;
+        for r in rounds {
+            if r == current {
+                run += 1;
+            } else {
+                self.add_n(current, run);
+                (current, run) = (r, 1);
+            }
+        }
+        self.add_n(current, run);
+    }
+
+    /// Agents counted at `round`.
+    pub fn count(&self, round: u32) -> usize {
+        if round < DENSE_ROUND_CAP {
+            self.dense.get(round as usize).copied().unwrap_or(0)
+        } else {
+            self.sparse.get(&round).copied().unwrap_or(0)
+        }
+    }
+
+    /// Agents counted in total.
+    pub fn total(&self) -> usize {
+        self.dense.iter().sum::<usize>() + self.sparse.values().sum::<usize>()
+    }
+
+    /// The most common round and its count, `None` when empty. Ties go to
+    /// the largest round, as a `BTreeMap` scanned by `max_by_key` resolves
+    /// them: the result seeds forged agents and recorded stats, so the
+    /// tie-break must not depend on anything but the counts.
+    pub fn majority(&self) -> Option<(u32, usize)> {
+        let dense = (0u32..).zip(self.dense.iter().copied());
+        let sparse = self.sparse.iter().map(|(&r, &c)| (r, c));
+        dense
+            .chain(sparse)
+            .filter(|&(_, c)| c > 0)
+            .max_by_key(|&(_, c)| c)
     }
 }
 
@@ -231,6 +310,25 @@ mod tests {
         assert_eq!(s.population, 0);
         assert_eq!(s.majority_round, None);
         assert_eq!(s.active_fraction(), 0.0);
+    }
+
+    #[test]
+    fn histogram_majority_breaks_ties_toward_the_largest_round() {
+        let mut h = RoundHistogram::new();
+        assert_eq!(h.majority(), None);
+        for r in [3, 9, 3, 9, u32::MAX, u32::MAX, DENSE_ROUND_CAP] {
+            h.add(r);
+        }
+        assert_eq!(h.majority(), Some((u32::MAX, 2)));
+        assert_eq!(h.total(), 7);
+        h.add_n(9, 5);
+        assert_eq!(h.majority(), Some((9, 7)));
+        assert_eq!(
+            (h.count(3), h.count(4), h.count(DENSE_ROUND_CAP)),
+            (2, 0, 1)
+        );
+        h.add_all([4, 4, 3, 3, 3, 4]);
+        assert_eq!((h.count(3), h.count(4), h.total()), (5, 3, 18));
     }
 
     #[test]

@@ -122,10 +122,11 @@
 //!   and 1-byte columns (alive/color/phase flags, packed wire bytes)
 //!   evaluated 64 agents per
 //!   machine word with the lane-batched `_x8` [`CounterRng`](prelude::SimRng)
-//!   kernels. The columns stay *resident* across rounds on the fast path
-//!   (`()`/`OnRound` observers, no-op adversary) and transpose back to the
-//!   vector only when something actually reads it (a recording observer,
-//!   an acting adversary, [`Engine::snapshot`](prelude::Engine),
+//!   kernels. The columns stay *resident* across rounds, recorded ones
+//!   included ([`RecordStats`](prelude::RecordStats) reads the columns'
+//!   stats kernel), and transpose back to the vector only when something
+//!   actually reads it (an observer calling `EngineView::agents`, an
+//!   acting adversary, a checkpoint, [`Engine::snapshot`](prelude::Engine),
 //!   [`Engine::agents`](prelude::Engine)).
 //!   [`Engine::set_columnar(false)`](prelude::Engine) forces the scalar
 //!   loop, which is how the equivalence tests pin the two paths.

@@ -189,7 +189,6 @@ fn eval_round_stride_records_exactly_the_estimator_samples() {
             RecordStats::new(&mut rec)
         };
         engine.run(RunSpec::rounds(20 * epoch), &mut obs);
-        drop(obs);
         rec.rounds().to_vec()
     };
     let full = run(false);
