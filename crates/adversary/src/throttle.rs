@@ -15,8 +15,9 @@
 //! adversary `K` alterations per epoch, and the measured tolerance curve
 //! `K_max(N)` (experiment F3) then grows polynomially in `N` exactly as the
 //! paper's analysis predicts — who wins, and how the crossover scales, is
-//! preserved; only the unreachable asymptotic constant is dropped. See
-//! DESIGN.md §4.
+//! preserved; only the unreachable asymptotic constant is dropped. The
+//! experiments that run throttled suites (`attack`, `ksweep`, `lemmas`) are
+//! listed by `experiments --help`.
 
 use popstab_sim::{Adversary, Alteration, RoundContext, SimRng};
 

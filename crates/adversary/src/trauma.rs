@@ -2,8 +2,8 @@
 //! (injury, inflammation, hyper-proliferation).
 //!
 //! These events exceed the paper's per-round budget `K` by design: the
-//! healing experiment (F6 in DESIGN.md) asks how fast the protocol *recovers*
-//! from a shock larger than what its stability guarantee covers.
+//! healing experiment (F6, `experiments healing`) asks how fast the protocol
+//! *recovers* from a shock larger than what its stability guarantee covers.
 
 use popstab_core::params::Params;
 use popstab_core::state::AgentState;

@@ -30,10 +30,19 @@ pub struct DriftPoint {
     pub predicted: f64,
 }
 
-/// Runs `trials` single-epoch simulations starting at population `m0` with
-/// no adversary and returns the summary of `Δ = end − start`.
-pub fn measure_drift(params: &Params, m0: usize, gamma: f64, trials: u32, seed: u64) -> Summary {
+/// Runs `trials` single-epoch simulations on `runner`, starting at
+/// population `m0` with no adversary, and returns the summary of
+/// `Δ = end − start`.
+pub fn measure_drift(
+    runner: &BatchRunner,
+    params: &Params,
+    m0: usize,
+    gamma: f64,
+    trials: u32,
+    seed: u64,
+) -> Summary {
     measure_drift_with(
+        runner,
         params,
         m0,
         gamma,
@@ -47,12 +56,13 @@ pub fn measure_drift(params: &Params, m0: usize, gamma: f64, trials: u32, seed: 
 /// As [`measure_drift`], but under an adversary built per-trial by
 /// `make_adversary`, with per-round budget `k`.
 ///
-/// Trials fan out across a [`BatchRunner::from_env`] worker pool;
-/// `make_adversary` is therefore called from worker threads (hence `Fn +
-/// Sync`), once per trial, on the thread that runs that trial. Per-trial
-/// seeds depend only on `seed` and the trial index, so the result does not
-/// depend on the worker count.
+/// Trials fan out across `runner`; `make_adversary` is therefore called
+/// from worker threads (hence `Fn + Sync`), once per trial, on the thread
+/// that runs that trial. Per-trial seeds depend only on `seed` and the
+/// trial index, so the result does not depend on the worker count.
+#[allow(clippy::too_many_arguments)]
 pub fn measure_drift_with<A, F>(
+    runner: &BatchRunner,
     params: &Params,
     m0: usize,
     gamma: f64,
@@ -66,7 +76,7 @@ where
     F: Fn() -> A + Sync,
 {
     let epoch = u64::from(params.epoch_len());
-    let deltas = BatchRunner::from_env().run((0..trials).collect(), |_, trial: u32| {
+    let deltas = runner.run((0..trials).collect(), |_, trial: u32| {
         let cfg = SimConfig::builder()
             .seed(
                 seed.wrapping_add(u64::from(trial))
@@ -94,8 +104,9 @@ where
 }
 
 /// Sweeps `fractions`·m* starting populations and measures the drift at
-/// each, producing the restoring-force curve.
+/// each on `runner`, producing the restoring-force curve.
 pub fn drift_field(
+    runner: &BatchRunner,
     params: &Params,
     fractions: &[f64],
     gamma: f64,
@@ -109,6 +120,7 @@ pub fn drift_field(
         .map(|(i, &f)| {
             let m0 = (f * m_star).round().max(2.0) as usize;
             let observed = measure_drift(
+                runner,
                 params,
                 m0,
                 gamma,
@@ -140,8 +152,23 @@ mod tests {
         // ≤ 0.15σ per trial and need thousands of trials for a stable sign.
         let params = Params::for_target(1024).unwrap();
         let m_star = equilibrium_population(&params) as usize; // 768
-        let below = measure_drift(&params, (m_star as f64 * 0.05) as usize, 1.0, 160, 11);
-        let above = measure_drift(&params, (m_star as f64 * 2.0) as usize, 1.0, 80, 12);
+        let runner = BatchRunner::default();
+        let below = measure_drift(
+            &runner,
+            &params,
+            (m_star as f64 * 0.05) as usize,
+            1.0,
+            160,
+            11,
+        );
+        let above = measure_drift(
+            &runner,
+            &params,
+            (m_star as f64 * 2.0) as usize,
+            1.0,
+            80,
+            12,
+        );
         assert!(
             below.mean() > 0.0,
             "below equilibrium should grow, got {}",
@@ -157,7 +184,7 @@ mod tests {
     #[test]
     fn drift_field_has_one_point_per_fraction() {
         let params = Params::for_target(1024).unwrap();
-        let points = drift_field(&params, &[0.4, 1.0, 1.6], 1.0, 2, 5);
+        let points = drift_field(&BatchRunner::new(2), &params, &[0.4, 1.0, 1.6], 1.0, 2, 5);
         assert_eq!(points.len(), 3);
         assert!(points[0].m0 < points[1].m0 && points[1].m0 < points[2].m0);
         for p in &points {

@@ -174,7 +174,7 @@ mod tests {
         // One epoch from m = N: expected change ≈ 0 (weak restoring force).
         // 20 independent single-epoch trials as one batch.
         let deltas_vec =
-            popstab_sim::BatchRunner::from_env().run((0..20u64).collect(), |_, seed| {
+            popstab_sim::BatchRunner::default().run((0..20u64).collect(), |_, seed| {
                 let mut engine = Engine::with_population(Attempt2::new(N), cfg(seed), N as usize);
                 engine.run(RunSpec::rounds(u64::from(EPOCH_LEN)), &mut ());
                 engine.population() as f64 - N as f64
@@ -193,7 +193,7 @@ mod tests {
         // protocol allows; with no adversary at all. Each seed is one batch
         // job on the fast path, stopping as soon as its walk leaves the 20%
         // band (the run is existential: only the max deviation matters).
-        let devs = popstab_sim::BatchRunner::from_env().run((100..104u64).collect(), |_, seed| {
+        let devs = popstab_sim::BatchRunner::default().run((100..104u64).collect(), |_, seed| {
             let mut engine = Engine::with_population(Attempt2::new(N), cfg(seed), N as usize);
             let mut dev = 0f64;
             engine.run(

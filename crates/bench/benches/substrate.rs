@@ -211,7 +211,7 @@ fn bench_engine_paths(c: &mut Criterion) {
     });
 
     let jobs = 4u64;
-    let runner = BatchRunner::from_env();
+    let runner = BatchRunner::default();
     group.bench_function(format!("batch_runner_16k_{jobs}jobs"), |b| {
         b.iter(|| {
             let engines: Vec<_> = (0..jobs).map(|j| inert_engine(n, job_seed(3, j))).collect();

@@ -11,21 +11,28 @@
 //!             [--checkpoints BASE] [--kill-at R] [--trace]
 //! ```
 //!
-//! Ids (see DESIGN.md §4): `stability` (T1), `lemmas` (T2–T6), `drift`
-//! (F1), `attack` (F2), `ksweep` (F3), `baselines` (F4 + T8), `gamma`
-//! (F5), `accounting` (T7), `healing` (F6), `estimator` (F7),
-//! `equilibrium` (F7b), `bench` (B1 → `BENCH_engine.json`).
+//! Ids (the `IDS` table below; `--help` prints it): `stability` (T1),
+//! `lemmas` (T2–T6), `drift` (F1), `attack` (F2), `ksweep` (F3),
+//! `baselines` (F4 + T8), `gamma` (F5), `accounting` (T7), `healing` (F6),
+//! `estimator` (F7), `equilibrium` (F7b), `malice` (F8), `ablation` (F9),
+//! `bench` (B1 → `BENCH_engine.json`).
 //!
 //! `--list` prints the named scenario registry (protocol, adversary,
 //! config summary) and `scenario <name>...` runs registry entries by name.
 //!
+//! The command line is parsed once into an [`Exec`] that every experiment
+//! and scenario receives; its flags are the only way to set a run knob.
+//! Every value flag also takes the `--flag=value` form, and a repeated
+//! flag keeps its last value.
+//!
 //! `--jobs N` caps the worker count of every `BatchRunner` trial fan-out
-//! (default: `POPSTAB_JOBS` or the machine's available parallelism).
-//! `--round-threads N` shards the step phase *inside* every protocol round
-//! across N workers (default: `POPSTAB_ROUND_THREADS` or serial rounds).
-//! By the determinism contracts the figures are identical for every value
-//! of both flags — CI diffs `--round-threads 1` against `--round-threads 4`
-//! to prove it.
+//! (default: the machine's available parallelism, divided by the
+//! `--round-threads` count when only that flag is given, so jobs ×
+//! round-threads ≈ the machine). `--round-threads N` shards the step phase
+//! *inside* every protocol round across N workers (default: serial
+//! rounds). By the determinism contracts the figures are identical for
+//! every value of both flags — CI diffs `--jobs 1 --round-threads 1`
+//! against `--jobs 3 --round-threads 4` to prove it.
 //!
 //! `--n LIST` (comma-separated population targets, each a power of four
 //! ≥ 1024) overrides the `bench` experiment's scale plan — e.g.
@@ -60,11 +67,11 @@ use std::path::PathBuf;
 use std::process::ExitCode;
 use std::time::Instant;
 
-use popstab_bench::experiments;
-use popstab_sim::{Checkpoint, OnRound, RoundReport, RunSpec, Snapshot, Tee, Threads};
+use popstab_bench::{experiments, Exec};
+use popstab_sim::{BatchRunner, Checkpoint, OnRound, RoundReport, RunSpec, Snapshot, Tee, Threads};
 
-/// (id, description, runner) — the runner receives the `--quick` flag.
-type Experiment = (&'static str, &'static str, fn(bool));
+/// (id, description, runner) — the runner receives the parsed run knobs.
+type Experiment = (&'static str, &'static str, fn(&Exec));
 
 const IDS: &[Experiment] = &[
     (
@@ -153,11 +160,7 @@ fn usage() {
 }
 
 /// `experiments snapshot <name> --at R -o FILE`.
-fn cmd_snapshot(name: &str, at: u64, out: Option<&str>) -> ExitCode {
-    let Some(out) = out else {
-        eprintln!("snapshot needs an output path (-o FILE)");
-        return ExitCode::FAILURE;
-    };
+fn cmd_snapshot(name: &str, at: u64, out: &str, threads: Threads) -> ExitCode {
     let Some(entry) = popstab_bench::scenario::find(name) else {
         eprintln!("unknown scenario `{name}`; see `experiments --list`");
         return ExitCode::FAILURE;
@@ -167,7 +170,7 @@ fn cmd_snapshot(name: &str, at: u64, out: Option<&str>) -> ExitCode {
         return ExitCode::FAILURE;
     };
     let mut engine = hook().engine();
-    engine.run(RunSpec::rounds(at).threads(Threads::from_env()), &mut ());
+    engine.run(RunSpec::rounds(at).threads(threads), &mut ());
     let mut snap = engine.snapshot();
     snap.label = name.to_string();
     if let Err(e) = snap.write_to_file(out) {
@@ -201,15 +204,19 @@ fn print_trace_line(r: &RoundReport) {
 
 /// `experiments run-recoverable <name> --rounds N [--every K] [--keep M]
 /// [--checkpoints BASE] [--kill-at R] [--trace]`.
-fn cmd_run_recoverable(
-    name: &str,
+#[derive(Debug)]
+struct Recoverable {
+    name: String,
     rounds: u64,
     every: u64,
     keep: usize,
-    checkpoints: Option<&str>,
+    checkpoints: Option<String>,
     kill_at: Option<u64>,
     trace: bool,
-) -> ExitCode {
+}
+
+fn cmd_run_recoverable(opts: &Recoverable, threads: Threads) -> ExitCode {
+    let name = opts.name.as_str();
     let Some(entry) = popstab_bench::scenario::find(name) else {
         eprintln!("unknown scenario `{name}`; see `experiments --list`");
         return ExitCode::FAILURE;
@@ -218,13 +225,15 @@ fn cmd_run_recoverable(
         eprintln!("scenario `{name}` has no snapshot support (non-PopulationStability state)");
         return ExitCode::FAILURE;
     };
-    let base = checkpoints
+    let base = opts
+        .checkpoints
+        .as_ref()
         .map(PathBuf::from)
         .unwrap_or_else(|| PathBuf::from(format!("{name}.ckpt")));
     // Crash recovery: scan the rotation for the newest checkpoint that
     // decodes cleanly. Corrupt or truncated slots are reported and skipped
     // — a half-written file from the crash must never poison the resume.
-    let scan = Checkpoint::scan(&base, keep);
+    let scan = Checkpoint::scan(&base, opts.keep);
     for (path, err) in &scan.skipped {
         eprintln!("skipping checkpoint `{}`: {err}", path.display());
     }
@@ -256,12 +265,17 @@ fn cmd_run_recoverable(
         }
         None => (hook().engine(), 0),
     };
-    if from >= rounds {
-        eprintln!("`{name}` already ran {from} of {rounds} rounds; nothing to do");
+    if from >= opts.rounds {
+        eprintln!(
+            "`{name}` already ran {from} of {} rounds; nothing to do",
+            opts.rounds
+        );
         return ExitCode::SUCCESS;
     }
-    let mut checkpoint = Checkpoint::every(every, &base).keep(keep).label(name);
-    let spec = RunSpec::rounds(rounds - from).threads(Threads::from_env());
+    let mut checkpoint = Checkpoint::every(opts.every, &base)
+        .keep(opts.keep)
+        .label(name);
+    let spec = RunSpec::rounds(opts.rounds - from).threads(threads);
     // The checkpoint observer runs *first* in the tee: when `--kill-at`
     // fires mid-round-callback, the round's checkpoint (if due) is already
     // on disk, exactly as it would be in a real crash after a write.
@@ -270,10 +284,10 @@ fn cmd_run_recoverable(
         &mut Tee(
             &mut checkpoint,
             OnRound(|r: &RoundReport| {
-                if trace {
+                if opts.trace {
                     print_trace_line(r);
                 }
-                if kill_at.is_some_and(|k| r.round + 1 >= k) {
+                if opts.kill_at.is_some_and(|k| r.round + 1 >= k) {
                     // Simulated crash: abandon the process without unwinding,
                     // like a SIGKILL would. 42 lets harnesses tell scheduled
                     // crashes from real failures.
@@ -285,10 +299,10 @@ fn cmd_run_recoverable(
     for (round, err) in checkpoint.errors() {
         eprintln!("checkpoint at round {round} failed: {err}");
     }
-    if !trace {
+    if !opts.trace {
         println!(
             "run-recoverable {name}: from_round={from} rounds={} population={} checkpoints={}",
-            rounds - from,
+            opts.rounds - from,
             engine.population(),
             checkpoint.written()
         );
@@ -297,7 +311,7 @@ fn cmd_run_recoverable(
 }
 
 /// `experiments resume FILE [--rounds N] [--trace]`.
-fn cmd_resume(file: &str, rounds: u64, trace: bool) -> ExitCode {
+fn cmd_resume(file: &str, rounds: u64, trace: bool, threads: Threads) -> ExitCode {
     let snap = match Snapshot::read_from_file(file) {
         Ok(snap) => snap,
         Err(e) => {
@@ -325,7 +339,7 @@ fn cmd_resume(file: &str, rounds: u64, trace: bool) -> ExitCode {
                 return ExitCode::FAILURE;
             }
         };
-    let spec = RunSpec::rounds(rounds).threads(Threads::from_env());
+    let spec = RunSpec::rounds(rounds).threads(threads);
     if trace {
         // Golden-trace format, one line per executed round, nothing else:
         // the CI snapshot-determinism leg byte-diffs this output.
@@ -347,227 +361,374 @@ fn cmd_resume(file: &str, rounds: u64, trace: bool) -> ExitCode {
     ExitCode::SUCCESS
 }
 
-/// Parses and applies a `--jobs` value; `None` on anything non-positive.
-fn apply_jobs(value: Option<&str>) -> Option<()> {
-    let n = value?.parse::<usize>().ok().filter(|&n| n > 0)?;
-    popstab_sim::batch::set_default_jobs(n);
-    Some(())
+/// What `experiments` was asked to do.
+#[derive(Debug)]
+enum Command {
+    /// `--help`: print the usage lines and the `IDS` table.
+    Help,
+    /// `--list`: print the scenario registry.
+    List,
+    /// `snapshot <name> --at R -o FILE`.
+    Snapshot { name: String, at: u64, out: String },
+    /// `resume FILE [--rounds N] [--trace]`.
+    Resume {
+        file: String,
+        rounds: u64,
+        trace: bool,
+    },
+    /// `run-recoverable <name> --rounds N ...`.
+    RunRecoverable(Recoverable),
+    /// `scenario <name>...`.
+    Scenarios(Vec<String>),
+    /// Experiment ids, in order (`all` already expanded).
+    Experiments(Vec<String>),
 }
 
-/// Parses and applies a `--round-threads` value; `None` on anything
-/// non-positive.
-fn apply_round_threads(value: Option<&str>) -> Option<()> {
-    let n = value?.parse::<usize>().ok().filter(|&n| n > 0)?;
-    popstab_sim::batch::set_round_threads(n);
-    Some(())
+/// The parsed command line: the run knobs and the command to run with them.
+#[derive(Debug)]
+struct Cli {
+    exec: Exec,
+    command: Command,
 }
 
-/// Parses and applies a `--n` scale list for the bench experiment; `None`
-/// unless every comma-separated entry is a power of four ≥ 1024 (the
-/// targets [`Params::for_target`](popstab_core::params::Params) accepts).
-fn apply_bench_ns(value: Option<&str>) -> Option<()> {
-    let ns: Vec<u64> = value?
+/// The batch width. `--jobs` wins; otherwise the machine's `avail` cores,
+/// divided by an intra-round worker count above 1. The two parallelism
+/// axes multiply (every batch job spins up its own intra-round pool, in
+/// registry scenarios and fork sweeps too), and oversubscribing CPU-bound
+/// threads only adds contention; results are identical either way.
+fn batch_width(jobs: Option<usize>, round_threads: Option<usize>, avail: usize) -> usize {
+    match (jobs, round_threads) {
+        (Some(jobs), _) => jobs,
+        (None, Some(threads)) if threads > 1 => (avail / threads).max(1),
+        (None, _) => avail.max(1),
+    }
+}
+
+/// A `--n` scale list: `None` unless every comma-separated entry is a
+/// power of four ≥ 1024 (the targets
+/// [`Params::for_target`](popstab_core::params::Params) accepts).
+fn bench_ns(value: &str) -> Option<Vec<u64>> {
+    let ns: Vec<u64> = value
         .split(',')
         .map(|part| part.trim().parse::<u64>().ok())
         .collect::<Option<_>>()?;
-    if ns.is_empty() || !ns.iter().all(|&n| experiments::bench::valid_target(n)) {
-        return None;
-    }
-    experiments::bench::set_n_override(ns);
-    Some(())
+    (!ns.is_empty() && ns.iter().all(|&n| experiments::bench::valid_target(n))).then_some(ns)
 }
 
-fn main() -> ExitCode {
+/// Parses `experiments`' arguments (without the program name) on a
+/// machine with `avail` cores. Pure: the caller supplies both, reads no
+/// environment, and prints whatever comes back. `--list` and `--help` end
+/// the parse where they stand, ignoring anything after them.
+fn parse_args(args: impl IntoIterator<Item = String>, avail: usize) -> Result<Cli, String> {
     let mut quick = false;
-    let mut jobs_given = false;
+    let mut jobs: Option<usize> = None;
+    let mut round_threads: Option<usize> = None;
+    let mut ns: Option<Vec<u64>> = None;
     let mut at: u64 = 0;
     let mut out: Option<String> = None;
-    let mut rounds: u64 = 0;
+    let mut rounds: Option<u64> = None;
     let mut trace = false;
     let mut every: u64 = 10;
     let mut keep: usize = 3;
     let mut checkpoints: Option<String> = None;
     let mut kill_at: Option<u64> = None;
+    let mut early: Option<Command> = None;
     let mut selected: Vec<String> = Vec::new();
-    let mut args = std::env::args().skip(1);
+    let mut args = args.into_iter();
     while let Some(arg) = args.next() {
-        match arg.as_str() {
+        // `--flag=value` and `--flag value` are the same flag.
+        let (flag, mut inline) = match arg.split_once('=') {
+            Some((flag, value)) if flag.starts_with("--") => (flag, Some(value.to_string())),
+            _ => (arg.as_str(), None),
+        };
+        if inline.is_some() && matches!(flag, "--quick" | "--trace" | "--list" | "--help") {
+            return Err(format!("{flag} takes no value"));
+        }
+        let mut value = || inline.take().or_else(|| args.next());
+        let count = |value: Option<String>| {
+            value
+                .and_then(|v| v.parse::<u64>().ok())
+                .ok_or(format!("{flag} needs a non-negative integer"))
+        };
+        let workers = |value: Option<String>| {
+            value
+                .and_then(|v| v.parse::<usize>().ok())
+                .filter(|&n| n > 0)
+                .ok_or(format!("{flag} needs a positive integer"))
+        };
+        match flag {
             "--quick" | "-q" => quick = true,
             "--trace" => trace = true,
-            "--at" | "--rounds" => {
-                let Some(n) = args.next().and_then(|v| v.parse::<u64>().ok()) else {
-                    eprintln!("{arg} needs a non-negative integer");
-                    return ExitCode::FAILURE;
-                };
-                if arg == "--at" {
-                    at = n;
-                } else {
-                    rounds = n;
-                }
-            }
-            "--every" | "--keep" | "--kill-at" => {
-                let Some(n) = args.next().and_then(|v| v.parse::<u64>().ok()) else {
-                    eprintln!("{arg} needs a non-negative integer");
-                    return ExitCode::FAILURE;
-                };
-                match arg.as_str() {
-                    "--every" => every = n,
-                    "--keep" => keep = n as usize,
-                    _ => kill_at = Some(n),
-                }
-            }
+            "--at" => at = count(value())?,
+            "--rounds" => rounds = Some(count(value())?),
+            "--every" => every = count(value())?,
+            "--keep" => keep = count(value())? as usize,
+            "--kill-at" => kill_at = Some(count(value())?),
             "--checkpoints" => {
-                let Some(path) = args.next() else {
-                    eprintln!("--checkpoints needs a base path");
-                    return ExitCode::FAILURE;
-                };
-                checkpoints = Some(path);
+                checkpoints = Some(value().ok_or("--checkpoints needs a base path")?);
             }
-            "--out" | "-o" => {
-                let Some(path) = args.next() else {
-                    eprintln!("{arg} needs a file path");
-                    return ExitCode::FAILURE;
-                };
-                out = Some(path);
+            "--out" | "-o" => out = Some(value().ok_or(format!("{flag} needs a file path"))?),
+            "--jobs" | "-j" => jobs = Some(workers(value())?),
+            "--round-threads" => round_threads = Some(workers(value())?),
+            "--n" => {
+                ns = Some(
+                    value()
+                        .as_deref()
+                        .and_then(bench_ns)
+                        .ok_or("--n needs a comma-separated list of powers of four >= 1024")?,
+                );
             }
             "--list" => {
-                popstab_bench::scenario::print_list();
-                return ExitCode::SUCCESS;
+                early = Some(Command::List);
+                break;
             }
             "--help" | "-h" => {
-                usage();
-                return ExitCode::SUCCESS;
+                early = Some(Command::Help);
+                break;
             }
-            "--jobs" | "-j" => {
-                let value = args.next();
-                if apply_jobs(value.as_deref()).is_none() {
-                    eprintln!("--jobs needs a positive integer");
-                    return ExitCode::FAILURE;
-                }
-                jobs_given = true;
-            }
-            "--round-threads" => {
-                let value = args.next();
-                if apply_round_threads(value.as_deref()).is_none() {
-                    eprintln!("--round-threads needs a positive integer");
-                    return ExitCode::FAILURE;
-                }
-            }
-            "--n" => {
-                let value = args.next();
-                if apply_bench_ns(value.as_deref()).is_none() {
-                    eprintln!("--n needs a comma-separated list of powers of four >= 1024");
-                    return ExitCode::FAILURE;
-                }
-            }
-            other => {
-                if let Some(value) = other.strip_prefix("--jobs=") {
-                    if apply_jobs(Some(value)).is_none() {
-                        eprintln!("--jobs needs a positive integer");
-                        return ExitCode::FAILURE;
-                    }
-                    jobs_given = true;
-                } else if let Some(value) = other.strip_prefix("--round-threads=") {
-                    if apply_round_threads(Some(value)).is_none() {
-                        eprintln!("--round-threads needs a positive integer");
-                        return ExitCode::FAILURE;
-                    }
-                } else if let Some(value) = other.strip_prefix("--n=") {
-                    if apply_bench_ns(Some(value)).is_none() {
-                        eprintln!("--n needs a comma-separated list of powers of four >= 1024");
-                        return ExitCode::FAILURE;
-                    }
-                } else {
-                    selected.push(other.to_string());
-                }
-            }
+            _ => selected.push(arg),
         }
     }
-    if selected.is_empty() {
-        usage();
-        return ExitCode::FAILURE;
-    }
-    // The two parallelism axes multiply: every batch job spins up its own
-    // intra-round pool, in registry scenarios and fork sweeps too. Unless
-    // the batch width was pinned explicitly, shrink it so jobs ×
-    // round-threads ≈ the machine (oversubscribing CPU-bound threads only
-    // adds contention; results are identical either way).
-    let round_threads = popstab_sim::batch::round_threads();
-    if round_threads > 1 && !jobs_given && std::env::var_os("POPSTAB_JOBS").is_none() {
-        let avail = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1);
-        popstab_sim::batch::set_default_jobs((avail / round_threads).max(1));
-    }
-    // `snapshot <name>` / `resume <file>` drive the checkpoint tooling.
-    if selected[0] == "snapshot" {
-        let Some(name) = selected.get(1) else {
-            eprintln!("snapshot needs a scenario name; see `experiments --list`");
-            return ExitCode::FAILURE;
-        };
-        return cmd_snapshot(name, at, out.as_deref());
-    }
-    if selected[0] == "resume" {
-        let Some(file) = selected.get(1) else {
-            eprintln!("resume needs a snapshot file path");
-            return ExitCode::FAILURE;
-        };
-        return cmd_resume(file, rounds, trace);
-    }
-    if selected[0] == "run-recoverable" {
-        let Some(name) = selected.get(1) else {
-            eprintln!("run-recoverable needs a scenario name; see `experiments --list`");
-            return ExitCode::FAILURE;
-        };
-        return cmd_run_recoverable(
-            name,
-            rounds,
+    let width = batch_width(jobs, round_threads, avail);
+    let exec = Exec {
+        quick,
+        runner: BatchRunner::new(width),
+        threads: match round_threads {
+            Some(n) if n > 1 => Threads::Sharded(n),
+            _ => Threads::Serial,
+        },
+        bench_ns: ns,
+        bench_par: round_threads.unwrap_or(width),
+    };
+    let mut positional = selected.iter().skip(1).cloned();
+    let command = match (early, selected.first().map(String::as_str)) {
+        (Some(command), _) => command,
+        (None, None) => {
+            return Err("nothing to run: give an experiment id, `all`, or a command".into())
+        }
+        (None, Some("snapshot")) => Command::Snapshot {
+            name: positional
+                .next()
+                .ok_or("snapshot needs a scenario name; see `experiments --list`")?,
+            at,
+            out: out.ok_or("snapshot needs an output path (-o FILE)")?,
+        },
+        (None, Some("resume")) => Command::Resume {
+            file: positional
+                .next()
+                .ok_or("resume needs a snapshot file path")?,
+            rounds: rounds.unwrap_or(0),
+            trace,
+        },
+        (None, Some("run-recoverable")) => Command::RunRecoverable(Recoverable {
+            name: positional
+                .next()
+                .ok_or("run-recoverable needs a scenario name; see `experiments --list`")?,
+            rounds: rounds.ok_or("run-recoverable needs --rounds N")?,
             every,
             keep,
-            checkpoints.as_deref(),
+            checkpoints,
             kill_at,
             trace,
-        );
-    }
-    // `scenario <name>...` runs registry entries instead of experiment ids.
-    if selected[0] == "scenario" {
-        let names = &selected[1..];
-        if names.is_empty() {
-            eprintln!("scenario needs at least one name; see `experiments --list`");
-            return ExitCode::FAILURE;
+        }),
+        (None, Some("scenario")) => {
+            let names: Vec<String> = positional.collect();
+            if names.is_empty() {
+                return Err("scenario needs at least one name; see `experiments --list`".into());
+            }
+            Command::Scenarios(names)
         }
-        for name in names {
-            let Some(entry) = popstab_bench::scenario::find(name) else {
-                eprintln!("unknown scenario `{name}`; see `experiments --list`");
-                return ExitCode::FAILURE;
-            };
-            (entry.run)(quick);
-        }
-        return ExitCode::SUCCESS;
-    }
-    if selected.iter().any(|s| s == "all") {
         // `bench` overwrites the committed BENCH_engine.json with
         // machine-local numbers, so the figures bundle excludes it; run it
         // explicitly when refreshing the perf trajectory.
-        selected = IDS
-            .iter()
-            .map(|(id, _, _)| id.to_string())
-            .filter(|id| id != "bench")
-            .collect();
-    }
-    for want in &selected {
-        let Some((_, _, runner)) = IDS.iter().find(|(id, _, _)| id == want) else {
-            eprintln!("unknown experiment `{want}`");
+        (None, Some(_)) if selected.iter().any(|s| s == "all") => Command::Experiments(
+            IDS.iter()
+                .map(|(id, _, _)| id.to_string())
+                .filter(|id| id != "bench")
+                .collect(),
+        ),
+        (None, Some(_)) => Command::Experiments(selected),
+    };
+    Ok(Cli { exec, command })
+}
+
+fn main() -> ExitCode {
+    let avail = std::thread::available_parallelism()
+        .map(|n| n.get())
+        .unwrap_or(1);
+    let Cli { exec, command } = match parse_args(std::env::args().skip(1), avail) {
+        Ok(cli) => cli,
+        Err(message) => {
+            eprintln!("{message}");
             usage();
             return ExitCode::FAILURE;
-        };
-        println!("================================================================");
-        let start = Instant::now();
-        runner(quick);
-        println!(
-            "[{want} finished in {:.1}s]\n",
-            start.elapsed().as_secs_f64()
+        }
+    };
+    match command {
+        Command::Help => {
+            usage();
+            ExitCode::SUCCESS
+        }
+        Command::List => {
+            popstab_bench::scenario::print_list();
+            ExitCode::SUCCESS
+        }
+        Command::Snapshot { name, at, out } => cmd_snapshot(&name, at, &out, exec.threads),
+        Command::Resume {
+            file,
+            rounds,
+            trace,
+        } => cmd_resume(&file, rounds, trace, exec.threads),
+        Command::RunRecoverable(opts) => cmd_run_recoverable(&opts, exec.threads),
+        Command::Scenarios(names) => {
+            for name in &names {
+                let Some(entry) = popstab_bench::scenario::find(name) else {
+                    eprintln!("unknown scenario `{name}`; see `experiments --list`");
+                    return ExitCode::FAILURE;
+                };
+                (entry.run)(&exec);
+            }
+            ExitCode::SUCCESS
+        }
+        Command::Experiments(ids) => {
+            for want in &ids {
+                let Some((_, _, runner)) = IDS.iter().find(|(id, _, _)| id == want) else {
+                    eprintln!("unknown experiment `{want}`");
+                    usage();
+                    return ExitCode::FAILURE;
+                };
+                println!("================================================================");
+                let start = Instant::now();
+                runner(&exec);
+                println!(
+                    "[{want} finished in {:.1}s]\n",
+                    start.elapsed().as_secs_f64()
+                );
+            }
+            ExitCode::SUCCESS
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(line: &str, avail: usize) -> Result<Cli, String> {
+        parse_args(line.split_whitespace().map(String::from), avail)
+    }
+
+    #[test]
+    fn inline_and_separate_values_parse_the_same() {
+        for (inline, separate) in [
+            ("--jobs=2 stability", "--jobs 2 stability"),
+            ("--round-threads=3 gamma", "--round-threads 3 gamma"),
+            ("--n=1024,4096 bench", "--n 1024,4096 bench"),
+            (
+                "run-recoverable clean-1024 --rounds=60 --every=5 --keep=2 --kill-at=35",
+                "run-recoverable clean-1024 --rounds 60 --every 5 --keep 2 --kill-at 35",
+            ),
+            (
+                "snapshot clean-1024 --at=30 --out=a.snap",
+                "snapshot clean-1024 --at 30 -o a.snap",
+            ),
+        ] {
+            assert_eq!(
+                format!("{:?}", parse(inline, 4)),
+                format!("{:?}", parse(separate, 4)),
+                "{inline}"
+            );
+        }
+        assert_eq!(
+            parse("--jobs=2 stability", 8)
+                .unwrap()
+                .exec
+                .runner
+                .workers(),
+            2
         );
     }
-    ExitCode::SUCCESS
+
+    #[test]
+    fn non_positive_or_malformed_worker_counts_are_rejected() {
+        for line in [
+            "--jobs 0 stability",
+            "--jobs=0 stability",
+            "--round-threads x stability",
+            "--round-threads=0 stability",
+            "--round-threads",
+            "--n 1000 bench",
+            "--quick=yes stability",
+        ] {
+            assert!(parse(line, 4).is_err(), "{line}");
+        }
+    }
+
+    #[test]
+    fn round_threads_alone_shrinks_the_batch_to_the_machine() {
+        for avail in [1, 2, 3, 8] {
+            let exec = parse("--round-threads 2 stability", avail).unwrap().exec;
+            assert_eq!(exec.runner.workers(), (avail / 2).max(1), "avail {avail}");
+            assert_eq!(exec.threads, Threads::Sharded(2));
+            assert_eq!(exec.bench_par, 2);
+        }
+        let exec = parse("--round-threads 2 --jobs 3 stability", 8)
+            .unwrap()
+            .exec;
+        assert_eq!(exec.runner.workers(), 3);
+        assert_eq!(exec.bench_par, 2);
+        // Neither flag: the whole machine, serial rounds, and `bench`'s
+        // `par` column at the batch width.
+        let exec = parse("bench", 8).unwrap().exec;
+        assert_eq!(exec.runner.workers(), 8);
+        assert_eq!(exec.threads, Threads::Serial);
+        assert_eq!(exec.bench_par, 8);
+        // An explicit single round thread is serial rounds, no shrink, and
+        // `bench` measures the sharded machinery on one worker.
+        let exec = parse("--round-threads 1 bench", 8).unwrap().exec;
+        assert_eq!(exec.runner.workers(), 8);
+        assert_eq!(exec.threads, Threads::Serial);
+        assert_eq!(exec.bench_par, 1);
+    }
+
+    #[test]
+    fn a_repeated_flag_keeps_its_last_value() {
+        let exec = parse("--n 1024 --n 4096 bench", 2).unwrap().exec;
+        assert_eq!(exec.bench_ns, Some(vec![4096]));
+        let exec = parse("--jobs 3 --jobs=1 bench", 2).unwrap().exec;
+        assert_eq!(exec.runner.workers(), 1);
+    }
+
+    #[test]
+    fn run_recoverable_without_rounds_is_a_usage_error() {
+        let err = parse("run-recoverable clean-1024 --every 5", 2).unwrap_err();
+        assert!(err.contains("--rounds"), "{err}");
+        match parse("run-recoverable clean-1024 --rounds 0", 2)
+            .unwrap()
+            .command
+        {
+            Command::RunRecoverable(opts) => {
+                assert_eq!((opts.rounds, opts.every, opts.keep), (0, 10, 3));
+            }
+            other => panic!("{other:?}"),
+        }
+    }
+
+    #[test]
+    fn commands_and_ids_resolve() {
+        assert!(parse("", 2).is_err());
+        assert!(parse("snapshot clean-1024", 2).is_err());
+        assert!(parse("scenario", 2).is_err());
+        assert!(matches!(
+            parse("--list --jobs 0", 2).unwrap().command,
+            Command::List
+        ));
+        match parse("stability all", 2).unwrap().command {
+            Command::Experiments(ids) => {
+                assert_eq!(ids.len(), IDS.len() - 1);
+                assert!(!ids.iter().any(|id| id == "bench"));
+            }
+            other => panic!("{other:?}"),
+        }
+    }
 }

@@ -1,6 +1,6 @@
 //! **F9 — Ablation of the protocol's constants.**
 //!
-//! DESIGN.md calls out two tunable constants the paper fixes: the leader
+//! The paper fixes two tunable constants of the protocol: the leader
 //! probability `1/(8√N)` and the split probability `1 − 16/√N`. The
 //! equilibrium model predicts how the operating point moves when they
 //! change; this ablation confirms it:
@@ -14,12 +14,12 @@ use popstab_analysis::equilibrium::{equilibrium_population, exact_equilibrium};
 use popstab_analysis::report::{fmt_f64, Table};
 use popstab_core::params::Params;
 
-use crate::{run_clean, JobSpec};
+use crate::{run_clean, Exec, JobSpec};
 
 /// Runs the experiment and prints its table.
-pub fn run(quick: bool) {
+pub fn run(exec: &Exec) {
     let n: u64 = 4096;
-    let epochs: u64 = if quick { 40 } else { 120 };
+    let epochs: u64 = if exec.quick { 40 } else { 120 };
     println!("F9: constant ablations at N = {n} ({epochs} epochs, started at m° of each config)\n");
     let mut table = Table::new([
         "leader exp",
@@ -49,7 +49,7 @@ pub fn run(quick: bool) {
         let m_eq = exact_equilibrium(&params, 1.0);
         let mut spec = JobSpec::new(3141, epochs);
         spec.initial = Some(m_eq as usize);
-        let run = run_clean(&params, spec);
+        let run = run_clean(&params, spec, exec.threads);
         let epoch = u64::from(params.epoch_len());
         let pops = run.trajectory().epoch_end_populations(epoch);
         let tail = &pops[pops.len() / 2..];

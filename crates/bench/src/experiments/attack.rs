@@ -9,14 +9,13 @@ use popstab_adversary::throttled_suite;
 use popstab_analysis::equilibrium::exact_equilibrium;
 use popstab_analysis::report::{fmt_f64, fmt_pass, Table};
 use popstab_core::params::Params;
-use popstab_sim::BatchRunner;
 
-use crate::{run_protocol, JobSpec};
+use crate::{run_protocol, Exec, JobSpec};
 
 /// Runs the experiment and prints its table.
-pub fn run(quick: bool) {
-    let ns: &[u64] = if quick { &[1024] } else { &[1024, 4096] };
-    let epochs: u64 = if quick { 10 } else { 25 };
+pub fn run(exec: &Exec) {
+    let ns: &[u64] = if exec.quick { &[1024] } else { &[1024, 4096] };
+    let epochs: u64 = if exec.quick { 10 } else { 25 };
 
     for &n in ns {
         let params = Params::for_target(n).unwrap();
@@ -38,7 +37,7 @@ pub fn run(quick: bool) {
         // one batch. The boxed adversaries are rebuilt inside each job (by
         // suite index) so the jobs own their adversary.
         let suite_len = throttled_suite(&params, k).len();
-        let rows = BatchRunner::from_env().run((0..suite_len).collect(), |_, idx| {
+        let rows = exec.runner.run((0..suite_len).collect(), |_, idx| {
             let adversary = throttled_suite(&params, k)
                 .into_iter()
                 .nth(idx)
@@ -46,7 +45,7 @@ pub fn run(quick: bool) {
             let name = adversary.name();
             let mut spec = JobSpec::new(1234, epochs);
             spec.budget = k;
-            let run = run_protocol(&params, adversary, spec);
+            let run = run_protocol(&params, adversary, spec, exec.threads);
             let (lo, hi) = run.population_range().unwrap();
             (name, lo, hi, run.population())
         });

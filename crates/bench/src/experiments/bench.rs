@@ -40,13 +40,14 @@
 //! of run (non-quick, same stream versions, same core count) serves as a
 //! regression baseline for `single_fast_rps` at `N = 65536`.
 
-use std::sync::OnceLock;
 use std::time::Instant;
 
 use popstab_core::params::Params;
 use popstab_core::protocol::PopulationStability;
 use popstab_sim::batch::job_seed;
 use popstab_sim::{BatchRunner, Engine, MetricsRecorder, RecordStats, RunSpec, SimConfig};
+
+use crate::Exec;
 
 /// One scale's measurements.
 struct Workload {
@@ -69,15 +70,6 @@ struct Workload {
     /// `single_recorded_rps / single_fast_rps`: what recording every
     /// round costs against the recording-free path (the target is ≥ 0.9).
     recorded_over_fast: f64,
-}
-
-/// `--n` override for the scale plan, set once by the CLI before `run`.
-static N_OVERRIDE: OnceLock<Vec<u64>> = OnceLock::new();
-
-/// Replaces the default scale plan with `ns` (validated by the caller:
-/// powers of four ≥ 1024). First call wins; later calls are ignored.
-pub fn set_n_override(ns: Vec<u64>) {
-    let _ = N_OVERRIDE.set(ns);
 }
 
 /// Whether `n` is a scale [`Params::for_target`] accepts — a power of
@@ -186,18 +178,18 @@ fn committed_single_fast_rps(n: u64, quick: bool, host_cores: usize) -> Option<f
 }
 
 /// Runs the benchmark, prints the table, and writes `BENCH_engine.json`.
-pub fn run(quick: bool) {
+pub fn run(exec: &Exec) {
+    let quick = exec.quick;
     // Recorded alongside the numbers so trajectory comparisons across PRs
     // and hosts are interpretable: rps under different stream versions or
     // core counts are different experiments, not regressions/improvements.
     let host_cores = std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1);
-    let workers = popstab_sim::batch::default_jobs();
-    // `--round-threads` override if given (including an explicit 1, which
-    // measures the parallel machinery's serial overhead), else every core
-    // the host offers.
-    let round_threads = popstab_sim::batch::round_threads_override().unwrap_or(workers);
+    let workers = exec.runner.workers();
+    // `--round-threads` if given (including an explicit 1, which measures
+    // the parallel machinery's serial overhead), else the batch width.
+    let round_threads = exec.bench_par;
     let scale = if quick { 10 } else { 1 };
     let reps = if quick { 1 } else { 5 };
     // (target N, measured rounds): horizons sized so one cell is a few
@@ -207,7 +199,7 @@ pub fn run(quick: bool) {
     // 1600, 65536 → 400) and extends it to the large-N pair, where the
     // floor keeps a cell at a dozen-plus rounds rather than seconds each.
     let default_ns: &[u64] = &[1024, 16384, 65536, 1 << 20, 1 << 22];
-    let ns = N_OVERRIDE.get().map_or(default_ns, Vec::as_slice).to_vec();
+    let ns = exec.bench_ns.as_deref().unwrap_or(default_ns);
     let plan: Vec<(u64, u64)> = ns
         .iter()
         .map(|&n| (n, ((400 * 65536) / n).clamp(12, 6000) / scale))

@@ -11,9 +11,11 @@ use popstab_analysis::equilibrium::{exact_epoch_drift, expected_epoch_drift};
 use popstab_analysis::report::{fmt_f64, Table};
 use popstab_core::params::Params;
 
+use crate::Exec;
+
 /// Runs the experiment and prints its table.
-pub fn run(quick: bool) {
-    let configs: &[(u64, u32)] = if quick {
+pub fn run(exec: &Exec) {
+    let configs: &[(u64, u32)] = if exec.quick {
         &[(1024, 24)]
     } else {
         &[(1024, 64), (4096, 32)]
@@ -34,7 +36,7 @@ pub fn run(quick: bool) {
         ]);
         for (i, f) in fractions.iter().enumerate() {
             let m0 = (f * n as f64).round() as usize;
-            let obs = measure_drift(&params, m0, 1.0, trials, 4242 + i as u64 * 97);
+            let obs = measure_drift(&exec.runner, &params, m0, 1.0, trials, 4242 + i as u64 * 97);
             table.row([
                 fmt_f64(*f, 2),
                 m0.to_string(),

@@ -7,14 +7,13 @@
 use popstab_analysis::estimator::VarianceEstimator;
 use popstab_analysis::report::{fmt_f64, Table};
 use popstab_core::params::Params;
-use popstab_sim::BatchRunner;
 
-use crate::{run_clean, JobSpec};
+use crate::{run_clean, Exec, JobSpec};
 
 /// Runs the experiment and prints its table.
-pub fn run(quick: bool) {
-    let ns: &[u64] = if quick { &[1024] } else { &[1024, 4096] };
-    let epochs: u64 = if quick { 30 } else { 80 };
+pub fn run(exec: &Exec) {
+    let ns: &[u64] = if exec.quick { &[1024] } else { &[1024, 4096] };
+    let epochs: u64 = if exec.quick { 30 } else { 80 };
     println!("F7: variance-based size estimation over {epochs} epochs\n");
     let mut table = Table::new([
         "N",
@@ -29,10 +28,10 @@ pub fn run(quick: bool) {
     // the per-round observation scan is paid once per epoch, not per
     // round; the "true" mean is the mean population over those same
     // evaluation snapshots — the quantity `E[d²] = m·√N/8` is about.
-    let rows = BatchRunner::from_env().run(ns.to_vec(), |_, n| {
+    let rows = exec.runner.run(ns.to_vec(), |_, n| {
         let params = Params::for_target(n).unwrap();
         let spec = JobSpec::new(2718, epochs).record_eval_rounds(&params);
-        let run = run_clean(&params, spec);
+        let run = run_clean(&params, spec, exec.threads);
         let stats = run.metrics.rounds();
         let true_mean =
             stats.iter().map(|s| s.population).sum::<usize>() as f64 / stats.len().max(1) as f64;

@@ -8,15 +8,15 @@
 use popstab_analysis::equilibrium::exact_equilibrium;
 use popstab_analysis::report::{fmt_f64, fmt_pass, Table};
 use popstab_core::params::Params;
-use popstab_sim::{BatchRunner, MatchingModel};
+use popstab_sim::MatchingModel;
 
-use crate::{run_clean, JobSpec};
+use crate::{run_clean, Exec, JobSpec};
 
 /// Runs the experiment and prints its table.
-pub fn run(quick: bool) {
+pub fn run(exec: &Exec) {
     let n: u64 = 1024;
     let params = Params::for_target(n).unwrap();
-    let epochs: u64 = if quick { 15 } else { 40 };
+    let epochs: u64 = if exec.quick { 15 } else { 40 };
     println!("F5: matching-fraction sweep at N = {n}, {epochs} epochs\n");
     let mut table = Table::new(["gamma", "model", "min", "max", "final", "m°(γ)", "in band"]);
     // One independent simulation per matching model: the sweep runs as one
@@ -28,11 +28,11 @@ pub fn run(quick: bool) {
         (0.5, MatchingModel::RandomFraction { min_gamma: 0.5 }),
         (1.0, MatchingModel::Full),
     ];
-    let rows = BatchRunner::from_env().run(configs.to_vec(), |_, (gamma, model)| {
+    let rows = exec.runner.run(configs.to_vec(), |_, (gamma, model)| {
         let mut spec = JobSpec::new(88, epochs);
         spec.gamma = gamma;
         spec.matching = Some(model);
-        let run = run_clean(&params, spec);
+        let run = run_clean(&params, spec, exec.threads);
         let (lo, hi) = run.population_range().unwrap();
         (gamma, model, lo, hi, run.population())
     });

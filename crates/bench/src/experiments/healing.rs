@@ -11,17 +11,16 @@ use popstab_adversary::{Trauma, TraumaKind};
 use popstab_analysis::equilibrium::{exact_epoch_drift, exact_equilibrium};
 use popstab_analysis::report::{fmt_f64, Table};
 use popstab_core::params::Params;
-use popstab_sim::BatchRunner;
 
-use crate::{run_protocol, JobSpec};
+use crate::{run_protocol, Exec, JobSpec};
 
 /// Runs the experiment and prints its tables.
-pub fn run(quick: bool) {
+pub fn run(exec: &Exec) {
     let n: u64 = 4096;
     let params = Params::for_target(n).unwrap();
     let epoch = u64::from(params.epoch_len());
     let m_eq = exact_equilibrium(&params, 1.0);
-    let post_epochs: u64 = if quick { 60 } else { 150 };
+    let post_epochs: u64 = if exec.quick { 60 } else { 150 };
 
     println!("F6: trauma and healing at N = {n} (m° = {m_eq:.0}), shock at epoch 2\n");
     // The two shock scenarios are independent simulations: run them as one
@@ -31,13 +30,15 @@ pub fn run(quick: bool) {
         ("injury -70%", TraumaKind::Injury, 0.7),
         ("proliferation +70%", TraumaKind::Proliferation, 0.7),
     ];
-    let outcomes = BatchRunner::from_env().run(shocks.to_vec(), |_, (label, kind, fraction)| {
-        let adv = Trauma::new(params.clone(), kind, fraction, 2 * epoch);
-        let mut spec = JobSpec::new(99, 2 + post_epochs).record_epoch_ends(&params);
-        spec.budget = usize::MAX;
-        let run = run_protocol(&params, adv, spec);
-        (label, run.trajectory().epoch_end_populations(epoch))
-    });
+    let outcomes = exec
+        .runner
+        .run(shocks.to_vec(), |_, (label, kind, fraction)| {
+            let adv = Trauma::new(params.clone(), kind, fraction, 2 * epoch);
+            let mut spec = JobSpec::new(99, 2 + post_epochs).record_epoch_ends(&params);
+            spec.budget = usize::MAX;
+            let run = run_protocol(&params, adv, spec, exec.threads);
+            (label, run.trajectory().epoch_end_populations(epoch))
+        });
     for (label, pops) in outcomes {
         let wounded = pops[2] as f64;
         let rate = exact_epoch_drift(&params, wounded, 1.0);

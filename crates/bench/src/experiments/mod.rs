@@ -1,4 +1,5 @@
-//! One module per experiment; see DESIGN.md §4 for the index.
+//! One module per experiment; the `IDS` table of the `experiments` binary
+//! (printed by `experiments --help`) maps each id to the claim it checks.
 
 pub mod ablation;
 pub mod accounting;

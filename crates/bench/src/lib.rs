@@ -1,8 +1,9 @@
 //! Experiment harness for the population-stability reproduction.
 //!
 //! The paper (PODC 2018) is a theory result with no empirical section, so
-//! each analysis claim defines one experiment (see DESIGN.md §4 for the
-//! index). The `experiments` binary regenerates every table/figure:
+//! each analysis claim defines one experiment (`experiments --help` lists
+//! them with the claim each one checks). The `experiments` binary
+//! regenerates every table/figure:
 //!
 //! ```sh
 //! cargo run --release -p popstab-bench --bin experiments -- all
@@ -16,8 +17,10 @@
 //! [`run_protocol`] lowers it onto a [`Scenario`] +
 //! [`Engine::run`](popstab_sim::Engine::run) with a
 //! [`RecordStats`] observer, and the [`scenario`] module names ready-made
-//! protocol/adversary/config combos the binary resolves by name.
-//! Criterion micro-benchmarks for the hot paths live in `benches/`.
+//! protocol/adversary/config combos the binary resolves by name. Every
+//! experiment and scenario receives the run knobs as one [`Exec`], parsed
+//! once from the command line. Criterion micro-benchmarks for the hot
+//! paths live in `benches/`.
 
 pub mod experiments;
 pub mod scenario;
@@ -26,9 +29,30 @@ use popstab_core::params::Params;
 use popstab_core::protocol::PopulationStability;
 use popstab_core::state::AgentState;
 use popstab_sim::{
-    Adversary, Engine, MatchingModel, MetricsRecorder, NoOpAdversary, RecordStats, RunOutcome,
-    RunSpec, Scenario, SimConfig, Threads, Trajectory,
+    Adversary, BatchRunner, Engine, MatchingModel, MetricsRecorder, NoOpAdversary, RecordStats,
+    RunOutcome, RunSpec, Scenario, SimConfig, Threads, Trajectory,
 };
+
+/// How experiments execute: the run knobs of the `experiments` command
+/// line, parsed once and passed to every experiment and scenario.
+///
+/// By the determinism contracts `runner` and `threads` are pure execution
+/// knobs: every experiment prints identical figures for every value.
+#[derive(Debug, Clone)]
+pub struct Exec {
+    /// `--quick`: shorter horizons and fewer trials, same table shapes.
+    pub quick: bool,
+    /// `--jobs`: the pool every experiment fans its independent trials
+    /// across.
+    pub runner: BatchRunner,
+    /// `--round-threads`: how every protocol round executes.
+    pub threads: Threads,
+    /// `--n`: the `bench` experiment's scale plan, if overridden.
+    pub bench_ns: Option<Vec<u64>>,
+    /// The `bench` experiment's `par` column worker count:
+    /// `--round-threads` if given, else the batch width.
+    pub bench_par: usize,
+}
 
 /// Declarative description of one protocol experiment job.
 #[derive(Debug, Clone, Copy)]
@@ -116,12 +140,6 @@ impl<A: Adversary<AgentState>> ProtocolRun<A> {
     }
 }
 
-/// Builds and runs a protocol engine per `spec`, returning the run for
-/// inspection. Rounds execute serially unless an intra-round worker count
-/// was configured (`experiments --round-threads` /
-/// [`popstab_sim::batch::round_threads`]), in which case the step phase of
-/// every round is sharded — by the engine's determinism contract the
-/// results are bit-identical either way.
 /// Lowers a [`JobSpec`] onto the [`Scenario`] it describes without running
 /// it. [`run_protocol`] is `protocol_scenario` + drive-to-horizon; the
 /// snapshot/resume/fork tooling builds engines from the scenario directly
@@ -149,14 +167,18 @@ pub fn protocol_scenario<A: Adversary<AgentState>>(
     Scenario::new(PopulationStability::new(params.clone()), cfg, initial).against(adversary)
 }
 
+/// Builds and runs a protocol engine per `spec` with its rounds executed
+/// per `threads`, returning the run for inspection. By the engine's
+/// determinism contract the results are bit-identical for every `threads`.
 pub fn run_protocol<A: Adversary<AgentState>>(
     params: &Params,
     adversary: A,
     spec: JobSpec,
+    threads: Threads,
 ) -> ProtocolRun<A> {
     let epoch = u64::from(params.epoch_len());
     let scenario = protocol_scenario(params, adversary, &spec);
-    let run_spec = RunSpec::rounds(spec.epochs * epoch).threads(Threads::from_env());
+    let run_spec = RunSpec::rounds(spec.epochs * epoch).threads(threads);
     let mut metrics = MetricsRecorder::new();
     let (every, phase) = spec.metrics.unwrap_or((1, 0));
     let (engine, outcome) = scenario.run(
@@ -171,8 +193,8 @@ pub fn run_protocol<A: Adversary<AgentState>>(
 }
 
 /// Convenience: run with no adversary.
-pub fn run_clean(params: &Params, spec: JobSpec) -> ProtocolRun {
-    run_protocol(params, NoOpAdversary, spec)
+pub fn run_clean(params: &Params, spec: JobSpec, threads: Threads) -> ProtocolRun {
+    run_protocol(params, NoOpAdversary, spec, threads)
 }
 
 #[cfg(test)]
@@ -182,7 +204,7 @@ mod tests {
     #[test]
     fn run_clean_executes_requested_epochs() {
         let params = Params::for_target(1024).unwrap();
-        let run = run_clean(&params, JobSpec::new(1, 2));
+        let run = run_clean(&params, JobSpec::new(1, 2), Threads::Serial);
         assert_eq!(run.engine.round(), 2 * u64::from(params.epoch_len()));
         assert_eq!(run.outcome.executed, run.engine.round());
         assert!(run.population() > 0);
@@ -194,14 +216,18 @@ mod tests {
         let params = Params::for_target(1024).unwrap();
         let mut spec = JobSpec::new(2, 0);
         spec.initial = Some(300);
-        let run = run_clean(&params, spec);
+        let run = run_clean(&params, spec, Threads::Serial);
         assert_eq!(run.population(), 300);
     }
 
     #[test]
     fn epoch_end_stride_records_once_per_epoch() {
         let params = Params::for_target(1024).unwrap();
-        let run = run_clean(&params, JobSpec::new(3, 2).record_epoch_ends(&params));
+        let run = run_clean(
+            &params,
+            JobSpec::new(3, 2).record_epoch_ends(&params),
+            Threads::Serial,
+        );
         assert_eq!(run.metrics.len(), 2);
     }
 }

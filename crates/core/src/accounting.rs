@@ -13,7 +13,8 @@
 //!
 //! Instrumentation fields of [`AgentState`](crate::state::AgentState)
 //! (`to_recruit`, `is_leader`, `lineage`, `epoch_len`) are simulation-side
-//! and excluded, as documented in DESIGN.md.
+//! and excluded: the protocol's behaviour never depends on them (see their
+//! field docs).
 
 use crate::coin::scratch_bits;
 use crate::params::Params;

@@ -16,7 +16,7 @@
 //!   it an *inactive* agent would advertise `recruiting = 1` and activate
 //!   other inactive agents with the default color — contradicting the
 //!   surrounding text ("each active agent will attempt to recruit a single
-//!   nonactive agent"). See DESIGN.md.
+//!   nonactive agent"). The guard follows the text.
 //! * The round counter is normalized modulo `T` at the start of each step.
 //!   Honest agents are unaffected (their counter is always in range); the
 //!   normalization only pins down behaviour for adversarially inserted

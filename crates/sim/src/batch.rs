@@ -67,77 +67,6 @@ use crate::engine::{Engine, RoundReport};
 use crate::rng::derive_seed;
 use crate::snapshot::SnapshotState;
 
-/// Process-wide default worker count override (0 = unset).
-static DEFAULT_JOBS: AtomicUsize = AtomicUsize::new(0);
-
-/// Process-wide intra-round worker count (0 = unset, meaning serial).
-static ROUND_THREADS: AtomicUsize = AtomicUsize::new(0);
-
-/// Sets the process-wide intra-round worker count consumed by
-/// [`round_threads`] (the `experiments` binary wires its `--round-threads`
-/// flag through here). `0` or `1` means serial rounds.
-pub fn set_round_threads(threads: usize) {
-    ROUND_THREADS.store(threads, Ordering::Relaxed);
-}
-
-/// The intra-round worker count behind
-/// [`Threads::from_env`](crate::Threads::from_env): the
-/// [`set_round_threads`] override if set, else the
-/// `POPSTAB_ROUND_THREADS` environment variable, else `1` (serial rounds —
-/// intra-round sharding only pays off on large populations, so it is
-/// strictly opt-in, unlike the batch default).
-pub fn round_threads() -> usize {
-    round_threads_override().unwrap_or(1)
-}
-
-/// As [`round_threads`], but distinguishing "explicitly requested" from
-/// "unset": `Some(n)` iff a `--round-threads` override or the
-/// `POPSTAB_ROUND_THREADS` variable asked for `n` (including `n = 1` —
-/// callers that pick their own default when unset, like the `bench`
-/// workload, must still honor an explicit request for serial rounds).
-pub fn round_threads_override() -> Option<usize> {
-    let explicit = ROUND_THREADS.load(Ordering::Relaxed);
-    if explicit > 0 {
-        return Some(explicit);
-    }
-    // lint:allow(taint-ambient-nondeterminism): worker-count knob only —
-    // the determinism contract guarantees results are worker-count-invariant
-    // (serial ≡ sharded bit-for-bit), so this read cannot reach trajectories.
-    std::env::var("POPSTAB_ROUND_THREADS")
-        .ok()
-        .and_then(|v| v.parse::<usize>().ok())
-        .filter(|&n| n > 0)
-}
-
-/// Sets the process-wide default worker count used by
-/// [`BatchRunner::from_env`] (the `experiments` binary wires its `--jobs`
-/// flag through here). `0` clears the override.
-pub fn set_default_jobs(jobs: usize) {
-    DEFAULT_JOBS.store(jobs, Ordering::Relaxed);
-}
-
-/// The worker count [`BatchRunner::from_env`] will use: the
-/// [`set_default_jobs`] override if set, else the `POPSTAB_JOBS` environment
-/// variable, else [`std::thread::available_parallelism`].
-pub fn default_jobs() -> usize {
-    let explicit = DEFAULT_JOBS.load(Ordering::Relaxed);
-    if explicit > 0 {
-        return explicit;
-    }
-    // lint:allow(taint-ambient-nondeterminism): worker-count knob only —
-    // batch results are keyed by (seed, spec), never by which worker ran them.
-    if let Some(n) = std::env::var("POPSTAB_JOBS")
-        .ok()
-        .and_then(|v| v.parse::<usize>().ok())
-        .filter(|&n| n > 0)
-    {
-        return n;
-    }
-    std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
-}
-
 /// Derives the master seed for job `index` of a batch seeded by `master`.
 ///
 /// Golden-rule of the determinism contract: the job seed depends only on
@@ -162,9 +91,15 @@ pub struct BatchRunner {
     workers: usize,
 }
 
+/// A runner with one worker per core
+/// ([`std::thread::available_parallelism`], else 1).
 impl Default for BatchRunner {
     fn default() -> Self {
-        BatchRunner::from_env()
+        BatchRunner::new(
+            std::thread::available_parallelism()
+                .map(|n| n.get())
+                .unwrap_or(1),
+        )
     }
 }
 
@@ -175,12 +110,6 @@ impl BatchRunner {
         BatchRunner {
             workers: workers.max(1),
         }
-    }
-
-    /// A runner sized by [`default_jobs`] (`--jobs` override, then
-    /// `POPSTAB_JOBS`, then the machine's available parallelism).
-    pub fn from_env() -> Self {
-        BatchRunner::new(default_jobs())
     }
 
     /// The configured worker count.
@@ -1319,23 +1248,6 @@ mod tests {
         });
     }
 
-    /// The only test that touches the process-global round-thread override
-    /// (a second one would race it across test threads); also covers
-    /// `Threads::from_env`, which reads the same global.
-    #[test]
-    fn round_threads_default_is_serial() {
-        use crate::Threads;
-        set_round_threads(0);
-        if std::env::var_os("POPSTAB_ROUND_THREADS").is_none() {
-            assert_eq!(round_threads(), 1);
-            assert_eq!(Threads::from_env(), Threads::Serial);
-        }
-        set_round_threads(5);
-        assert_eq!(round_threads(), 5);
-        assert_eq!(Threads::from_env(), Threads::Sharded(5));
-        set_round_threads(0);
-    }
-
     /// Coin-flip splitter/dier: every round each agent splits or dies on a
     /// fair draw, so the trajectory is maximally seed-sensitive — exactly
     /// what fork-divergence tests need.
@@ -1465,14 +1377,5 @@ mod tests {
         });
         assert_eq!(deleted[0], 0, "no-op branch must not delete");
         assert!(deleted[1] > 0, "re-armed deleter branch must delete");
-    }
-
-    #[test]
-    fn explicit_default_jobs_override_wins() {
-        set_default_jobs(3);
-        assert_eq!(default_jobs(), 3);
-        assert_eq!(BatchRunner::from_env().workers(), 3);
-        set_default_jobs(0);
-        assert!(default_jobs() >= 1);
     }
 }

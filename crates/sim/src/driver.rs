@@ -94,16 +94,6 @@ pub enum Threads {
 }
 
 impl Threads {
-    /// The process-wide intra-round thread configuration: `Sharded(n)` when
-    /// `--round-threads`/`POPSTAB_ROUND_THREADS` asked for `n > 1` workers
-    /// (see [`crate::batch::round_threads`]), else `Serial`.
-    pub fn from_env() -> Threads {
-        match crate::batch::round_threads() {
-            0 | 1 => Threads::Serial,
-            n => Threads::Sharded(n),
-        }
-    }
-
     /// The shard count of the pool [`Engine::run`](crate::Engine::run)
     /// executes rounds on: `1` for [`Threads::Serial`], `n.max(1)` for
     /// `Sharded(n)`.
@@ -598,8 +588,4 @@ mod tests {
         assert_eq!(Threads::Sharded(1).shards(), 1);
         assert_eq!(Threads::Sharded(4).shards(), 4);
     }
-
-    // `Threads::from_env` is covered by `batch::tests::round_threads_default_is_serial`,
-    // the one test that owns the process-global round-thread override — a
-    // second test touching it here would race it across test threads.
 }

@@ -242,7 +242,7 @@ proptest! {
         let serial = BatchRunner::new(1).run(seeds.clone(), trial);
         let parallel = BatchRunner::new(8).run(seeds.clone(), trial);
         prop_assert_eq!(&serial, &parallel);
-        let native = BatchRunner::from_env().run(seeds, trial);
+        let native = BatchRunner::default().run(seeds, trial);
         prop_assert_eq!(&serial, &native);
     }
 

@@ -236,9 +236,9 @@
 //! block directly above, the offending line:
 //!
 //! ```text
-//! // lint:allow(taint-ambient-nondeterminism): worker-count knob only —
-//! // results are worker-count-invariant by the determinism contract.
-//! std::env::var("POPSTAB_JOBS")
+//! // lint:allow(float-order-determinism): two fixed operands, so the
+//! // summation order cannot vary between runs.
+//! let total = [a, b].iter().sum::<f64>();
 //! ```
 //!
 //! (`lint:allow-file(<rule>): <justification>` within the first 20 lines

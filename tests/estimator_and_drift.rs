@@ -25,7 +25,14 @@ fn drift_field_is_monotone_restoring() {
     // so a sign assertion there needs hundreds of trials; at 0.3·m* and
     // 1.7·m* the drift is ≈ +1.0 / −3.2 and 96 trials give a ≥ 2.4σ margin.
     let params = Params::for_target(1024).unwrap();
-    let points = drift_field(&params, &[0.3, 1.0, 1.7], 1.0, 96, 2024);
+    let points = drift_field(
+        &BatchRunner::default(),
+        &params,
+        &[0.3, 1.0, 1.7],
+        1.0,
+        96,
+        2024,
+    );
     assert_eq!(points.len(), 3);
     assert!(
         points[0].observed.mean() > 0.0,
@@ -49,7 +56,7 @@ fn drift_field_is_monotone_restoring() {
 fn check_drift_tracks_model(frac_of_n: f64, trials: u32, seed: u64) {
     let params = Params::for_target(1024).unwrap();
     let m0 = (frac_of_n * 1024.0) as usize;
-    let observed = measure_drift(&params, m0, 1.0, trials, seed);
+    let observed = measure_drift(&BatchRunner::default(), &params, m0, 1.0, trials, seed);
     let predicted = exact_epoch_drift(&params, m0 as f64, 1.0);
     let tolerance = 4.0 * observed.stderr() + 0.5;
     assert!(
@@ -81,8 +88,9 @@ fn drift_scales_with_n() {
     // measured drift at 0.3·N across two sizes.
     let p1 = Params::for_target(1024).unwrap();
     let p2 = Params::for_target(4096).unwrap();
-    let d1 = measure_drift(&p1, 307, 1.0, 96, 7);
-    let d2 = measure_drift(&p2, 1228, 1.0, 96, 8);
+    let runner = BatchRunner::default();
+    let d1 = measure_drift(&runner, &p1, 307, 1.0, 96, 7);
+    let d2 = measure_drift(&runner, &p2, 1228, 1.0, 96, 8);
     assert!(
         d1.mean() > 0.0 && d2.mean() > 0.0,
         "drifts must be positive: {} {}",
@@ -134,7 +142,7 @@ fn variance_estimator_tracks_population_changes() {
     // captures exactly the snapshots `push_trace` harvests.
     let params = Params::for_target(1024).unwrap();
     let epoch = u64::from(params.epoch_len());
-    let estimates = BatchRunner::from_env().run(vec![(700usize, 5u64), (1500, 6)], |_, job| {
+    let estimates = BatchRunner::default().run(vec![(700usize, 5u64), (1500, 6)], |_, job| {
         let (pop0, seed) = job;
         let cfg = SimConfig::builder()
             .seed(seed)
@@ -229,7 +237,7 @@ fn trauma_recovery_moves_toward_equilibrium() {
     let epoch = u64::from(params.epoch_len());
     let m_eq = exact_equilibrium(&params, 1.0);
     let seeds: Vec<u64> = vec![0, 1];
-    let outcomes = BatchRunner::from_env().run(seeds, |_, seed| {
+    let outcomes = BatchRunner::default().run(seeds, |_, seed| {
         let adv = Trauma::new(params.clone(), TraumaKind::Injury, 0.7, 2 * epoch);
         let cfg = SimConfig::builder()
             .seed(seed)

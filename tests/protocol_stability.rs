@@ -29,7 +29,7 @@ fn stable_without_adversary_across_seeds() {
     let params = params();
     let epoch = u64::from(params.epoch_len());
     let m_star = equilibrium_population(&params);
-    let outcomes = BatchRunner::from_env().run((0..5u64).collect(), |_, seed| {
+    let outcomes = BatchRunner::default().run((0..5u64).collect(), |_, seed| {
         let cfg = SimConfig::builder().seed(seed).target(N).build().unwrap();
         let mut engine =
             Engine::with_population(PopulationStability::new(params.clone()), cfg, N as usize);
@@ -57,7 +57,7 @@ fn stable_under_every_suite_adversary_per_epoch_budget() {
     let suite_len = throttled_suite(&params, k).len();
     // One job per suite adversary; each job rebuilds the (deterministic)
     // suite locally, so the boxed adversaries never cross threads.
-    let outcomes = BatchRunner::from_env().run((0..suite_len).collect(), |_, idx| {
+    let outcomes = BatchRunner::default().run((0..suite_len).collect(), |_, idx| {
         let adversary = throttled_suite(&params, k).swap_remove(idx);
         let name = adversary.name();
         let cfg = SimConfig::builder()
@@ -136,7 +136,7 @@ fn lemma_invariants_hold_under_attack() {
     let k = 2;
     let suite_len = throttled_suite(&params, k).len();
     // Full metrics stay on here: the invariant checker consumes the trace.
-    let reports = BatchRunner::from_env().run((0..suite_len).collect(), |_, idx| {
+    let reports = BatchRunner::default().run((0..suite_len).collect(), |_, idx| {
         let adversary = throttled_suite(&params, k).swap_remove(idx);
         let name = adversary.name();
         let cfg = SimConfig::builder()
