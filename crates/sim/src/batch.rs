@@ -569,38 +569,6 @@ impl<B> ForkBranch<B> {
     }
 }
 
-/// A raw pointer that may cross thread boundaries. Its one user is the
-/// partner-table scatter of
-/// [`sample_partners_into`](crate::matching::sample_partners_into), whose
-/// writes land at `π(j)` and so cannot be cut into contiguous parts for
-/// [`ShardPool::dispatch_parts`]; the use site documents why its accesses
-/// are disjoint.
-pub(crate) struct SendPtr<T>(pub(crate) *mut T);
-
-impl<T> SendPtr<T> {
-    /// The wrapped pointer. A method (not field access) so closures capture
-    /// the `SendPtr` itself — edition-2021 disjoint capture would otherwise
-    /// grab the bare `*mut T` field, which is not `Sync`.
-    pub(crate) fn get(self) -> *mut T {
-        self.0
-    }
-}
-
-impl<T> Clone for SendPtr<T> {
-    fn clone(&self) -> Self {
-        *self
-    }
-}
-impl<T> Copy for SendPtr<T> {}
-
-// SAFETY: dereferencing is the caller's responsibility (each unsafe block
-// at the use sites states its disjointness argument); the pointer value
-// itself is freely copyable across threads.
-unsafe impl<T> Send for SendPtr<T> {}
-// SAFETY: shared references to the wrapper expose only the raw pointer
-// value, never the pointee — same argument as `Send` above.
-unsafe impl<T> Sync for SendPtr<T> {}
-
 /// The slot range shard `s` of `nshards` owns over `n` items: contiguous,
 /// disjoint, covering `0..n`, balanced to within one item.
 #[inline]

@@ -457,6 +457,12 @@ impl<P: Protocol, A: Adversary<P::State>> Engine<P, A> {
 
         let population = self.live_population();
         report.population_after = population;
+        assert_eq!(
+            population + report.deleted + report.deaths,
+            report.population_before + report.inserted + report.splits,
+            "round {}: population after ≠ before + inserted + splits − deleted − deaths",
+            report.round
+        );
         self.round += 1;
 
         if population == 0 {

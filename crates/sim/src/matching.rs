@@ -29,7 +29,10 @@
 //! writes `partners[π(2p)] = π(2p+1)` and back, and every slot `π(j)` past
 //! the matched prefix gets [`UNMATCHED`]. Because π is a bijection, every
 //! slot is written exactly once, so the table needs no pre-fill and the
-//! pass shards across the pool like the step phase does.
+//! pass shards across the pool like the step phase does. The shards store
+//! through a `&[AtomicU32]` view of the table with `Relaxed` stores (plain
+//! moves on x86-64), so the scatter is safe code: a wrong π would build a
+//! wrong table or panic on a bounds check, never race.
 //!
 //! The pair API — [`sample_matching_into`], [`sample_matching_into_par`],
 //! [`Matching`] and [`Matching::partner_table_into`] — is the reference
@@ -37,10 +40,12 @@
 //! Tests pin the builder equal to it, and both evaluate pair `p` through
 //! one shared definition, so the two cannot drift apart.
 
+use std::sync::atomic::{AtomicU32, Ordering::Relaxed};
+
 use rand::seq::SliceRandom;
 use rand::Rng;
 
-use crate::batch::{shard_chunks, shard_range, SendPtr, ShardPool};
+use crate::batch::{shard_chunks, shard_range, ShardPool};
 use crate::error::SimError;
 use crate::rng::{sub_seed, CounterRng, SimRng};
 
@@ -544,7 +549,7 @@ pub fn sample_partners_into(
         }
         return 2 * n_pairs;
     }
-    // The write site's disjointness needs every `π(j) as u32` exact.
+    // Past `UNMATCHED`, `π(j) as u32` would wrap and pair the wrong agents.
     assert!(
         population <= UNMATCHED as usize,
         "{population} agents overflow u32 partner slots"
@@ -552,21 +557,11 @@ pub fn sample_partners_into(
     let perm = SlotPermutation::new(sub_seed(mkey, PERM_SUBSTREAM), population as u64);
     let unmatched = population - 2 * n_pairs;
     let nshards = pool.shards();
-    let base = SendPtr(partners.as_mut_ptr());
+    // `dispatch` returns once every shard is done, and its barrier orders
+    // these `Relaxed` stores before any later plain read of `partners`.
+    let table = as_atomic(partners);
     pool.dispatch(&|s| {
-        let put = |slot: u32, partner: u32| {
-            debug_assert!((slot as usize) < population);
-            // SAFETY: `slot = π(j)` for an index `j` that only this shard
-            // owns: the shards' `shard_range` slices of the pair range
-            // (`j < 2·n_pairs`) and of the unmatched range (`j ≥ 2·n_pairs`)
-            // partition `0..population`. π is a bijection of
-            // `0..population` (`SlotPermutation::apply`, checked
-            // exhaustively by `slot_permutation_is_a_bijection_at_every_size`),
-            // so no two writes of the pass hit the same slot, and
-            // `π(j) < population = partners.len()` keeps every write in
-            // bounds. `u32` has no drop glue to skip over.
-            unsafe { base.get().add(slot as usize).write(partner) };
-        };
+        let put = |slot: u32, partner: u32| table[slot as usize].store(partner, Relaxed);
         let (lo, hi) = shard_range(n_pairs, nshards, s);
         for p in lo..hi {
             let (a, b) = keyed_pair(&perm, p);
@@ -579,6 +574,22 @@ pub fn sample_partners_into(
         }
     });
     2 * n_pairs
+}
+
+const _: () = assert!(
+    size_of::<AtomicU32>() == size_of::<u32>() && align_of::<AtomicU32>() == align_of::<u32>()
+);
+
+/// `s` as a table of atomics that many shards may store into at once:
+/// the cast std's `AtomicU32::from_mut_slice` performs (still unstable as
+/// `atomic_from_mut`).
+fn as_atomic(s: &mut [u32]) -> &[AtomicU32] {
+    // SAFETY: `AtomicU32` has the size and alignment of `u32` (the const
+    // assertion above) and the same bit validity, so the cast keeps every
+    // element in bounds and aligned. The exclusive borrow of `s` lasts as
+    // long as the returned slice, so no non-atomic access can overlap an
+    // atomic one.
+    unsafe { &*(s as *mut [u32] as *const [AtomicU32]) }
 }
 
 /// Samples a full uniformly random permutation matching with a serial

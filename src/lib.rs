@@ -216,7 +216,7 @@
 //! workspace source file into code/comment channels, parses the code
 //! channel into items (`fn`s, `use`/`type` aliases), links an approximate
 //! workspace-wide call graph filtered by the manifests' dependency
-//! closure, and checks nine rules over it. The table below is generated
+//! closure, and checks eight rules over it. The table below is generated
 //! from the rule registry (`cargo run -p popstab-lint -- --rules-md`) and
 //! a docs-drift test asserts this copy matches it:
 //!
@@ -225,7 +225,6 @@
 //! | `taint-ambient-nondeterminism` | clock / env / OS-RNG / hash-order reads reachable from result-affecting fns, traced through the call graph and `use`/`type` aliases |
 //! | `forbid-unordered-iteration` | `HashMap`/`HashSet` (per-process `RandomState` iteration order) anywhere in a result-affecting crate |
 //! | `float-order-determinism` | order-sensitive `f64` reductions (`sum`, `fold`) outside the order-fixed `ordered_sum` helper in result/statistics crates |
-//! | `sendptr-bounds` | `SendPtr` crossing a pool dispatch or deref'd in a helper without `shard_range`-derived disjoint indices |
 //! | `unsafe-needs-safety-comment` | `unsafe` blocks, fns, or impls without an adjacent `// SAFETY:` soundness argument |
 //! | `simd-scalar-twin` | lane-batched `_x8` kernels without a same-file scalar twin and lane-for-lane equivalence test |
 //! | `stream-version-coherence` | partial stream bumps — version constants, golden-fixture tables, and `BENCH_engine.json` disagreeing |

@@ -131,13 +131,6 @@ impl Graph {
         &self.parsed[self.fns[id].file].items[self.fns[id].item]
     }
 
-    /// Whether fn `id`'s span (signature + body, nested items included)
-    /// mentions `ident` as an exact token.
-    pub fn mentions(&self, id: usize, ident: &str) -> bool {
-        let node = &self.fns[id];
-        self.parsed[node.file].span_mentions(self.item(id).span.clone(), ident)
-    }
-
     /// Breadth-first search along `callees` (or `callers` when `reverse`)
     /// from `seeds`, skipping test fns. Returns a predecessor map:
     /// `pred[f] = Some(p)` when `f` was reached via `p` (seeds point at

@@ -12,9 +12,9 @@
 //! Since PR 10 the pass is item-aware: [`syntax`] parses each file's code
 //! channel into tokens and items (fns, impls, `use`/`type` aliases) and
 //! [`graph`] links them into a workspace-wide approximate call graph,
-//! filtered by the crate dependency closure from the manifests. Rules that
-//! need reachability (nondeterminism taint, `SendPtr` range coverage) walk
-//! that graph; line-shaped rules still scan the lexed channels directly.
+//! filtered by the crate dependency closure from the manifests. The rule
+//! that needs reachability (nondeterminism taint) walks that graph;
+//! line-shaped rules still scan the lexed channels directly.
 //!
 //! Run it as `cargo run -p popstab-lint` from anywhere in the workspace
 //! (CI runs it between clippy and the test suite). Exit code 0 means the
@@ -30,7 +30,6 @@
 //! | `taint-ambient-nondeterminism` | clock / env / OS-RNG / hash-order reads reachable from result-affecting fns, traced through the call graph and `use`/`type` aliases |
 //! | `forbid-unordered-iteration` | `HashMap`/`HashSet` (per-process `RandomState` iteration order) anywhere in a result-affecting crate |
 //! | `float-order-determinism` | order-sensitive `f64` reductions (`sum`, `fold`) outside the order-fixed `ordered_sum` helper in result/statistics crates |
-//! | `sendptr-bounds` | `SendPtr` crossing a pool dispatch or deref'd in a helper without `shard_range`-derived disjoint indices |
 //! | `unsafe-needs-safety-comment` | `unsafe` blocks, fns, or impls without an adjacent `// SAFETY:` soundness argument |
 //! | `simd-scalar-twin` | lane-batched `_x8` kernels without a same-file scalar twin and lane-for-lane equivalence test |
 //! | `stream-version-coherence` | partial stream bumps — version constants, golden-fixture tables, and `BENCH_engine.json` disagreeing |

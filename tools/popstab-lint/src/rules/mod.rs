@@ -15,7 +15,6 @@ use crate::workspace::Workspace;
 pub mod float_order;
 pub mod manifest;
 pub mod safety;
-pub mod sendptr;
 pub mod simd;
 pub mod stream_version;
 pub mod taint;
@@ -72,7 +71,6 @@ pub fn all() -> Vec<Box<dyn Rule>> {
         Box::new(taint::TaintAmbientNondeterminism),
         Box::new(unordered::ForbidUnorderedIteration),
         Box::new(float_order::FloatOrderDeterminism),
-        Box::new(sendptr::SendPtrBounds),
         Box::new(safety::UnsafeNeedsSafetyComment),
         Box::new(simd::SimdScalarTwin),
         Box::new(stream_version::StreamVersionCoherence),

@@ -5,8 +5,8 @@
 //! code channel into a flat token stream and then into *items* — `fn`,
 //! `struct`/`enum`/`trait`, `impl`, `mod`, `use`, `type` — each with a
 //! token span and a test-context flag. The graph layer
-//! ([`crate::graph`]) links items across files; the interprocedural rules
-//! (`taint-ambient-nondeterminism`, `sendptr-bounds`) consume both.
+//! ([`crate::graph`]) links items across files; the interprocedural rule
+//! (`taint-ambient-nondeterminism`) consumes both.
 //!
 //! The parser is deliberately approximate: it never type-checks, it treats
 //! the first `{` after a `fn` signature as the body, and it recurses into

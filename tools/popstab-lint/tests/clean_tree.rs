@@ -101,15 +101,6 @@ fn write_seeded_workspace(seeded: &Path) {
             "use std::collections::HashMap;\n",
             // unsafe-needs-safety-comment:
             "fn f(p: *mut u8) { unsafe { *p = 0 }; }\n",
-            // sendptr-bounds: raw shard pointer across a dispatch with no
-            // shard_range-derived partition.
-            "fn par(pool: &Pool, buf: *mut u64) {\n",
-            "    let b = SendPtr(buf);\n",
-            "    pool.dispatch(&|s| {\n",
-            "        // SAFETY: (deliberately bogus — ranges not derived)\n",
-            "        unsafe { b.get().add(s).write(0) };\n",
-            "    });\n",
-            "}\n",
             // float-order-determinism:
             "fn mean(xs: &[f64]) -> f64 { xs.iter().sum::<f64>() }\n",
             // simd-scalar-twin: kernel with no scalar twin, no test.
@@ -164,7 +155,6 @@ fn the_binary_exits_zero_on_the_tree_and_nonzero_on_a_seeded_tree() {
         "taint-ambient-nondeterminism",
         "forbid-unordered-iteration",
         "float-order-determinism",
-        "sendptr-bounds",
         "unsafe-needs-safety-comment",
         "simd-scalar-twin",
         "stream-version-coherence",
