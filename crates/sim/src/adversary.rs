@@ -63,9 +63,10 @@ pub trait Adversary<S> {
 
     /// Whether `act` is a guaranteed no-op: it never returns alterations,
     /// has no side effects, and does not read the state slice. Engines use
-    /// this to skip materializing `Vec<P::State>` from resident columns on
-    /// the fast path, so override it (as [`NoOpAdversary`] does) only when
-    /// all three guarantees hold.
+    /// this to skip storing `Vec<P::State>` from resident columns on the
+    /// fast path: a declared no-op is handed an empty slice, not the
+    /// population. Override it (as [`NoOpAdversary`] does) only when all
+    /// three guarantees hold.
     fn is_noop(&self) -> bool {
         false
     }

@@ -37,9 +37,9 @@
 //! retry is bit-identical to a never-failed run), and jobs that exhaust
 //! their attempts are quarantined into the [`BatchReport`] instead of
 //! aborting the sweep. [`ShardPool`] is panic-safe as well: a panicking
-//! shard body cannot wedge the barrier, and
-//! [`try_dispatch`](ShardPool::try_dispatch) surfaces shard panics as a
-//! clean [`ShardPanic`] error instead of resuming the unwind.
+//! shard body cannot wedge the barrier, the panic is re-raised on the
+//! dispatching thread once every shard has finished, and the pool stays
+//! usable for later dispatches.
 //!
 //! ```
 //! use popstab_sim::batch::{job_seed, BatchRunner, Scenario};
@@ -611,9 +611,8 @@ struct PoolState {
     generation: u64,
     /// Workers still executing the current generation.
     outstanding: usize,
-    /// First panic caught from a worker shard this generation, with the
-    /// panicking shard's index.
-    panic: Option<(usize, Box<dyn std::any::Any + Send>)>,
+    /// First panic caught from a worker shard this generation.
+    panic: Option<Box<dyn std::any::Any + Send>>,
     /// Set once by [`ShardPool::with`] on the way out.
     shutdown: bool,
 }
@@ -731,7 +730,42 @@ impl ShardPool {
     /// a time; overlapping dispatches would let a worker outlive the stack
     /// frame its task borrows, so the protocol refuses them outright.
     pub fn dispatch(&self, body: &(dyn Fn(usize) + Sync)) {
-        if let Err((_, payload)) = self.dispatch_inner(body) {
+        if self.shards == 1 {
+            body(0);
+            return;
+        }
+        assert!(
+            !self.dispatching.swap(true, Ordering::Acquire),
+            "concurrent ShardPool::dispatch calls on one pool"
+        );
+        {
+            // SAFETY (lifetime erasure): the pointer is only dereferenced by
+            // workers between this publication and the `outstanding == 0`
+            // wait below, during which `body` is borrowed by `self`.
+            let erased: &'static (dyn Fn(usize) + Sync) =
+                unsafe { std::mem::transmute::<&(dyn Fn(usize) + Sync), _>(body) };
+            let mut st = self.state();
+            st.task = Some(ShardTask(erased));
+            st.generation += 1;
+            st.outstanding = self.shards - 1;
+        }
+        self.work_ready.notify_all();
+        // Shard 0's panic is caught so that the barrier below holds before
+        // it unwinds (the workers borrow this frame); AssertUnwindSafe, as
+        // the payload is re-raised, not handled.
+        let own = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| body(0)));
+        let mut st = self.state();
+        while st.outstanding > 0 {
+            st = self
+                .work_done
+                .wait(st)
+                .unwrap_or_else(|poisoned| poisoned.into_inner());
+        }
+        st.task = None;
+        let worker_panic = st.panic.take();
+        drop(st);
+        self.dispatching.store(false, Ordering::Release);
+        if let Some(payload) = own.err().or(worker_panic) {
             std::panic::resume_unwind(payload);
         }
     }
@@ -760,80 +794,6 @@ impl ShardPool {
         });
     }
 
-    /// Like [`dispatch`](ShardPool::dispatch), but a shard panic comes back
-    /// as a structured [`ShardPanic`] error instead of unwinding the
-    /// caller. The all-shards barrier is identical: the call returns only
-    /// once every shard has finished, panicked or not, and the pool remains
-    /// usable for further dispatches afterwards.
-    ///
-    /// # Errors
-    ///
-    /// The first panic observed this dispatch, attributed to its shard
-    /// (shard 0 — the caller's own inline shard — wins ties).
-    ///
-    /// # Panics
-    ///
-    /// Panics on concurrent dispatches, exactly like `dispatch`.
-    pub fn try_dispatch(&self, body: &(dyn Fn(usize) + Sync)) -> Result<(), ShardPanic> {
-        self.dispatch_inner(body)
-            .map_err(|(shard, payload)| ShardPanic {
-                shard,
-                message: panic_message(payload.as_ref()),
-            })
-    }
-
-    /// The shared dispatch protocol: runs every shard, holds the barrier,
-    /// and reports the first panic (with its shard index) to the caller
-    /// instead of unwinding.
-    fn dispatch_inner(
-        &self,
-        body: &(dyn Fn(usize) + Sync),
-    ) -> Result<(), (usize, Box<dyn std::any::Any + Send>)> {
-        if self.shards == 1 {
-            // AssertUnwindSafe: the payload is reported to the caller, which
-            // either re-raises it (`dispatch`, the serial panic behavior) or
-            // abandons the half-stepped state (`try_dispatch`).
-            return std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| body(0)))
-                .map_err(|payload| (0, payload));
-        }
-        assert!(
-            !self.dispatching.swap(true, Ordering::Acquire),
-            "concurrent ShardPool::dispatch calls on one pool"
-        );
-        {
-            // SAFETY (lifetime erasure): the pointer is only dereferenced by
-            // workers between this publication and the `outstanding == 0`
-            // wait below, during which `body` is borrowed by `self`.
-            let erased: &'static (dyn Fn(usize) + Sync) =
-                unsafe { std::mem::transmute::<&(dyn Fn(usize) + Sync), _>(body) };
-            let mut st = self.state();
-            st.task = Some(ShardTask(erased));
-            st.generation += 1;
-            st.outstanding = self.shards - 1;
-        }
-        self.work_ready.notify_all();
-        // AssertUnwindSafe: as in the single-shard path above.
-        let own = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| body(0)));
-        let mut st = self.state();
-        while st.outstanding > 0 {
-            st = self
-                .work_done
-                .wait(st)
-                .unwrap_or_else(|poisoned| poisoned.into_inner());
-        }
-        st.task = None;
-        let worker_panic = st.panic.take();
-        drop(st);
-        self.dispatching.store(false, Ordering::Release);
-        if let Err(payload) = own {
-            return Err((0, payload));
-        }
-        if let Some((shard, payload)) = worker_panic {
-            return Err((shard, payload));
-        }
-        Ok(())
-    }
-
     fn worker_loop(&self, shard: usize) {
         let mut seen = 0u64;
         loop {
@@ -853,7 +813,7 @@ impl ShardPool {
                         .unwrap_or_else(|poisoned| poisoned.into_inner());
                 }
             };
-            // SAFETY: `dispatch_inner` blocks until `outstanding` drops to
+            // SAFETY: `dispatch` blocks until `outstanding` drops to
             // zero, so the closure behind the pointer is still alive. The
             // panic guard keeps that true on the unwinding path too: a
             // panicking shard still decrements `outstanding` (the payload is
@@ -863,7 +823,7 @@ impl ShardPool {
             }));
             let mut st = self.state();
             if let Err(payload) = result {
-                st.panic.get_or_insert((shard, payload));
+                st.panic.get_or_insert(payload);
             }
             st.outstanding -= 1;
             if st.outstanding == 0 {
@@ -872,24 +832,6 @@ impl ShardPool {
         }
     }
 }
-
-/// A shard panic reported by [`ShardPool::try_dispatch`]: which shard blew
-/// up, and what its panic said.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ShardPanic {
-    /// The panicking shard's index (0 is the dispatching thread itself).
-    pub shard: usize,
-    /// The rendered panic message.
-    pub message: String,
-}
-
-impl fmt::Display for ShardPanic {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "shard {} panicked: {}", self.shard, self.message)
-    }
-}
-
-impl std::error::Error for ShardPanic {}
 
 #[cfg(test)]
 mod tests {
@@ -1064,18 +1006,27 @@ mod tests {
 
     #[test]
     fn shard_pool_propagates_worker_panics() {
-        let result = std::panic::catch_unwind(|| {
-            ShardPool::with(4, |pool| {
-                pool.dispatch(&|s| {
-                    if s == 2 {
-                        panic!("shard boom");
-                    }
+        use std::sync::atomic::AtomicU32;
+        for shards in [1, 4] {
+            ShardPool::with(shards, |pool| {
+                let result = std::panic::catch_unwind(|| {
+                    pool.dispatch(&|s| {
+                        if s == shards / 2 {
+                            panic!("shard boom");
+                        }
+                    });
                 });
+                let payload = result.expect_err("worker panic was swallowed");
+                assert_eq!(panic_message(payload.as_ref()), "shard boom");
                 // The pool stays usable for later generations even though a
                 // shard of the previous dispatch panicked.
+                let ran = AtomicU32::new(0);
+                pool.dispatch(&|s| {
+                    ran.fetch_or(1 << s, Ordering::Relaxed);
+                });
+                assert_eq!(ran.into_inner(), (1 << shards) - 1, "{shards} shards");
             });
-        });
-        assert!(result.is_err(), "worker panic was swallowed");
+        }
     }
 
     #[test]
@@ -1168,40 +1119,6 @@ mod tests {
         assert_eq!(panic_message(caught.as_ref()), "formatted 7");
         let caught = std::panic::catch_unwind(|| std::panic::panic_any(17u32)).unwrap_err();
         assert_eq!(panic_message(caught.as_ref()), "non-string panic payload");
-    }
-
-    #[test]
-    fn try_dispatch_attributes_the_panicking_shard() {
-        ShardPool::with(4, |pool| {
-            let err = pool
-                .try_dispatch(&|s| {
-                    if s == 2 {
-                        panic!("shard two boom");
-                    }
-                })
-                .unwrap_err();
-            assert_eq!(
-                err,
-                ShardPanic {
-                    shard: 2,
-                    message: "shard two boom".to_string(),
-                }
-            );
-            assert_eq!(err.to_string(), "shard 2 panicked: shard two boom");
-            // The pool is still usable after a reported panic.
-            pool.try_dispatch(&|_| {}).unwrap();
-            pool.dispatch(&|_| {});
-        });
-    }
-
-    #[test]
-    fn try_dispatch_reports_inline_shard_zero_panics() {
-        ShardPool::with(1, |pool| {
-            let err = pool.try_dispatch(&|_| panic!("inline boom")).unwrap_err();
-            assert_eq!(err.shard, 0);
-            assert_eq!(err.message, "inline boom");
-            pool.try_dispatch(&|_| {}).unwrap();
-        });
     }
 
     #[test]

@@ -13,28 +13,37 @@
 //!
 //! # Residency: who owns the state
 //!
-//! A [`ColumnarStep`] is a *second representation* of the population, and
-//! the engine tracks which side is current. [`ColumnarStep::load`]
-//! transposes `Vec<P::State>` into the columns; [`ColumnarStep::step`]
-//! and [`ColumnarStep::apply`] then advance the columns round after round
-//! **without touching the vector**; [`ColumnarStep::store`] transposes
-//! back on demand. The engine loads once, keeps the columns resident, and
-//! stores once at the end of a run — the per-round traffic is a handful of
-//! compact columns, not two streams over 24-byte structs. Whatever needs
-//! the vector pays for it when it reads it, and only then:
+//! A [`ColumnarStep`] is a *second form* of the population, next to the
+//! agent vector. The engine holds both in one crate-private `Population`,
+//! the only code that decides which form is current and the only caller of
+//! [`ColumnarStep::load`], [`step`](ColumnarStep::step),
+//! [`apply`](ColumnarStep::apply) and [`store`](ColumnarStep::store).
+//! `load` transposes `Vec<P::State>` into the columns; `step` and `apply`
+//! then advance the columns round after round **without touching the
+//! vector**; `store` transposes back on demand. A columnar run loads once,
+//! keeps the columns resident, and stores once at its end — the per-round
+//! traffic is a handful of compact columns, not two streams over 24-byte
+//! structs.
 //!
-//! * an observer's [`EngineView::agents`](crate::EngineView::agents)
-//!   stores on its first call in a round, and the vector stays current
-//!   until the next step;
+//! A step leaves the vector stale. Its buffer is parked, and the first
+//! read of the vector through a shared reference stores the columns into
+//! it; the vector then stays current until the next step. Every reader
+//! goes through that one read, so whatever needs the vector pays for it
+//! when it reads it, and only then:
+//!
+//! * an observer's [`EngineView::agents`](crate::EngineView::agents);
 //! * [`EngineView::stats`](crate::EngineView::stats) asks
 //!   [`ColumnarStep::stats`] first, so a [`RecordStats`](crate::RecordStats)
 //!   run over a stepper with a stats kernel never stores mid-run;
 //! * a real adversary ([`Adversary::is_noop`](crate::Adversary::is_noop)
-//!   `false`) and [`Engine::snapshot`](crate::Engine::snapshot) read the
-//!   materialized vector.
+//!   `false`; a declared no-op is handed an empty slice and reads nothing);
+//! * [`Engine::agents`](crate::Engine::agents) and
+//!   [`Engine::snapshot`](crate::Engine::snapshot), at any time — also
+//!   after an observer's panic was caught mid-run, when the end-of-run
+//!   store never happened.
 //!
-//! Whenever something mutates the vector, the engine reloads the columns
-//! before the next step.
+//! Writing the vector (adversary alterations, the scalar step) marks the
+//! columns stale, and the next columnar step reloads them first.
 //!
 //! # Determinism contract
 //!
@@ -49,6 +58,7 @@
 //! pin the two paths against each other; `tests/columnar_equivalence.rs`
 //! does exactly that over random `(seed, rounds, workers)`.
 
+use std::cell::{Cell, OnceCell};
 use std::fmt;
 
 use crate::agent::Protocol;
@@ -67,9 +77,9 @@ use crate::metrics::RoundStats;
 /// `Debug` keeps `Engine`'s derive working; `Send` lets engines holding a
 /// stepper migrate across [`BatchRunner`](crate::BatchRunner) workers.
 pub trait ColumnarStep<S>: fmt::Debug + Send {
-    /// Transposes `agents` into the columns, making them authoritative.
-    /// Called by the engine whenever the vector was mutated behind the
-    /// columns' back (initial round, adversary alterations, restores).
+    /// Transposes `agents` into the columns, making them current. Called
+    /// before a step whenever the vector was written since the columns
+    /// were last current (first round, adversary alterations, restores).
     ///
     /// `pool` is the pool the round runs on — the engine always passes
     /// `Some`, and `None` means one shard. The transpose may fan out across
@@ -166,6 +176,163 @@ pub trait ColumnarProtocol: Protocol {
 /// ```
 pub fn columnar_box<P: ColumnarProtocol>(protocol: &P) -> Option<Box<dyn ColumnarStep<P::State>>> {
     Some(Box::new(protocol.columns()))
+}
+
+/// The population in its two forms — the agent vector and, when the
+/// protocol has them, the resident columns — and the one owner of which
+/// form is current (module docs, "Residency").
+///
+/// After a columnar step the vector's buffer waits in `parked`, and
+/// [`agents`](Self::agents) stores the columns into it through `&self`, so
+/// readers holding a shared borrow get a current vector. `columns_current`
+/// says whether the next columnar step can skip the load.
+///
+/// Invariant: an empty `vector` implies `columns` is `Some` and current.
+pub(crate) struct Population<S> {
+    vector: OnceCell<Vec<S>>,
+    parked: Cell<Vec<S>>,
+    columns: Option<Box<dyn ColumnarStep<S>>>,
+    columns_current: bool,
+}
+
+impl<S: Clone> Population<S> {
+    /// `agents` as the current form, with `columns` (if any) to be loaded
+    /// by the first columnar step.
+    pub(crate) fn new(agents: Vec<S>, columns: Option<Box<dyn ColumnarStep<S>>>) -> Self {
+        Population {
+            vector: OnceCell::from(agents),
+            parked: Cell::default(),
+            columns,
+            columns_current: false,
+        }
+    }
+
+    /// The resident columns, which are current whenever the vector is not.
+    fn resident(&self) -> &dyn ColumnarStep<S> {
+        self.columns
+            .as_deref()
+            .expect("a stale vector implies resident columns")
+    }
+
+    /// Number of agents, read from whichever form is current.
+    pub(crate) fn len(&self) -> usize {
+        self.vector
+            .get()
+            .map_or_else(|| self.resident().len(), Vec::len)
+    }
+
+    /// The agent vector, stored from the columns on the first read after a
+    /// step; later reads return the same slice until the next step.
+    pub(crate) fn agents(&self) -> &[S] {
+        self.vector.get_or_init(|| {
+            let mut agents = self.parked.take();
+            self.resident().store(&mut agents);
+            agents
+        })
+    }
+
+    /// The agent vector for writing. The columns stop being current, so the
+    /// next columnar step reloads them.
+    pub(crate) fn agents_mut(&mut self) -> &mut Vec<S> {
+        self.agents();
+        self.columns_current = false;
+        self.vector
+            .get_mut()
+            .expect("agents() made the vector current")
+    }
+
+    /// Whether the population has a columnar form.
+    pub(crate) fn is_columnar(&self) -> bool {
+        self.columns.is_some()
+    }
+
+    /// Replaces the columnar form (`None` removes it), keeping the
+    /// population: the vector is made current first.
+    pub(crate) fn set_columns(&mut self, columns: Option<Box<dyn ColumnarStep<S>>>) {
+        self.agents();
+        self.columns = columns;
+        self.columns_current = false;
+    }
+
+    /// [`ColumnarStep::stats`] of the columns when they are current.
+    pub(crate) fn column_stats(&self) -> Option<RoundStats> {
+        self.columns
+            .as_deref()
+            .filter(|_| self.columns_current)
+            .and_then(|columns| columns.stats())
+    }
+
+    /// Runs the step phase in the columns ([`ColumnarStep::step`]), loading
+    /// them first if the vector was written since they were last current;
+    /// the vector is stale afterwards. Returns `false` and does nothing when
+    /// the population has no columns.
+    pub(crate) fn step_columns(
+        &mut self,
+        partners: &[u32],
+        round_key: u64,
+        pool: &ShardPool,
+        splits: &mut Vec<usize>,
+        deaths: &mut Vec<usize>,
+    ) -> bool {
+        let Some(columns) = self.columns.as_mut() else {
+            return false;
+        };
+        if !self.columns_current {
+            let agents = self
+                .vector
+                .get()
+                .expect("stale columns imply a current vector");
+            columns.load(agents, Some(pool));
+            self.columns_current = true;
+        }
+        columns.step(partners, round_key, Some(pool), splits, deaths);
+        if let Some(agents) = self.vector.take() {
+            self.parked.set(agents);
+        }
+        true
+    }
+
+    /// Applies the round's splits and deaths to the form the step left
+    /// current: daughters appended in `splits` order, each a copy of its
+    /// post-step parent, then `deaths` (sorted ascending, deduplicated)
+    /// swap-removed in descending order.
+    pub(crate) fn apply(&mut self, splits: &[usize], deaths: &[usize]) {
+        if self.vector.get().is_none() {
+            let columns = self
+                .columns
+                .as_mut()
+                .expect("a stale vector implies columns");
+            columns.apply(splits, deaths);
+            return;
+        }
+        let agents = self.agents_mut();
+        for &i in splits {
+            let daughter = agents[i].clone();
+            agents.push(daughter);
+        }
+        for &i in deaths.iter().rev() {
+            agents.swap_remove(i);
+        }
+    }
+
+    /// Approximate resident bytes: the vector's capacity, current or parked,
+    /// plus the columns' [`mem_bytes`](ColumnarStep::mem_bytes).
+    pub(crate) fn mem_bytes(&self) -> usize {
+        let parked = self.parked.take();
+        let capacity = self.vector.get().map_or(0, Vec::capacity) + parked.capacity();
+        self.parked.set(parked);
+        capacity * std::mem::size_of::<S>() + self.columns.as_ref().map_or(0, |c| c.mem_bytes())
+    }
+}
+
+impl<S: fmt::Debug> fmt::Debug for Population<S> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Population")
+            .field("vector", &self.vector.get())
+            .field("columns", &self.columns)
+            .field("columns_current", &self.columns_current)
+            .finish_non_exhaustive()
+    }
 }
 
 /// A packed bit column: bit `i % 64` of word `i / 64` holds agent `i`'s

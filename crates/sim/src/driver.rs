@@ -42,11 +42,8 @@
 //! assert_eq!(rec.len(), 10);
 //! ```
 
-use std::cell::{Cell, OnceCell};
-use std::fmt;
-
 use crate::agent::Protocol;
-use crate::columns::ColumnarStep;
+use crate::columns::Population;
 use crate::config::SimConfig;
 use crate::engine::{HaltReason, RoundReport};
 use crate::metrics::{MetricsRecorder, RoundStats};
@@ -195,78 +192,6 @@ impl RunOutcome {
     }
 }
 
-/// The post-round agent vector behind [`EngineView::agents`]: either
-/// current already, or stored from the resident columns on the first read.
-///
-/// The engine lends its own vector for the callback (so a store refills the
-/// buffer it already owns), and dropping this hands the vector back. A read
-/// that materialized it leaves the vector current: the engine clears its
-/// stale flag. Dropping restores the engine on unwinding too, so a
-/// panicking observer cannot lose the population.
-pub(crate) struct LazyAgents<'a, S> {
-    agents: OnceCell<Vec<S>>,
-    /// The engine's vector buffer while `agents` is unfilled.
-    buf: Cell<Vec<S>>,
-    /// The resident columns, while the vector is stale.
-    columns: Option<&'a dyn ColumnarStep<S>>,
-    home: &'a mut Vec<S>,
-    stale: &'a mut bool,
-}
-
-impl<'a, S> LazyAgents<'a, S> {
-    /// Borrows the engine's vector `home` for one callback. `columns` is
-    /// the engine's stepper, which must be `Some` when `*stale`.
-    pub(crate) fn new(
-        home: &'a mut Vec<S>,
-        stale: &'a mut bool,
-        columns: Option<&'a dyn ColumnarStep<S>>,
-    ) -> LazyAgents<'a, S> {
-        let vec = std::mem::take(home);
-        let (agents, buf, columns) = if *stale {
-            (OnceCell::new(), Cell::new(vec), columns)
-        } else {
-            (OnceCell::from(vec), Cell::default(), None)
-        };
-        LazyAgents {
-            agents,
-            buf,
-            columns,
-            home,
-            stale,
-        }
-    }
-
-    fn get(&self) -> &[S] {
-        self.agents.get_or_init(|| {
-            let mut vec = self.buf.take();
-            self.columns
-                .expect("a stale vector has resident columns")
-                .store(&mut vec);
-            vec
-        })
-    }
-}
-
-impl<S> Drop for LazyAgents<'_, S> {
-    fn drop(&mut self) {
-        match self.agents.take() {
-            Some(vec) => {
-                *self.home = vec;
-                *self.stale = false;
-            }
-            None => *self.home = self.buf.take(),
-        }
-    }
-}
-
-impl<S> fmt::Debug for LazyAgents<'_, S> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("LazyAgents")
-            .field("materialized", &self.agents.get().is_some())
-            .finish_non_exhaustive()
-    }
-}
-
 /// A read-only view of the engine handed to observers after each round.
 ///
 /// The view is lazy: on the columnar path the population lives in the
@@ -277,8 +202,7 @@ impl<S> fmt::Debug for LazyAgents<'_, S> {
 /// only those never costs a store.
 #[derive(Debug)]
 pub struct EngineView<'a, P: Protocol> {
-    pub(crate) agents: &'a LazyAgents<'a, P::State>,
-    pub(crate) population: usize,
+    pub(crate) pop: &'a Population<P::State>,
     pub(crate) round: u64,
     pub(crate) halted: Option<HaltReason>,
     pub(crate) config: &'a SimConfig,
@@ -290,12 +214,12 @@ impl<'a, P: Protocol> EngineView<'a, P> {
     /// in a round stores the columns into the engine's vector; later calls
     /// (from this or any other observer) return the same slice.
     pub fn agents(&self) -> &'a [P::State] {
-        self.agents.get()
+        self.pop.agents()
     }
 
     /// Population size, post-round.
     pub fn population(&self) -> usize {
-        self.population
+        self.pop.len()
     }
 
     /// The observation part of the [`RoundStats`] of the round just
@@ -304,14 +228,14 @@ impl<'a, P: Protocol> EngineView<'a, P> {
     /// caller's to add from the [`RoundReport`].
     ///
     /// Reads the resident columns when the stepper has a stats kernel
-    /// ([`ColumnarStep::stats`]); otherwise observes
-    /// [`agents`](Self::agents), materializing them if needed. Both give
+    /// ([`ColumnarStep::stats`](crate::ColumnarStep::stats)); otherwise
+    /// observes [`agents`](Self::agents), storing them if needed. Both give
     /// the same stats.
     pub fn stats(&self) -> RoundStats {
         let round = self.round.saturating_sub(1);
-        match self.agents.columns.and_then(|c| c.stats()) {
+        match self.pop.column_stats() {
             Some(stats) => {
-                debug_assert_eq!(stats.population, self.population);
+                debug_assert_eq!(stats.population, self.pop.len());
                 RoundStats { round, ..stats }
             }
             None => RoundStats::observe(round, self.agents()),
@@ -359,7 +283,7 @@ pub trait Observer<P: Protocol> {
 
     /// Whether this observer reads the agent state slice
     /// ([`EngineView::agents`]) from its callback. The engine no longer
-    /// consults it: the view materializes the slice on first read, so an
+    /// consults it: the view stores the slice on first read, so an
     /// observer that never reads it never costs a store, and there is no
     /// declaration to get wrong. The method remains because the benchmark
     /// package's `RoundClock` observer still implements it and its tests

@@ -33,15 +33,21 @@
 //! populations the pass that writes them into the partner table shards
 //! across the same pool as the step phase.
 //!
+//! The population lives in a crate-private `Population` (see
+//! [`crate::columns`], "Residency"): the agent vector, plus the resident
+//! columns when the protocol has a columnar step. It alone decides which
+//! form is current, so every accessor here reads a current population at
+//! any time, also after an observer's panic was caught mid-run.
+//!
 //! [`Threads::Sharded`]: crate::Threads::Sharded
 //! [`Threads::Serial`]: crate::Threads::Serial
 
 use crate::adversary::{Adversary, Alteration, NoOpAdversary, RoundContext};
 use crate::agent::{Action, Protocol};
 use crate::batch::{shard_chunks, shard_range, ShardPool};
-use crate::columns::ColumnarStep;
+use crate::columns::Population;
 use crate::config::SimConfig;
-use crate::driver::{EngineView, LazyAgents, Observer, RunOutcome, RunSpec, Stop};
+use crate::driver::{EngineView, Observer, RunOutcome, RunSpec, Stop};
 use crate::matching::{sample_partners_into, UNMATCHED};
 use crate::rng::{derive_seed, derive_stream, round_key, slot_rng, SimRng};
 use crate::snapshot::{Snapshot, SnapshotError, SnapshotReader, SnapshotState};
@@ -84,7 +90,8 @@ pub struct RoundReport {
 ///
 /// The engine's round loop needs several population-sized buffers (the
 /// partner table with its small-population shuffle scratch, the
-/// simultaneous message snapshot, the split/death work lists); the matching
+/// simultaneous message snapshot, the split/death work lists, the second
+/// also serving as the adversary's delete list); the matching
 /// itself is never held as pairs, since [`sample_partners_into`] samples it
 /// straight into `partners`. Allocating the buffers fresh every round
 /// dominated the hot path at large `N`, so they live here and are reused;
@@ -98,7 +105,6 @@ struct RoundScratch<M> {
     messages: Vec<Option<M>>,
     splits: Vec<usize>,
     deaths: Vec<usize>,
-    to_delete: Vec<usize>,
 }
 
 impl<M> Default for RoundScratch<M> {
@@ -109,7 +115,6 @@ impl<M> Default for RoundScratch<M> {
             messages: Vec::new(),
             splits: Vec::new(),
             deaths: Vec::new(),
-            to_delete: Vec::new(),
         }
     }
 }
@@ -129,37 +134,16 @@ pub struct Engine<P: Protocol, A: Adversary<P::State> = NoOpAdversary> {
     protocol: P,
     adversary: A,
     cfg: SimConfig,
-    agents: Vec<P::State>,
+    /// The agents, as a vector and — when the protocol opts in
+    /// ([`Protocol::columnar`]) — as resident columns that the step phase
+    /// advances instead; bit-identical by the determinism contract of
+    /// [`crate::columns`], so the columns are invisible to observers,
+    /// adversaries, traces and snapshots.
+    pop: Population<P::State>,
     round: u64,
-    /// Master key of the counter-based agent randomness: agent `slot`'s
-    /// coin flips in round `r` are `slot_rng(round_key(agent_key, r), slot)`
-    /// — addressable per agent, independent of execution order.
-    agent_key: u64,
-    /// Master key of the counter-keyed matching stream: round `r`'s pairs
-    /// are a pure function of `round_key(match_key, r)` — addressable per
-    /// round, shardable within one (see [`crate::matching`]).
-    match_key: u64,
     adv_rng: SimRng,
     halted: Option<HaltReason>,
     scratch: RoundScratch<P::Message>,
-    /// The protocol's columnar state store, installed at construction when
-    /// the protocol opts in ([`Protocol::columnar`]). `Some` switches
-    /// [`phase_step`](Self::phase_step) onto the
-    /// struct-of-arrays path — bit-identical by the determinism contract of
-    /// [`crate::columns`], so it is invisible to observers, adversaries,
-    /// traces, and snapshots. The columns hold the population *resident*
-    /// across rounds; the two flags below track which representation is
-    /// current.
-    columnar: Option<Box<dyn ColumnarStep<P::State>>>,
-    /// Whether the stepper's columns mirror the authoritative population
-    /// (a columnar step may run without re-transposing `agents`). Cleared
-    /// whenever the vector is mutated behind the columns' back.
-    cols_valid: bool,
-    /// Whether `agents` is stale relative to the columns (a columnar step
-    /// ran and nothing has materialized the vector since). Invariant:
-    /// `vec_stale` implies `cols_valid` and `columnar.is_some()`; always
-    /// false outside [`Engine::run`].
-    vec_stale: bool,
 }
 
 impl<P: Protocol> Engine<P, NoOpAdversary> {
@@ -175,42 +159,31 @@ impl<P: Protocol, A: Adversary<P::State>> Engine<P, A> {
         // Initial states draw from a sequential stream (construction is not
         // a round and runs once); per-round agent flips use the counter key.
         let mut init_rng = derive_stream(cfg.seed, "agents");
-        let agent_key = derive_seed(cfg.seed, "agent-counter");
-        let match_key = derive_seed(cfg.seed, "matching");
         let adv_rng = derive_stream(cfg.seed, "adversary");
         let agents = (0..population)
             .map(|_| protocol.initial_state(&mut init_rng))
             .collect();
-        let columnar = protocol.columnar();
+        let pop = Population::new(agents, protocol.columnar());
         Engine {
             protocol,
             adversary,
             cfg,
-            agents,
+            pop,
             round: 0,
-            agent_key,
-            match_key,
             adv_rng,
             halted: None,
             scratch: RoundScratch::default(),
-            columnar,
-            cols_valid: false,
-            vec_stale: false,
         }
     }
 
     /// Current population size.
     pub fn population(&self) -> usize {
-        self.live_population()
+        self.pop.len()
     }
 
     /// Read access to all agent states (what the adversary sees).
     pub fn agents(&self) -> &[P::State] {
-        debug_assert!(
-            !self.vec_stale,
-            "agent vector read while stale (engine failed to materialize)"
-        );
-        &self.agents
+        self.pop.agents()
     }
 
     /// The protocol being executed.
@@ -236,7 +209,7 @@ impl<P: Protocol, A: Adversary<P::State>> Engine<P, A> {
     /// Whether the step phase currently runs on the columnar
     /// (struct-of-arrays) path.
     pub fn columnar_enabled(&self) -> bool {
-        self.columnar.is_some()
+        self.pop.is_columnar()
     }
 
     /// Enables or disables the columnar step path. It is on by default
@@ -246,36 +219,12 @@ impl<P: Protocol, A: Adversary<P::State>> Engine<P, A> {
     /// this switch exists so equivalence tests and benches can pin them
     /// against each other.
     pub fn set_columnar(&mut self, enabled: bool) {
-        self.materialize();
-        self.cols_valid = false;
-        self.columnar = if enabled {
+        let columns = if enabled {
             self.protocol.columnar()
         } else {
             None
         };
-    }
-
-    /// Transposes the resident columns back into `agents` if a columnar
-    /// step left the vector stale, restoring the `vec_stale == false`
-    /// invariant every public accessor relies on.
-    fn materialize(&mut self) {
-        if self.vec_stale {
-            let stepper = self
-                .columnar
-                .as_ref()
-                .expect("stale vector implies a columnar stepper");
-            stepper.store(&mut self.agents);
-            self.vec_stale = false;
-        }
-    }
-
-    /// The live population, read from whichever representation is current.
-    fn live_population(&self) -> usize {
-        if self.vec_stale {
-            self.columnar.as_ref().map_or(0, |c| c.len())
-        } else {
-            self.agents.len()
-        }
+        self.pop.set_columns(columns);
     }
 
     /// Approximate resident bytes of the simulation state: the agent
@@ -284,15 +233,12 @@ impl<P: Protocol, A: Adversary<P::State>> Engine<P, A> {
     /// available — this is the figure behind the bench harness's
     /// `mem_bytes_per_agent`.
     pub fn approx_mem_bytes(&self) -> usize {
-        let agents = self.agents.capacity() * std::mem::size_of::<P::State>();
         let s = &self.scratch;
         let scratch = s.shuffle.capacity() * std::mem::size_of::<u32>()
             + s.partners.capacity() * std::mem::size_of::<u32>()
             + s.messages.capacity() * std::mem::size_of::<Option<P::Message>>()
-            + (s.splits.capacity() + s.deaths.capacity() + s.to_delete.capacity())
-                * std::mem::size_of::<usize>();
-        let columnar = self.columnar.as_ref().map_or(0, |c| c.mem_bytes());
-        agents + scratch + columnar
+            + (s.splits.capacity() + s.deaths.capacity()) * std::mem::size_of::<usize>();
+        self.pop.mem_bytes() + scratch
     }
 
     /// Checkpoints the engine into a [`Snapshot`]: config, round counter,
@@ -304,12 +250,8 @@ impl<P: Protocol, A: Adversary<P::State>> Engine<P, A> {
     where
         P::State: SnapshotState,
     {
-        debug_assert!(
-            !self.vec_stale,
-            "snapshot of a stale agent vector (engine failed to materialize)"
-        );
         Snapshot::capture(
-            &self.agents,
+            self.pop.agents(),
             &self.cfg,
             self.round,
             self.halted,
@@ -319,7 +261,7 @@ impl<P: Protocol, A: Adversary<P::State>> Engine<P, A> {
 
     /// Rebuilds an engine from a [`Snapshot`], resuming exactly where
     /// [`Engine::snapshot`] left off — no `initial_state` calls, the
-    /// per-round agent/matching keys re-derived from the snapshot's seed,
+    /// per-round agent/matching keys derived from the snapshot's seed,
     /// the adversary stream repositioned. The caller supplies the protocol
     /// and adversary instances (they are not serialized); supplying a
     /// *different* adversary, or a [`Snapshot::fork`] branch, is how
@@ -360,24 +302,16 @@ impl<P: Protocol, A: Adversary<P::State>> Engine<P, A> {
         if reader.remaining() != 0 {
             return Err(reader.malformed("agent column longer than the captured population"));
         }
-        let cfg = snap.config.clone();
-        let agent_key = derive_seed(cfg.seed, "agent-counter");
-        let match_key = derive_seed(cfg.seed, "matching");
-        let columnar = protocol.columnar();
+        let pop = Population::new(agents, protocol.columnar());
         Ok(Engine {
             protocol,
             adversary,
-            cfg,
-            agents,
+            cfg: snap.config.clone(),
+            pop,
             round: snap.round,
-            agent_key,
-            match_key,
             adv_rng: SimRng::from_raw_state(snap.adv_rng_state),
             halted: snap.halted,
             scratch: RoundScratch::default(),
-            columnar,
-            cols_valid: false,
-            vec_stale: false,
         })
     }
 
@@ -392,33 +326,32 @@ impl<P: Protocol, A: Adversary<P::State>> Engine<P, A> {
         pool: &ShardPool,
     ) {
         // Phase 1: adversary (sees everything, blind to the coming matching).
-        // A real adversary must see the authoritative vector; the declared
-        // no-op ([`Adversary::is_noop`]) never reads it, which is what lets
-        // the columnar path keep its columns resident across rounds.
-        if !self.adversary.is_noop() {
-            self.materialize();
-        }
+        // The declared no-op ([`Adversary::is_noop`]) reads nothing and gets
+        // an empty slice, which is what lets the columnar path keep its
+        // columns resident across rounds.
         let ctx = RoundContext {
             round: self.round,
             budget: self.cfg.adversary_budget,
             target: self.cfg.target,
         };
-        let alterations = self.adversary.act(&ctx, &self.agents, &mut self.adv_rng);
+        let agents = if self.adversary.is_noop() {
+            &[]
+        } else {
+            self.pop.agents()
+        };
+        let alterations = self.adversary.act(&ctx, agents, &mut self.adv_rng);
         if !alterations.is_empty() {
-            // An `is_noop` adversary that alters anyway broke its contract
-            // (it acted on a possibly-stale slice); recover coherently.
-            debug_assert!(!self.vec_stale, "is_noop adversary returned alterations");
-            self.materialize();
-            self.apply_alterations(alterations, &mut scratch.to_delete, report);
-            if report.inserted + report.deleted + report.modified > 0 {
-                // The vector changed behind the columns' back.
-                self.cols_valid = false;
-            }
+            debug_assert!(!self.adversary.is_noop(), "is_noop adversary altered");
+            // `deaths` is free until the step phase clears it.
+            self.apply_alterations(alterations, &mut scratch.deaths, report);
         }
 
-        // Phase 2: matching over survivors.
-        let population = self.live_population();
-        let mkey = round_key(self.match_key, self.round);
+        // Phase 2: matching over survivors. Round `r`'s pairs are a pure
+        // function of `round_key(match_key, r)` — addressable per round,
+        // shardable within one (see [`crate::matching`]).
+        let population = self.pop.len();
+        let match_key = derive_seed(self.cfg.seed, "matching");
+        let mkey = round_key(match_key, self.round);
         report.matched = sample_partners_into(
             &mut scratch.partners,
             &mut scratch.shuffle,
@@ -440,22 +373,9 @@ impl<P: Protocol, A: Adversary<P::State>> Engine<P, A> {
         deaths.dedup();
         report.splits = splits.len();
         report.deaths = deaths.len();
-        if self.vec_stale {
-            self.columnar
-                .as_mut()
-                .expect("stale vector implies a columnar stepper")
-                .apply(splits, deaths);
-        } else {
-            for &i in splits.iter() {
-                let daughter = self.agents[i].clone();
-                self.agents.push(daughter);
-            }
-            for &i in deaths.iter().rev() {
-                self.agents.swap_remove(i);
-            }
-        }
+        self.pop.apply(splits, deaths);
 
-        let population = self.live_population();
+        let population = self.pop.len();
         report.population_after = population;
         assert_eq!(
             population + report.deleted + report.deaths,
@@ -482,7 +402,8 @@ impl<P: Protocol, A: Adversary<P::State>> Engine<P, A> {
         to_delete: &mut Vec<usize>,
         report: &mut RoundReport,
     ) {
-        let original_len = self.agents.len();
+        let agents = self.pop.agents_mut();
+        let original_len = agents.len();
         to_delete.clear();
         for alt in alterations.into_iter().take(self.cfg.adversary_budget) {
             match alt {
@@ -496,12 +417,12 @@ impl<P: Protocol, A: Adversary<P::State>> Engine<P, A> {
                     }
                 }
                 Alteration::Insert(state) => {
-                    self.agents.push(state);
+                    agents.push(state);
                     report.inserted += 1;
                 }
                 Alteration::Modify(i, state) => {
                     if i < original_len {
-                        self.agents[i] = state;
+                        agents[i] = state;
                         report.modified += 1;
                     }
                 }
@@ -511,7 +432,7 @@ impl<P: Protocol, A: Adversary<P::State>> Engine<P, A> {
         to_delete.dedup();
         report.deleted = to_delete.len();
         for &i in to_delete.iter().rev() {
-            self.agents.swap_remove(i);
+            agents.swap_remove(i);
         }
     }
 }
@@ -609,24 +530,16 @@ where
             executed += 1;
             lo = lo.min(report.population_after);
             hi = hi.max(report.population_after);
-            // The view lends the observer the vector, stored from the
-            // columns only if the observer reads it; handing it back marks
-            // it current when it was.
-            let agents = LazyAgents::new(
-                &mut self.agents,
-                &mut self.vec_stale,
-                self.columnar.as_deref(),
-            );
+            // The view stores the vector from the columns only if the
+            // observer reads it.
             let view = EngineView {
-                agents: &agents,
-                population: report.population_after,
+                pop: &self.pop,
                 round: self.round,
                 halted: self.halted,
                 config: &self.cfg,
                 adv_rng_state: self.adv_rng.raw_state(),
             };
             obs.on_round(&report, &view);
-            drop(agents);
             last = Some(report);
             if let Stop::Until { stop, .. } = &mut stop {
                 if stop(&report) {
@@ -635,9 +548,9 @@ where
                 }
             }
         }
-        // The vector is authoritative again from here on out.
-        self.materialize();
-        let population = self.agents.len();
+        // One store at the end of a resident run, so the run that left the
+        // vector stale pays for it and the vector is current between runs.
+        let population = self.pop.agents().len();
         if executed == 0 {
             lo = population;
             hi = population;
@@ -666,11 +579,11 @@ where
     ) -> RoundReport {
         let mut report = RoundReport {
             round: self.round,
-            population_before: self.live_population(),
+            population_before: self.pop.len(),
             ..RoundReport::default()
         };
         if self.halted.is_some() {
-            report.population_after = self.live_population();
+            report.population_after = report.population_before;
             return report;
         }
         self.phase_adversary_and_matching(scratch, &mut report, pool);
@@ -682,9 +595,9 @@ where
     /// Phase 3: simultaneous message exchange, then one step per agent
     /// under its `(round, slot)`-keyed RNG, sharded over `pool`.
     ///
-    /// With a columnar stepper installed, the columns are reloaded if the
-    /// vector was mutated since they were last current, then advanced in
-    /// place (leaving the vector stale until someone materializes it).
+    /// With a columnar form, the population steps in the columns (reloaded
+    /// first if the vector was written since they were last current),
+    /// leaving the vector stale until something reads it.
     ///
     /// Otherwise the scalar loop shards the message composition and the
     /// step/split/death scan, merging per-shard work lists in slot order.
@@ -710,19 +623,18 @@ where
             deaths,
             ..
         } = scratch;
-        let rkey = round_key(self.agent_key, self.round);
+        // Agent `slot`'s coin flips in round `r` are
+        // `slot_rng(round_key(agent_key, r), slot)` — addressable per agent,
+        // independent of execution order.
+        let agent_key = derive_seed(self.cfg.seed, "agent-counter");
+        let rkey = round_key(agent_key, self.round);
         splits.clear();
         deaths.clear();
-        if let Some(stepper) = self.columnar.as_mut() {
-            if !self.cols_valid {
-                stepper.load(&self.agents, Some(pool));
-                self.cols_valid = true;
-            }
-            stepper.step(partners, rkey, Some(pool), splits, deaths);
-            self.vec_stale = true;
+        if self.pop.step_columns(partners, rkey, pool, splits, deaths) {
             return;
         }
-        let n = self.agents.len();
+        let agents = self.pop.agents_mut();
+        let n = agents.len();
         let nshards = pool.shards();
         assert_eq!(lists.len(), nshards - 1);
         let partners: &[u32] = partners;
@@ -733,12 +645,12 @@ where
         // of its own range.
         messages.clear();
         messages.resize_with(n, || None);
-        let agents: &[P::State] = &self.agents;
+        let states: &[P::State] = agents;
         pool.dispatch_parts(&mut shard_chunks(messages, nshards), &|s, msgs| {
             let (lo, hi) = shard_range(n, nshards, s);
             for (msg, &p) in msgs.iter_mut().zip(&partners[lo..hi]) {
                 if p != UNMATCHED {
-                    *msg = Some(protocol.message(&agents[p as usize]));
+                    *msg = Some(protocol.message(&states[p as usize]));
                 }
             }
         });
@@ -750,7 +662,7 @@ where
             splits: std::mem::take(splits),
             deaths: std::mem::take(deaths),
         };
-        let mut parts: Vec<_> = shard_chunks(&mut self.agents, nshards)
+        let mut parts: Vec<_> = shard_chunks(agents, nshards)
             .into_iter()
             .zip(shard_chunks(messages, nshards))
             .zip(std::iter::once(&mut first).chain(lists.iter_mut()))

@@ -4,9 +4,9 @@
 //! determinism contract applies to the faults themselves: a fault schedule
 //! must be a pure function of a seed so a failing CI run can be replayed
 //! locally byte for byte. [`FaultPlan`] is that schedule — every decision
-//! (does job `i` panic on attempt `a`? does shard `s` stall in round `r`?
-//! which bit of a snapshot flips?) is keyed on `(fault_seed, domain, key)`
-//! and nothing else. No global state, no wall clock, no entropy.
+//! (does job `i` panic on attempt `a`? which bit of a snapshot flips?) is
+//! keyed on `(fault_seed, domain, key)` and nothing else. No global state,
+//! no wall clock, no entropy.
 //!
 //! The injected faults mirror the failure modes the layer defends against:
 //!
@@ -15,10 +15,6 @@
 //!   job panics on the first [`panic_attempts`](FaultPlan::panic_attempts)
 //!   attempts of a deterministically chosen subset of jobs, so retries
 //!   succeed and the sweep must come out bit-identical to a fault-free one.
-//! * **Worker stalls** — [`stall_for`](FaultPlan::stall_for) picks
-//!   `(round, shard)` pairs to delay, shaking out schedule-dependence:
-//!   a correct engine produces the same trajectory no matter how unfairly
-//!   the shards are scheduled.
 //! * **Snapshot corruption** — [`corrupt`](FaultPlan::corrupt) flips one
 //!   seed-chosen bit and [`truncate_len`](FaultPlan::truncate_len) picks a
 //!   seed-chosen cut point, driving the checksum/truncation rejection paths
@@ -26,8 +22,6 @@
 //!
 //! All panic messages start with `"injected fault:"` so test harnesses can
 //! distinguish scheduled faults from real bugs.
-
-use std::time::Duration;
 
 use crate::rng::derive_seed;
 
@@ -52,8 +46,6 @@ pub struct FaultPlan {
     seed: u64,
     panic_rate: f64,
     panic_attempts: u32,
-    stall_rate: f64,
-    stall_micros: u64,
 }
 
 impl FaultPlan {
@@ -64,8 +56,6 @@ impl FaultPlan {
             seed: fault_seed,
             panic_rate: 0.0,
             panic_attempts: 1,
-            stall_rate: 0.0,
-            stall_micros: 0,
         }
     }
 
@@ -81,14 +71,6 @@ impl FaultPlan {
     /// recovery, at or above it to exercise quarantine.
     pub fn panic_attempts(mut self, attempts: u32) -> FaultPlan {
         self.panic_attempts = attempts.max(1);
-        self
-    }
-
-    /// Stalls each `(round, shard)` pair independently with probability
-    /// `rate` (clamped to `0.0..=1.0`) for `micros` microseconds.
-    pub fn stalls(mut self, rate: f64, micros: u64) -> FaultPlan {
-        self.stall_rate = rate.clamp(0.0, 1.0);
-        self.stall_micros = micros;
         self
     }
 
@@ -137,25 +119,6 @@ impl FaultPlan {
         }
     }
 
-    /// The scheduled stall for `(round, shard)`, if any.
-    pub fn stall_for(&self, round: u64, shard: usize) -> Option<Duration> {
-        let key = round.wrapping_mul(0x1_0001).wrapping_add(shard as u64);
-        if self.stall_micros > 0 && self.bernoulli("fault.stall", key, self.stall_rate) {
-            Some(Duration::from_micros(self.stall_micros))
-        } else {
-            None
-        }
-    }
-
-    /// Sleeps through the scheduled stall for `(round, shard)`, if any.
-    /// Stalls perturb scheduling only — never results; determinism tests
-    /// run with and without them and diff the trajectories.
-    pub fn maybe_stall(&self, round: u64, shard: usize) {
-        if let Some(pause) = self.stall_for(round, shard) {
-            std::thread::sleep(pause);
-        }
-    }
-
     /// Flips one seed-chosen bit of `bytes` in place and returns the byte
     /// offset it flipped, or `None` when `bytes` is empty. Each `key`
     /// (e.g. a checkpoint slot index) picks an independent position.
@@ -186,11 +149,10 @@ mod tests {
 
     #[test]
     fn the_schedule_is_a_pure_function_of_the_seed() {
-        let a = FaultPlan::new(41).panic_rate(0.3).stalls(0.2, 50);
-        let b = FaultPlan::new(41).panic_rate(0.3).stalls(0.2, 50);
+        let a = FaultPlan::new(41).panic_rate(0.3);
+        let b = FaultPlan::new(41).panic_rate(0.3);
         for i in 0..200 {
             assert_eq!(a.job_is_faulty(i), b.job_is_faulty(i));
-            assert_eq!(a.stall_for(i as u64, i % 7), b.stall_for(i as u64, i % 7));
         }
         let mut x = vec![0u8; 64];
         let mut y = vec![0u8; 64];
@@ -258,14 +220,5 @@ mod tests {
         // And they spread: not every key lands on the same point.
         let first = plan.truncate_len(1000, 0);
         assert!((1..100).any(|k| plan.truncate_len(1000, k) != first));
-    }
-
-    #[test]
-    fn stalls_only_fire_when_configured() {
-        let off = FaultPlan::new(19);
-        assert_eq!(off.stall_for(0, 0), None);
-        let on = FaultPlan::new(19).stalls(1.0, 250);
-        assert_eq!(on.stall_for(0, 0), Some(Duration::from_micros(250)));
-        on.maybe_stall(0, 0);
     }
 }

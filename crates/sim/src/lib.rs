@@ -121,7 +121,7 @@ pub mod trace;
 pub use adversary::{Adversary, Alteration, NoOpAdversary, RoundContext};
 pub use agent::{Action, Observable, Observation, Protocol};
 pub use batch::{
-    BatchReport, BatchRunner, ForkBranch, JobFailure, JobOutcome, RetryPolicy, Scenario, ShardPanic,
+    BatchReport, BatchRunner, ForkBranch, JobFailure, JobOutcome, RetryPolicy, Scenario,
 };
 pub use columns::{ColumnarProtocol, ColumnarStep};
 pub use config::{SimConfig, SimConfigBuilder};

@@ -697,7 +697,7 @@ where
     /// [`Snapshot`] — the observer-side twin of
     /// [`Engine::snapshot`](crate::Engine::snapshot), which is what lets
     /// the [`Checkpoint`] combinator checkpoint a run from *inside* the
-    /// round loop. On the columnar path this materializes the agents
+    /// round loop. On the columnar path this stores the agents
     /// ([`EngineView::agents`]), so only snapshotted rounds cost a store.
     pub fn snapshot(&self) -> Snapshot {
         Snapshot::capture(

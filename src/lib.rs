@@ -167,9 +167,7 @@
 //!   have returned on attempt one: fault recovery never perturbs results.
 //!   Inside a round, a panicking worker shard cannot wedge the
 //!   `ShardPool` barrier — `dispatch` re-raises the panic only after every
-//!   shard has finished, and `try_dispatch` reports it as a
-//!   [`ShardPanic`](prelude::ShardPanic) error naming the shard, leaving
-//!   the pool usable.
+//!   shard has finished, leaving the pool usable.
 //! * **Snapshots are tamper-evident and torn-write-proof.** Since format
 //!   v2 a checksum over the entire payload is appended and verified at
 //!   decode before any field is parsed; format v3's four-lane word
@@ -191,9 +189,8 @@
 //!   is bit-identical to one that never crashed (the CI fault-injection
 //!   leg diffs the traces every push).
 //! * **Faults themselves are deterministic.** A
-//!   [`FaultPlan`](prelude::FaultPlan) schedules job panics, worker stalls
-//!   and snapshot corruption as a pure function of `(fault_seed, domain,
-//!   key)`, so every fault-tolerance property above is pinned by
+//!   [`FaultPlan`](prelude::FaultPlan) schedules job panics and snapshot
+//!   corruption as a pure function of `(fault_seed, domain, key)`, so every fault-tolerance property above is pinned by
 //!   reproducible proptests (`tests/fault_tolerance.rs`) rather than by
 //!   flaky chaos.
 //!
@@ -268,7 +265,7 @@ pub mod prelude {
         Action, Adversary, Alteration, BatchReport, BatchRunner, Checkpoint, Engine, FaultPlan,
         ForkBranch, HaltReason, JobFailure, JobOutcome, MatchingModel, MetricsRecorder, Observable,
         Observation, Observer, OnRound, Protocol, RecordStats, RecoveryScan, RetryPolicy,
-        RoundContext, RunOutcome, RunSpec, Scenario, ShardPanic, SimConfig, SimRng, Snapshot,
-        SnapshotError, SnapshotState, Stride, Tee, Threads, Trajectory, SNAPSHOT_FORMAT_VERSION,
+        RoundContext, RunOutcome, RunSpec, Scenario, SimConfig, SimRng, Snapshot, SnapshotError,
+        SnapshotState, Stride, Tee, Threads, Trajectory, SNAPSHOT_FORMAT_VERSION,
     };
 }

@@ -6,10 +6,10 @@
 //! properties drive every residency decision the engine makes: long
 //! resident stretches, recording from the columns' stats kernel, column
 //! reloads after adversarial churn, counted stores for recording and
-//! checkpointing observers, and snapshot/restore through the columnar
-//! path — comparing per-round
-//! reports, the **full agent state vector** (every field, every slot), the
-//! halt state, and the encoded snapshot bytes across random
+//! checkpointing observers, snapshot/restore through the columnar path,
+//! and reads after an observer's panic was caught mid-run — comparing
+//! per-round reports, the **full agent state vector** (every field, every
+//! slot), the halt state, and the encoded snapshot bytes across random
 //! `(seed, rounds, workers)`, plus one fixed run at the population where
 //! the keyed-permutation matching takes over. The golden fixtures pin the
 //! same trajectories against history; this suite pins the two live paths
@@ -383,4 +383,36 @@ fn checkpointing_stores_only_on_snapshot_rounds() {
     for slot in 0..2 {
         let _ = std::fs::remove_file(Checkpoint::slot_path(&base, slot));
     }
+}
+
+/// An observer's panic, caught mid-run, leaves the engine whole: the
+/// population is read from whichever form is current, so `agents()` and
+/// `snapshot()` see the rounds the columns ran, not the vector the run
+/// started from.
+#[test]
+fn engine_reads_the_current_population_after_a_caught_observer_panic() {
+    const N: u64 = 4096;
+    let mut panicked = clean_engine(N, 17);
+    assert!(panicked.columnar_enabled());
+    let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        panicked.run(
+            RunSpec::rounds(10),
+            &mut OnRound(|r: &RoundReport| assert_ne!(r.round, 3, "observer fails")),
+        )
+    }));
+    assert!(caught.is_err(), "the observer's panic was swallowed");
+
+    let mut straight = clean_engine(N, 17);
+    straight.run(RunSpec::rounds(4), &mut ());
+    assert_eq!(panicked.round(), 4);
+    assert_eq!(panicked.round(), straight.round());
+    assert_eq!(panicked.population(), straight.population());
+    assert!(
+        panicked.agents() == straight.agents(),
+        "agents() differs from the uninterrupted run's"
+    );
+    assert!(
+        panicked.snapshot().to_bytes() == straight.snapshot().to_bytes(),
+        "snapshot() differs from the uninterrupted run's"
+    );
 }
