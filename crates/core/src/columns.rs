@@ -2,10 +2,10 @@
 //!
 //! [`StabilityColumns`] is the [`ColumnarStep`] implementation installed
 //! into every engine running [`PopulationStability`] (via
-//! [`Protocol::columnar`](popstab_sim::Protocol::columnar)). It holds the
-//! population *resident* as compact columns — `round`/`to_recruit`/`lineage`
-//! vectors plus packed flag bitmasks — and advances them round after round
-//! without materializing `Vec<AgentState>`:
+//! [`Protocol::columnar`]). It holds the population *resident* as compact
+//! columns — `round`/`to_recruit`/`lineage` vectors plus packed flag
+//! bitmasks — and advances them round after round without materializing
+//! `Vec<AgentState>`:
 //!
 //! 1. **wire pass**: from the columns, compose every agent's three-bit
 //!    [`Wire`] (Algorithm 2) as *word algebra*, publishing it in one
@@ -19,8 +19,8 @@
 //!    words held in registers, then execute the round's transition as
 //!    bitwise algebra straight into the columns, batching coin draws with
 //!    [`biased_coin_x8`]. Blocks whose agents disagree on the round number
-//!    (possible only under adversarial insertion) fall back to an exact
-//!    per-lane transition.
+//!    (possible only under adversarial insertion) run
+//!    [`PopulationStability::step`] itself, lane by lane.
 //!
 //! The engine transposes `Vec<AgentState>` in ([`ColumnarStep::load`]) only
 //! when the vector was mutated behind the columns' back, and back out
@@ -36,14 +36,21 @@
 //! The agent stream (v3) is counter-addressable: agent `slot`'s draw `j`
 //! in a round is a pure finalizer of `(round_key, slot, j)`, independent
 //! of any other agent's draws, so *batching* evaluation cannot move any
-//! draw. The kernels consume exactly the draw positions `Protocol::step`
-//! consumes wherever a draw's outcome is observable: leader selection
-//! evaluates each lane's biased coin at the same word positions
-//! ([`biased_coin_x8`] is pinned lane-for-lane against
-//! [`toss_biased_coin`]), winners replay the scalar draw order (coin
-//! words, then color, then lineage) on their own slot stream, and the
+//! draw. The word kernels consume exactly the draw positions
+//! `Protocol::step` consumes wherever a draw's outcome is observable:
+//! leader selection evaluates each lane's biased coin at the same word
+//! positions ([`biased_coin_x8`] is pinned lane-for-lane against
+//! [`toss_biased_coin`](crate::coin::toss_biased_coin)), and the
 //! evaluation split coin is the same first-draws-of-slot-stream the scalar
-//! path uses. Split and death slots are emitted in ascending slot order,
+//! path uses. The rest is not a copy of the transition but the transition
+//! itself: leader winners and every lane of a mixed-round block run
+//! [`PopulationStability::step`] on their own slot stream, with the
+//! lane's [`AgentState`] read from the columns and the partner's message
+//! rebuilt by [`Message::from_wire`] from the gathered wire bits plus the
+//! latched lineage. That is exact because the step reads the message only
+//! through its wire, whose round trip is the identity, and reads the
+//! lineage only where the latch took it (matched, self inactive, partner
+//! recruiting). Split and death slots are emitted in ascending slot order,
 //! and [`ColumnarStep::apply`] mirrors the engine's vector semantics
 //! (append daughters in split order, then swap-remove deaths descending),
 //! so a [`ColumnarStep::store`] after any number of resident rounds
@@ -83,25 +90,15 @@ use std::sync::atomic::AtomicU64;
 use std::sync::atomic::Ordering::Relaxed;
 
 use popstab_sim::batch::ShardPool;
-use popstab_sim::columns::{tail_mask, word_shard_range, BitCol, ColumnarProtocol, ColumnarStep};
+use popstab_sim::columns::{tail_mask, word_shard_range, BitCol, ColumnarStep};
 use popstab_sim::matching::UNMATCHED;
 use popstab_sim::rng::{biased_coin_x8, slot_key_x8, slot_rng, LANES};
-use popstab_sim::{Action, RoundHistogram, RoundStats};
-use rand::Rng;
+use popstab_sim::{Action, Protocol, RoundHistogram, RoundStats};
 
-use crate::coin::toss_biased_coin;
-use crate::message::Wire;
+use crate::message::{Message, Wire};
 use crate::params::Params;
 use crate::protocol::PopulationStability;
 use crate::state::{AgentState, Color};
-
-impl ColumnarProtocol for PopulationStability {
-    type Columns = StabilityColumns;
-
-    fn columns(&self) -> StabilityColumns {
-        StabilityColumns::new(self.params().clone())
-    }
-}
 
 /// Per-shard split/death output lists, merged in shard (= slot) order.
 #[derive(Debug, Default)]
@@ -113,7 +110,9 @@ struct ShardOut {
 /// The struct-of-arrays store for [`PopulationStability`]: authoritative
 /// agent state as columns, resident across rounds inside the engine.
 pub struct StabilityColumns {
-    params: Params,
+    /// The protocol whose [`Protocol::step`] mixed-round blocks and leader
+    /// winners run lane by lane; it owns the [`Params`].
+    proto: PopulationStability,
     /// Live population; every column holds exactly this many lanes.
     len: usize,
     // Authoritative state columns (epoch_len is implicit; see module docs).
@@ -144,7 +143,7 @@ pub struct StabilityColumns {
 impl std::fmt::Debug for StabilityColumns {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("StabilityColumns")
-            .field("params", &self.params)
+            .field("params", self.proto.params())
             .field("len", &self.len)
             .finish_non_exhaustive()
     }
@@ -249,7 +248,7 @@ impl StabilityColumns {
     /// A store with empty columns; sized by [`ColumnarStep::load`].
     pub fn new(params: Params) -> StabilityColumns {
         StabilityColumns {
-            params,
+            proto: PopulationStability::new(params),
             len: 0,
             round: Vec::new(),
             to_recruit: Vec::new(),
@@ -344,7 +343,7 @@ impl StabilityColumns {
     fn load_pooled(&mut self, agents: &[AgentState], pool: &ShardPool) {
         let n = agents.len();
         self.resize(n);
-        let (shards, t) = (pool.shards(), self.params.epoch_len());
+        let (shards, t) = (pool.shards(), self.proto.params().epoch_len());
         let bits = [
             &mut self.active,
             &mut self.recruiting,
@@ -378,7 +377,7 @@ impl StabilityColumns {
         deaths: &mut Vec<usize>,
     ) {
         let StabilityColumns {
-            params,
+            proto,
             len: n,
             round,
             to_recruit,
@@ -401,7 +400,7 @@ impl StabilityColumns {
         if shard_hazards.len() < shards {
             shard_hazards.resize_with(shards, Vec::new);
         }
-        let params: &Params = params;
+        let proto: &PopulationStability = proto;
         let lineage: &[AtomicU64] = lineage;
 
         // Pass 1: wire, each shard reading its own agents' state and writing
@@ -432,7 +431,7 @@ impl StabilityColumns {
             let (wlo, whi, lo, hi) = ranges(n, shards, s);
             hz.clear();
             wire_range(
-                params,
+                proto,
                 lo,
                 &rnd[lo..hi],
                 &lineage[lo..hi],
@@ -468,7 +467,7 @@ impl StabilityColumns {
             out.splits.clear();
             out.deaths.clear();
             step_range(
-                params,
+                proto,
                 round_key,
                 lo,
                 &partners[lo..hi],
@@ -532,7 +531,7 @@ impl ColumnarStep<AgentState> for StabilityColumns {
     }
 
     fn store(&self, agents: &mut Vec<AgentState>) {
-        let t = self.params.epoch_len();
+        let t = self.proto.params().epoch_len();
         agents.clear();
         agents.reserve(self.len);
         let aw = self.active.words();
@@ -596,7 +595,7 @@ impl ColumnarStep<AgentState> for StabilityColumns {
             }
         }
         stats.color0 = stats.active - stats.color1;
-        stats.in_eval = rounds.count(self.params.eval_round());
+        stats.in_eval = rounds.count(self.proto.params().eval_round());
         stats.tally_rounds(&rounds);
         Some(stats)
     }
@@ -667,7 +666,7 @@ fn load_range(t: u32, agents: &[AgentState], st: &mut StateRange<'_>, lineage: &
 /// the range's own `64 * words`-byte window.
 #[allow(clippy::too_many_arguments)]
 fn wire_range(
-    params: &Params,
+    proto: &PopulationStability,
     base: usize,
     round: &[u32],
     lineage: &[AtomicU64],
@@ -679,6 +678,7 @@ fn wire_range(
     block_uniform: &mut [bool],
     hazards: &mut Vec<(u32, u64)>,
 ) {
+    let params = proto.params();
     let t = params.epoch_len();
     let (eval, len) = (params.eval_round(), round.len());
     for w in 0..len.div_ceil(64) {
@@ -729,20 +729,14 @@ fn wire_range(
             wire8[w * 64 + sh..w * 64 + sh + 8].copy_from_slice(&v.to_le_bytes());
         }
         debug_assert!((0..lanes).all(|l| {
-            let r = rounds[l];
-            let rn = if r < t { r } else { r % t };
-            let in_eval = rn == eval;
-            let (a, rq, c) = (wa >> l & 1 != 0, wr >> l & 1 != 0, wc >> l & 1 != 0);
-            let (xb, yb) = if in_eval {
-                (a, c)
-            } else if rq {
-                (true, c)
-            } else {
-                (false, a)
+            let lane = AgentState {
+                active: wa >> l & 1 != 0,
+                color: Color::from_bit((wc >> l) as u8),
+                recruiting: wr >> l & 1 != 0,
+                ..AgentState::desynced(params, rounds[l])
             };
             let got = (yw >> l & 1) as u8 | ((xw >> l & 1) as u8) << 1 | ((ew >> l & 1) as u8) << 2;
-            got == Wire::from_bits(in_eval, xb, yb).bits()
-                && wire8[w * 64 + l] == got | WIRE8_PRESENT
+            got == proto.message(&lane).to_wire().bits() && wire8[w * 64 + l] == got | WIRE8_PRESENT
         }));
         // Latch-hazard lanes (module docs): advertising `recruiting` on the
         // wire while this round may overwrite their own lineage.
@@ -782,7 +776,7 @@ fn latched_lineage(lineage: &[AtomicU64], hazards: &[(u32, u64)], p: usize) -> u
 /// in ascending order.
 #[allow(clippy::too_many_arguments)]
 fn step_range(
-    params: &Params,
+    proto: &PopulationStability,
     round_key: u64,
     base: usize,
     partners: &[u32],
@@ -795,6 +789,7 @@ fn step_range(
     splits: &mut Vec<usize>,
     deaths: &mut Vec<usize>,
 ) {
+    let params = proto.params();
     let (eval, len) = (params.eval_round(), partners.len());
     for w in 0..len.div_ceil(64) {
         let lanes = (len - w * 64).min(64);
@@ -847,46 +842,80 @@ fn step_range(
         if block_uniform[w] {
             let rn = block_round[w];
             if rn == 0 {
-                leader_block(params, round_key, &blk, st, w, lin, deaths);
+                leader_block(proto, round_key, &blk, st, w, lin, deaths);
             } else if rn == eval {
                 eval_block(params, round_key, rn, &blk, st, w, lin, splits, deaths);
             } else {
                 recruit_block(params, rn, &blk, st, w, lin, &plin, deaths);
             }
         } else {
-            let mut wa = st.active[w];
-            let mut wr = st.recruiting[w];
-            let mut wc = st.color[w];
-            let mut il = st.is_leader[w];
+            // Lanes disagree on the round (adversarial desync): run the
+            // protocol's own transition lane by lane, in slot order.
             for (l, &partner) in plin.iter().enumerate().take(lanes) {
-                step_lane(
-                    params,
-                    round_key,
-                    &blk,
-                    l,
-                    partner,
-                    &mut wa,
-                    &mut wr,
-                    &mut wc,
-                    &mut il,
-                    &mut st.round[w * 64 + l],
-                    &mut st.to_recruit[w * 64 + l],
-                    lin,
-                    splits,
-                    deaths,
-                );
+                match scalar_step(proto, round_key, &blk, l, partner, st, w, lin) {
+                    Action::Split => splits.push(blk.slot0 + l),
+                    Action::Die => deaths.push(blk.slot0 + l),
+                    Action::Continue | Action::KillPartner => {}
+                }
             }
-            st.active[w] = wa;
-            st.recruiting[w] = wr;
-            st.color[w] = wc;
-            st.is_leader[w] = il;
         }
     }
 }
 
+/// Steps lane `l` of block `w` through [`Protocol::step`] itself: builds
+/// the lane's [`AgentState`] from the columns and its partner's [`Message`]
+/// from the gathered wire bits and `plin` (the latched partner lineage,
+/// valid wherever the recruitment rule reads it), draws from the lane's
+/// own slot stream, and writes the state back. The lineage element is
+/// written only if the step changed it, so every overwritten element
+/// belongs to a hazard-listed lane (module docs).
+#[allow(clippy::too_many_arguments)]
+fn scalar_step(
+    proto: &PopulationStability,
+    round_key: u64,
+    blk: &Block,
+    l: usize,
+    plin: u64,
+    st: &mut StateRange<'_>,
+    w: usize,
+    lin: &[AtomicU64],
+) -> Action {
+    let (i, slot, bit) = (w * 64 + l, blk.slot0 + l, 1u64 << l);
+    let has = |word: u64| word & bit != 0;
+    let lineage = lin[slot].load(Relaxed);
+    let mut s = AgentState {
+        round: st.round[i],
+        active: has(st.active[w]),
+        color: Color::from_bit((st.color[w] >> l) as u8),
+        recruiting: has(st.recruiting[w]),
+        to_recruit: st.to_recruit[i],
+        is_leader: has(st.is_leader[w]),
+        lineage,
+        epoch_len: proto.params().epoch_len(),
+    };
+    let incoming = has(blk.mm)
+        .then(|| Message::from_wire(Wire::from_bits(has(blk.me), has(blk.mx), has(blk.my)), plin));
+    let mut rng = slot_rng(round_key, slot as u64);
+    let action = proto.step(&mut s, incoming.as_ref(), &mut rng);
+    st.round[i] = s.round;
+    st.to_recruit[i] = s.to_recruit;
+    for (word, set) in [
+        (&mut st.active[w], s.active),
+        (&mut st.recruiting[w], s.recruiting),
+        (&mut st.color[w], s.color == Color::One),
+        (&mut st.is_leader[w], s.is_leader),
+    ] {
+        *word = *word & !bit | u64::from(set) << l;
+    }
+    if s.lineage != lineage {
+        lin[slot].store(s.lineage, Relaxed);
+    }
+    action
+}
+
 /// Round 0 (Algorithm 3, `DetermineIfLeader`) over one uniform block.
 fn leader_block(
-    params: &Params,
+    proto: &PopulationStability,
     round_key: u64,
     blk: &Block,
     st: &mut StateRange<'_>,
@@ -898,45 +927,34 @@ fn leader_block(
     // before anything else; dead lanes keep their state (round stays 0).
     let die = blk.mm & blk.me;
     let live = !die & blk.tail;
-    let exp = params.leader_bias_exp();
+    let exp = proto.params().leader_bias_exp();
     let mut win = 0u64;
     for g in 0..blk.lanes.div_ceil(LANES) {
         let keys = slot_key_x8(round_key, (blk.slot0 + g * LANES) as u64);
         win |= u64::from(biased_coin_x8(exp, &keys)) << (g * LANES);
     }
     win &= live;
+    // Winners are ~2^-exp rare: each runs `Protocol::step` on its own slot
+    // stream, which draws the coin words, color and lineage. Round 0 never
+    // reads a partner's lineage, so none is latched.
+    let mut bits = win;
+    while bits != 0 {
+        let l = bits.trailing_zeros() as usize;
+        bits &= bits - 1;
+        scalar_step(proto, round_key, blk, l, 0, st, w, lin);
+        debug_assert!(
+            st.active[w] >> l & 1 != 0,
+            "x8 winner must replay as a scalar winner"
+        );
+    }
     let rounds = &mut st.round[w * 64..w * 64 + blk.lanes];
     for (l, r) in rounds.iter_mut().enumerate() {
         *r = (live >> l & 1) as u32;
     }
     // Losers: `active` is *assigned* false (Algorithm 3 overwrites whatever
-    // an adversarially inserted agent claimed); winners set the flag, dead
-    // lanes keep theirs.
-    st.active[w] = (st.active[w] & die) | win;
-    st.recruiting[w] |= win;
-    st.is_leader[w] |= win;
-    // Winners are ~2^-exp rare: replay the scalar draw order (coin words,
-    // color, lineage) on each winner's own slot stream.
-    let mut wc = st.color[w];
-    let mut bits = win;
-    while bits != 0 {
-        let l = bits.trailing_zeros() as usize;
-        bits &= bits - 1;
-        let slot = blk.slot0 + l;
-        let mut rng = slot_rng(round_key, slot as u64);
-        let won = toss_biased_coin(exp, &mut rng);
-        debug_assert!(won, "x8 winner must replay as a scalar winner");
-        if rng.random::<bool>() {
-            wc |= 1u64 << l;
-        } else {
-            wc &= !(1u64 << l);
-        }
-        st.to_recruit[w * 64 + l] = params.subphases();
-        // A winner's own lineage element; if any partner could latch it,
-        // the lane is hazard-listed and readers use the list.
-        lin[slot].store(rng.random::<u64>() | 1, Relaxed);
-    }
-    st.color[w] = wc;
+    // an adversarially inserted agent claimed); winners and dead lanes keep
+    // theirs.
+    st.active[w] &= die | win;
     let mut bits = die;
     while bits != 0 {
         let l = bits.trailing_zeros() as usize;
@@ -1086,116 +1104,6 @@ fn eval_block(
             deaths.push(blk.slot0 + l);
         } else {
             splits.push(blk.slot0 + l);
-        }
-    }
-}
-
-/// Exact per-lane transition for blocks with mixed round numbers
-/// (adversarial desync): a transcription of `PopulationStability::step`
-/// against the gathered wire bits, draw-for-draw, writing the columns.
-/// `plin` is the lane's latched partner lineage (valid wherever the
-/// recruitment rule reads it); `wa`/`wr`/`wc`/`il` are the block's flag
-/// words, register-resident across the caller's lane loop.
-#[allow(clippy::too_many_arguments)]
-fn step_lane(
-    params: &Params,
-    round_key: u64,
-    blk: &Block,
-    l: usize,
-    plin: u64,
-    wa: &mut u64,
-    wr: &mut u64,
-    wc: &mut u64,
-    il: &mut u64,
-    round: &mut u32,
-    to_recruit: &mut u32,
-    lin: &[AtomicU64],
-    splits: &mut Vec<usize>,
-    deaths: &mut Vec<usize>,
-) {
-    let slot = blk.slot0 + l;
-    let bit = 1u64 << l;
-    let t = params.epoch_len();
-    let mut r = *round;
-    if r >= t {
-        r %= t;
-    }
-    let in_eval = r == params.eval_round();
-    let matched = blk.mm & bit != 0;
-    if matched && (blk.me & bit != 0) != in_eval {
-        *round = r;
-        deaths.push(slot);
-        return;
-    }
-    if r == 0 {
-        let mut rng = slot_rng(round_key, slot as u64);
-        if toss_biased_coin(params.leader_bias_exp(), &mut rng) {
-            *wa |= bit;
-            if rng.random::<bool>() {
-                *wc |= bit;
-            } else {
-                *wc &= !bit;
-            }
-            *wr |= bit;
-            *to_recruit = params.subphases();
-            *il |= bit;
-            // Own lineage element; hazard-listed if latchable.
-            lin[slot].store(rng.random::<u64>() | 1, Relaxed);
-        } else {
-            *wa &= !bit;
-        }
-        *round = 1;
-    } else if !in_eval {
-        if matched {
-            let px = blk.mx & bit != 0;
-            let py = blk.my & bit != 0;
-            // Partner passed consistency, so it is not in eval: decode
-            // active as `x || y`, recruiting as `x`.
-            let p_active = px || py;
-            if *wr & bit != 0 && !p_active {
-                *wr &= !bit;
-                *to_recruit = to_recruit.saturating_sub(1);
-            } else if *wa & bit == 0 && px {
-                *wa |= bit;
-                if py {
-                    *wc |= bit;
-                } else {
-                    *wc &= !bit;
-                }
-                *wr &= !bit;
-                *to_recruit = params.to_recruit_at(r);
-                // Own lineage element; hazard-listed if latchable.
-                lin[slot].store(plin, Relaxed);
-            }
-        }
-        if params.is_subphase_boundary(r) && *wa & bit != 0 {
-            *wr |= bit;
-        }
-        *round = r + 1;
-    } else {
-        let mut action = Action::Continue;
-        if *wa & bit != 0 && matched && blk.mx & bit != 0 {
-            if (blk.my & bit != 0) == (*wc & bit != 0) {
-                let mut rng = slot_rng(round_key, slot as u64);
-                if !toss_biased_coin(params.split_bias_exp(), &mut rng) {
-                    action = Action::Split;
-                }
-            } else {
-                action = Action::Die;
-            }
-        }
-        *round = 0;
-        *wa &= !bit;
-        *wr &= !bit;
-        *wc &= !bit;
-        *il &= !bit;
-        *to_recruit = 0;
-        // Own lineage element; eval lanes are never latched.
-        lin[slot].store(0, Relaxed);
-        match action {
-            Action::Split => splits.push(slot),
-            Action::Die => deaths.push(slot),
-            Action::Continue | Action::KillPartner => {}
         }
     }
 }

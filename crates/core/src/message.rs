@@ -48,6 +48,21 @@ impl Message {
         }
     }
 
+    /// The message a receiver reconstructs from a [`Wire`]: every field the
+    /// wire carries, the implied ones filled in, and `lineage` alongside.
+    /// Fields off the wire (the color of an idle sender, `recruiting` in
+    /// evaluation) read as zero, so `Message::from_wire(w, _).to_wire() == w`
+    /// for every wire.
+    pub fn from_wire(wire: Wire, lineage: u64) -> Message {
+        Message {
+            in_eval_phase: wire.in_eval_phase(),
+            active: wire.active(),
+            color: wire.color().unwrap_or(Color::Zero),
+            recruiting: wire.recruiting(),
+            lineage,
+        }
+    }
+
     /// Encodes onto the three-bit wire, dropping exactly the fields the
     /// receiver never needs.
     pub fn to_wire(&self) -> Wire {
@@ -204,6 +219,16 @@ mod tests {
             let _ = w.active();
             let _ = w.recruiting();
             let _ = w.color();
+        }
+    }
+
+    #[test]
+    fn from_wire_round_trips_every_wire() {
+        for bits in 0..8u8 {
+            let w = Wire(bits);
+            let m = Message::from_wire(w, 42);
+            assert_eq!(m.to_wire(), w, "wire {bits:03b}");
+            assert_eq!(m.lineage, 42);
         }
     }
 

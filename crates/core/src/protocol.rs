@@ -27,6 +27,7 @@ use popstab_sim::{Action, Protocol, SimRng};
 use rand::Rng;
 
 use crate::coin::toss_biased_coin;
+use crate::columns::StabilityColumns;
 use crate::message::Message;
 use crate::params::Params;
 use crate::state::{AgentState, Color};
@@ -145,7 +146,7 @@ impl Protocol for PopulationStability {
     }
 
     fn columnar(&self) -> Option<Box<dyn popstab_sim::ColumnarStep<AgentState>>> {
-        popstab_sim::columns::columnar_box(self)
+        Some(Box::new(StabilityColumns::new(self.params.clone())))
     }
 
     fn message(&self, state: &AgentState) -> Message {

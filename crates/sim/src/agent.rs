@@ -72,10 +72,12 @@ pub trait Protocol {
         rng: &mut SimRng,
     ) -> Action;
 
-    /// The protocol's columnar step-phase executor, if it opts in to
-    /// struct-of-arrays execution (see
-    /// [`ColumnarProtocol`](crate::columns::ColumnarProtocol)). The default
-    /// is `None`: the engine runs the scalar [`step`](Protocol::step) loop.
+    /// The protocol's columnar step-phase executor, a fresh
+    /// [`ColumnarStep`](crate::columns::ColumnarStep) with empty buffers, if
+    /// it opts in to struct-of-arrays execution (see [`crate::columns`]).
+    /// Returning `Some` switches every engine running the protocol onto the
+    /// columnar path. The default is `None`: the engine runs the scalar
+    /// [`step`](Protocol::step) loop.
     /// Implementations returning `Some` must produce bit-identical results
     /// on either path — the columnar stepper is an evaluation-batching
     /// change, never a semantic one.

@@ -2,12 +2,13 @@
 //!
 //! The scalar step phase walks `Vec<P::State>` one agent at a time:
 //! compose the partner's message, key a [`slot_rng`](crate::rng::slot_rng),
-//! call [`Protocol::step`]. That layout streams the whole agent vector
+//! call [`Protocol::step`](crate::Protocol::step). That layout streams the whole agent vector
 //! through the cache every round and re-derives per-agent control flow
 //! that is identical across almost every agent. A protocol can opt in to
-//! a columnar twin of its step function via [`ColumnarProtocol`]: agent
-//! state lives transposed in contiguous columns (`Vec<u32>`/`Vec<u64>`
-//! words, packed [`BitCol`] bitmasks) and the round's transition runs as
+//! a columnar twin of its step function by returning a [`ColumnarStep`]
+//! from [`Protocol::columnar`](crate::Protocol::columnar): agent state
+//! lives transposed in contiguous columns (`Vec<u32>`/`Vec<u64>` words,
+//! packed [`BitCol`] bitmasks) and the round's transition runs as
 //! word-at-a-time kernels over 64-agent blocks, batching coin draws with
 //! the `_x8` kernels in [`rng`](crate::rng).
 //!
@@ -61,7 +62,6 @@
 use std::cell::{Cell, OnceCell};
 use std::fmt;
 
-use crate::agent::Protocol;
 use crate::batch::ShardPool;
 use crate::metrics::RoundStats;
 
@@ -150,32 +150,6 @@ pub trait ColumnarStep<S>: fmt::Debug + Send {
     fn mem_bytes(&self) -> usize {
         0
     }
-}
-
-/// Opt-in trait for protocols with a columnar step-phase twin.
-///
-/// Implementing this (plus overriding [`Protocol::columnar`] to call
-/// [`columnar_box`]) switches every engine running the protocol onto the
-/// columnar path; nothing else about the protocol, the observer surface,
-/// or the snapshot format changes.
-pub trait ColumnarProtocol: Protocol {
-    /// The stepper type carrying this protocol's column buffers.
-    type Columns: ColumnarStep<Self::State> + 'static;
-
-    /// Builds a fresh stepper (empty buffers; sized lazily per round).
-    fn columns(&self) -> Self::Columns;
-}
-
-/// Boxes a [`ColumnarProtocol`]'s stepper for [`Protocol::columnar`] — the
-/// one-line body of the override:
-///
-/// ```ignore
-/// fn columnar(&self) -> Option<Box<dyn ColumnarStep<Self::State>>> {
-///     popstab_sim::columns::columnar_box(self)
-/// }
-/// ```
-pub fn columnar_box<P: ColumnarProtocol>(protocol: &P) -> Option<Box<dyn ColumnarStep<P::State>>> {
-    Some(Box::new(protocol.columns()))
 }
 
 /// The population in its two forms — the agent vector and, when the

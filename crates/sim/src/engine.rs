@@ -42,6 +42,8 @@
 //! [`Threads::Sharded`]: crate::Threads::Sharded
 //! [`Threads::Serial`]: crate::Threads::Serial
 
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+
 use crate::adversary::{Adversary, Alteration, NoOpAdversary, RoundContext};
 use crate::agent::{Action, Protocol};
 use crate::batch::{shard_chunks, shard_range, ShardPool};
@@ -494,11 +496,15 @@ where
         // The scalar step phase's work lists of shards `1..` (shard 0
         // writes straight into the round scratch).
         let mut lists: Vec<StepShard> = (1..shards).map(|_| StepShard::default()).collect();
-        let outcome = ShardPool::with(shards, |pool| {
-            self.drive(spec, obs, &mut scratch, &mut lists, pool)
-        });
+        // The scratch goes back even when the run unwinds (an observer's
+        // panic a caller catches), so the next run reuses its buffers.
+        let outcome = catch_unwind(AssertUnwindSafe(|| {
+            ShardPool::with(shards, |pool| {
+                self.drive(spec, obs, &mut scratch, &mut lists, pool)
+            })
+        }));
         self.scratch = scratch;
-        outcome
+        outcome.unwrap_or_else(|payload| resume_unwind(payload))
     }
 
     /// The run loop: executes rounds on `pool` until the spec is exhausted,

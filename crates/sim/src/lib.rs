@@ -123,7 +123,7 @@ pub use agent::{Action, Observable, Observation, Protocol};
 pub use batch::{
     BatchReport, BatchRunner, ForkBranch, JobFailure, JobOutcome, RetryPolicy, Scenario,
 };
-pub use columns::{ColumnarProtocol, ColumnarStep};
+pub use columns::ColumnarStep;
 pub use config::{SimConfig, SimConfigBuilder};
 pub use driver::{
     EngineView, Observer, OnRound, RecordStats, RunOutcome, RunSpec, Stop, Stride, Tee, Threads,

@@ -1,4 +1,4 @@
-//! Exact checkpoint/restore of engine state (ROADMAP open item 3).
+//! Exact checkpoint/restore of engine state.
 //!
 //! Because every random quantity in the engine is *counter-addressable* —
 //! agent draws are keyed on `(seed, round, slot)` (agent stream

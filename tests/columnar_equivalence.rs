@@ -22,7 +22,7 @@ use std::sync::Arc;
 
 use proptest::prelude::*;
 
-use population_stability::adversary::{DesyncInserter, Trauma, TraumaKind};
+use population_stability::adversary::{Churn, DesyncInserter, Trauma, TraumaKind};
 use population_stability::core::columns::StabilityColumns;
 use population_stability::core::message::Message;
 use population_stability::core::state::AgentState;
@@ -30,8 +30,8 @@ use population_stability::prelude::*;
 use population_stability::sim::batch::ShardPool;
 use population_stability::sim::matching::KEYED_PERMUTATION_MIN_POPULATION;
 use population_stability::sim::{
-    Action, Checkpoint, ColumnarProtocol, ColumnarStep, MetricsRecorder, NoOpAdversary, OnRound,
-    Protocol, RecordStats, RoundReport, RoundStats, RunSpec, SimRng, Tee, Threads,
+    Action, Checkpoint, ColumnarStep, MetricsRecorder, NoOpAdversary, OnRound, Protocol,
+    RecordStats, RoundReport, RoundStats, RunSpec, SimRng, Tee, Threads,
 };
 
 const TARGET: u64 = 1024;
@@ -46,17 +46,33 @@ fn clean_engine(target: u64, seed: u64) -> Engine<PopulationStability> {
     Engine::with_population(PopulationStability::new(params), cfg, target as usize)
 }
 
-fn trauma_engine(seed: u64) -> Engine<PopulationStability, Trauma> {
+/// An unbudgeted engine under the adversary `make` builds from the params.
+fn adversarial_engine<A: Adversary<AgentState>>(
+    seed: u64,
+    make: impl Fn(Params) -> A,
+) -> Engine<PopulationStability, A> {
     let params = Params::for_target(TARGET).unwrap();
-    let epoch = u64::from(params.epoch_len());
-    let adv = Trauma::new(params.clone(), TraumaKind::Injury, 0.4, epoch / 3);
     let cfg = SimConfig::builder()
         .seed(seed)
         .target(TARGET)
         .adversary_budget(usize::MAX)
         .build()
         .unwrap();
+    let adv = make(params.clone());
     Engine::with_adversary(PopulationStability::new(params), adv, cfg, TARGET as usize)
+}
+
+/// Injury trauma every third of an epoch: bulk deletes.
+fn trauma_engine(seed: u64) -> Engine<PopulationStability, Trauma> {
+    adversarial_engine(seed, |params| {
+        let epoch = u64::from(params.epoch_len());
+        Trauma::new(params, TraumaKind::Injury, 0.4, epoch / 3)
+    })
+}
+
+/// Churn: four deletes and four blank inserts every round.
+fn churn_engine(seed: u64) -> Engine<PopulationStability, Churn> {
+    adversarial_engine(seed, |params| Churn::new(params, 8))
 }
 
 /// Runs `rounds` rounds and fingerprints everything observable afterwards:
@@ -80,6 +96,22 @@ where
     );
     let bytes = engine.snapshot().to_bytes();
     (trace, engine.agents().to_vec(), engine.round(), bytes)
+}
+
+/// Fingerprints the engine `make` builds after `rounds` rounds on the
+/// scalar and on the columnar path and asserts the two agree.
+fn assert_paths_agree<A: Adversary<AgentState>>(
+    what: &str,
+    make: impl Fn() -> Engine<PopulationStability, A>,
+    rounds: u64,
+    threads: Threads,
+) {
+    let scalar = fingerprint(make(), false, rounds, threads);
+    let columnar = fingerprint(make(), true, rounds, threads);
+    assert_eq!(scalar.0, columnar.0, "{what}: report traces diverged");
+    assert_eq!(scalar.1, columnar.1, "{what}: agent vectors diverged");
+    assert_eq!(scalar.2, columnar.2, "{what}: rounds diverged");
+    assert_eq!(scalar.3, columnar.3, "{what}: snapshot bytes diverged");
 }
 
 proptest! {
@@ -107,6 +139,8 @@ proptest! {
     /// Adversarial runs: every round materializes the vector for the
     /// adversary and reloads the columns after its alterations, so the
     /// load/store transposes round-trip mid-run, not just at the edges.
+    /// Trauma deletes in bulk on some rounds; churn deletes and inserts on
+    /// every round.
     #[test]
     fn columnar_adversarial_runs_bit_identical_to_scalar(
         seed in 0u64..1000,
@@ -114,12 +148,8 @@ proptest! {
         workers in 2usize..5,
     ) {
         for threads in [Threads::Serial, Threads::Sharded(workers)] {
-            let scalar = fingerprint(trauma_engine(seed), false, rounds, threads);
-            let columnar = fingerprint(trauma_engine(seed), true, rounds, threads);
-            prop_assert_eq!(&scalar.0, &columnar.0, "report traces diverged");
-            prop_assert_eq!(&scalar.1, &columnar.1, "agent vectors diverged");
-            prop_assert_eq!(scalar.2, columnar.2);
-            prop_assert_eq!(&scalar.3, &columnar.3, "snapshot bytes diverged");
+            assert_paths_agree("trauma", || trauma_engine(seed), rounds, threads);
+            assert_paths_agree("churn", || churn_engine(seed), rounds, threads);
         }
     }
 }
@@ -279,7 +309,7 @@ impl Protocol for Counted {
 
     fn columnar(&self) -> Option<Box<dyn ColumnarStep<AgentState>>> {
         Some(Box::new(Counting {
-            inner: self.inner.columns(),
+            inner: StabilityColumns::new(self.inner.params().clone()),
             stores: Arc::clone(&self.stores),
             forward_stats: self.forward_stats,
         }))
@@ -388,12 +418,14 @@ fn checkpointing_stores_only_on_snapshot_rounds() {
 /// An observer's panic, caught mid-run, leaves the engine whole: the
 /// population is read from whichever form is current, so `agents()` and
 /// `snapshot()` see the rounds the columns ran, not the vector the run
-/// started from.
+/// started from, and the round scratch survives for the next run.
 #[test]
 fn engine_reads_the_current_population_after_a_caught_observer_panic() {
     const N: u64 = 4096;
     let mut panicked = clean_engine(N, 17);
     assert!(panicked.columnar_enabled());
+    panicked.run(RunSpec::rounds(3), &mut ());
+    let before = panicked.approx_mem_bytes();
     let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
         panicked.run(
             RunSpec::rounds(10),
@@ -401,6 +433,11 @@ fn engine_reads_the_current_population_after_a_caught_observer_panic() {
         )
     }));
     assert!(caught.is_err(), "the observer's panic was swallowed");
+    assert_eq!(
+        panicked.approx_mem_bytes(),
+        before,
+        "the unwinding run dropped the round scratch"
+    );
 
     let mut straight = clean_engine(N, 17);
     straight.run(RunSpec::rounds(4), &mut ());
