@@ -213,7 +213,7 @@
 //! workspace source file into code/comment channels, parses the code
 //! channel into items (`fn`s, `use`/`type` aliases), links an approximate
 //! workspace-wide call graph filtered by the manifests' dependency
-//! closure, and checks eight rules over it. The table below is generated
+//! closure, and checks seven rules over it. The table below is generated
 //! from the rule registry (`cargo run -p popstab-lint -- --rules-md`) and
 //! a docs-drift test asserts this copy matches it:
 //!
@@ -226,24 +226,11 @@
 //! | `simd-scalar-twin` | lane-batched `_x8` kernels without a same-file scalar twin and lane-for-lane equivalence test |
 //! | `stream-version-coherence` | partial stream bumps — version constants, golden-fixture tables, and `BENCH_engine.json` disagreeing |
 //! | `workspace-manifest-invariants` | workspace crates missing the per-package dev/test `opt-level` overrides that keep `cargo test` fast |
-//! | `unused-allow` | `lint:allow` escapes that no longer suppress any finding (stale exceptions rot into holes) |
 //!
-//! A finding is suppressed with a justified escape on, or in the comment
-//! block directly above, the offending line:
-//!
-//! ```text
-//! // lint:allow(float-order-determinism): two fixed operands, so the
-//! // summation order cannot vary between runs.
-//! let total = [a, b].iter().sum::<f64>();
-//! ```
-//!
-//! (`lint:allow-file(<rule>): <justification>` within the first 20 lines
-//! suppresses a rule for a whole file.) The justification is mandatory and
-//! must be at least 15 characters — an argument, not a rubber stamp;
-//! unjustified, unknown-rule, or no-longer-needed escapes are themselves
-//! findings. CI consumes the machine-readable report
+//! There is no escape comment: a finding is fixed in the code, or — if the
+//! rule is wrong — in the rule. CI consumes the machine-readable report
 //! (`popstab-lint --format json`, schema asserted like
-//! `BENCH_engine.json`); `--format github` emits inline PR annotations.
+//! `BENCH_engine.json`).
 
 pub use popstab_adversary as adversary;
 pub use popstab_analysis as analysis;

@@ -13,9 +13,8 @@
 //! The graph over-approximates (method calls edge to every same-named fn,
 //! trait calls edge to every impl) and that is the right direction for the
 //! rules built on it: taint reachability may report a chain that the types
-//! would rule out, and the escape protocol absorbs it with a recorded
-//! justification; it will not *miss* a chain because a helper was called
-//! through a trait object.
+//! would rule out, which is then fixed in the code or the rule; it will not
+//! *miss* a chain because a helper was called through a trait object.
 
 use std::collections::{BTreeMap, BTreeSet};
 

@@ -5,8 +5,8 @@
 //! make token scanning sound: string/char-literal contents must never look
 //! like code (a `"HashMap"` literal is not a `HashMap` use) and comment text
 //! must never look like code either — while staying available separately,
-//! because two of the conventions the lint enforces (`// SAFETY:` and
-//! `// lint:allow(...)`) live *in* comments.
+//! because the `// SAFETY:` convention the lint enforces lives *in*
+//! comments.
 //!
 //! Handled: line comments (`//`, `///`, `//!`), nested block comments,
 //! string literals with escapes, raw strings with any `#` count (`r"…"`,

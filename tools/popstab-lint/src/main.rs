@@ -1,9 +1,9 @@
 //! CLI entry point: lints the enclosing workspace and exits non-zero on
 //! findings. See the crate docs (`cargo doc -p popstab-lint`) for the rule
-//! catalogue and the `lint:allow` escape syntax.
+//! catalogue.
 //!
 //! ```text
-//! popstab-lint [--format text|json|github] [--rules-md]
+//! popstab-lint [--format text|json] [--rules-md]
 //! ```
 //!
 //! `--rules-md` prints the rule table as markdown (the source of truth for
@@ -25,7 +25,7 @@ fn main() -> ExitCode {
         }
         Err(e) => {
             eprintln!("popstab-lint: {e}");
-            eprintln!("usage: popstab-lint [--format text|json|github] [--rules-md]");
+            eprintln!("usage: popstab-lint [--format text|json] [--rules-md]");
             return ExitCode::FAILURE;
         }
     };
@@ -72,7 +72,7 @@ fn parse_args() -> Result<Option<Format>, String> {
             "--format" => {
                 let value = args.next().ok_or("--format needs a value")?;
                 format = Format::parse(&value)
-                    .ok_or_else(|| format!("unknown format `{value}` (text|json|github)"))?;
+                    .ok_or_else(|| format!("unknown format `{value}` (text|json)"))?;
             }
             other => return Err(format!("unknown argument `{other}`")),
         }

@@ -5,8 +5,6 @@
 //! single JSON object with a versioned schema that CI asserts against
 //! (the same pattern as `BENCH_engine.json`): a schema bump is a
 //! deliberate, reviewed event, not a side effect of a refactor.
-//! `--format github` emits GitHub Actions workflow commands, so findings
-//! surface as inline annotations on the PR diff.
 //!
 //! The JSON is hand-serialized — this crate is deliberately
 //! zero-dependency — which is safe because the value space is small:
@@ -24,8 +22,6 @@ pub enum Format {
     Text,
     /// A single versioned JSON report object.
     Json,
-    /// GitHub Actions `::error` workflow commands.
-    Github,
 }
 
 impl Format {
@@ -34,7 +30,6 @@ impl Format {
         match s {
             "text" => Some(Format::Text),
             "json" => Some(Format::Json),
-            "github" => Some(Format::Github),
             _ => None,
         }
     }
@@ -60,21 +55,6 @@ pub fn render(
             s
         }
         Format::Json => render_json(findings, files_scanned, rules),
-        Format::Github => {
-            let mut s = String::new();
-            for d in findings {
-                // %0A is the workflow-command escape for a newline.
-                let message = d.message.replace('%', "%25").replace('\n', "%0A");
-                s.push_str(&format!(
-                    "::error file={},line={},title=popstab-lint({})::{}\n",
-                    d.file,
-                    d.line.max(1),
-                    d.rule,
-                    message
-                ));
-            }
-            s
-        }
     }
 }
 
@@ -160,26 +140,9 @@ mod tests {
     }
 
     #[test]
-    fn github_format_emits_error_commands() {
-        let s = render(Format::Github, &sample(), 42, &[]);
-        assert!(
-            s.starts_with("::error file=crates/sim/src/x.rs,line=3,title=popstab-lint(taint-ambient-nondeterminism)::"),
-            "{s}"
-        );
-        assert!(s.contains("%0A"), "newlines must be escaped: {s}");
-    }
-
-    #[test]
-    fn whole_file_findings_are_pinned_to_line_one_for_github() {
-        let d = vec![Diagnostic::new("Cargo.toml", 0, "r", "m".to_string())];
-        let s = render(Format::Github, &d, 1, &[]);
-        assert!(s.contains("line=1,"), "{s}");
-    }
-
-    #[test]
     fn format_parsing() {
         assert_eq!(Format::parse("json"), Some(Format::Json));
-        assert_eq!(Format::parse("github"), Some(Format::Github));
+        assert_eq!(Format::parse("github"), None);
         assert_eq!(Format::parse("text"), Some(Format::Text));
         assert_eq!(Format::parse("yaml"), None);
     }

@@ -8,8 +8,7 @@
 //! failing a single engine golden. The contract is therefore: in
 //! result-affecting crates *and* `crates/analysis` (which computes the
 //! reported figures), non-associative float reductions route through
-//! `popstab_analysis::stats::ordered_sum` — a documented fixed left fold —
-//! or carry a justified escape.
+//! `popstab_analysis::stats::ordered_sum` — a documented fixed left fold.
 //!
 //! Detection is token-level per fn: `sum::<f64>()` turbofish, bare
 //! `.sum()` whose statement shows float evidence (an `f64`/`f32` token or
@@ -17,8 +16,6 @@
 //! float-typed accumulator. `fold(_, f64::max)` / `f64::min` are exempt —
 //! min/max are associative and commutative, order cannot move them.
 //! `ordered_*` helper definitions and test code are exempt.
-//!
-//! Escape: `lint:allow(float-order-determinism): <why the order is fixed>`.
 
 use crate::diag::Diagnostic;
 use crate::rules::taint::result_scope;
@@ -120,9 +117,7 @@ impl Rule for FloatOrderDeterminism {
                         format!(
                             "order-sensitive float reduction in `{}`; float addition is not \
                              associative, so reduce through \
-                             `popstab_analysis::stats::ordered_sum` (fixed left fold), or \
-                             escape with `lint:allow(float-order-determinism): <why the \
-                             iteration order is fixed>`",
+                             `popstab_analysis::stats::ordered_sum` (fixed left fold)",
                             node.name
                         ),
                     ));

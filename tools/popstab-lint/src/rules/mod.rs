@@ -1,12 +1,11 @@
 //! The rule registry.
 //!
 //! Each rule scans a [`Context`] — the loaded [`Workspace`] plus the parsed
-//! item [`Graph`] built once per run — and emits candidate [`Diagnostic`]s;
-//! the engine ([`crate::run_lint`]) then filters out findings covered by a
-//! valid `lint:allow` escape and reports escapes that covered nothing
-//! (`unused-allow`). Rules trade type-resolution precision for having zero
-//! dependencies and running in milliseconds; the escape protocol absorbs
-//! the (rare, auditable) false positives.
+//! item [`Graph`] built once per run — and emits [`Diagnostic`]s, which the
+//! engine ([`crate::run_lint`]) reports as they are. Rules trade
+//! type-resolution precision for having zero dependencies and running in
+//! milliseconds; a false positive is fixed in the rule, so every finding
+//! stays one to act on.
 
 use crate::diag::Diagnostic;
 use crate::graph::Graph;
@@ -19,7 +18,6 @@ pub mod simd;
 pub mod stream_version;
 pub mod taint;
 pub mod unordered;
-pub mod unused_allow;
 
 /// The crates whose code can reach a simulation result. `crates/bench` is
 /// deliberately absent: wall-clock timing and CLI argument reads are its
@@ -55,13 +53,12 @@ impl<'a> Context<'a> {
 
 /// One static-analysis rule.
 pub trait Rule {
-    /// The rule's kebab-case name, as referenced by `lint:allow(<name>)`.
+    /// The rule's kebab-case name, as printed in every finding.
     fn name(&self) -> &'static str;
     /// One-line description of what the rule guards against (markdown; this
     /// is the `--rules-md` table column the facade docs embed).
     fn summary(&self) -> &'static str;
-    /// Scans the workspace and returns candidate findings (before escape
-    /// filtering).
+    /// Scans the workspace and returns its findings.
     fn check(&self, cx: &Context) -> Vec<Diagnostic>;
 }
 
@@ -75,7 +72,6 @@ pub fn all() -> Vec<Box<dyn Rule>> {
         Box::new(simd::SimdScalarTwin),
         Box::new(stream_version::StreamVersionCoherence),
         Box::new(manifest::WorkspaceManifestInvariants),
-        Box::new(unused_allow::UnusedAllow),
     ]
 }
 

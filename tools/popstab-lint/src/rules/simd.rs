@@ -10,9 +10,7 @@
 //! lane-for-lane (the `*_matches_scalar_twin` suites). The rule enforces
 //! the shape token-wise: for each `fn <name>_x8` definition it requires a
 //! `fn <name>` definition in the same file and mentions of both names at
-//! or below the file's `mod tests` marker. A kernel whose twin genuinely
-//! lives elsewhere can escape with
-//! `lint:allow(simd-scalar-twin): <where the twin and test live>`.
+//! or below the file's `mod tests` marker.
 
 use crate::diag::Diagnostic;
 use crate::lexer::{contains_token, is_ident_char};
@@ -87,9 +85,7 @@ impl Rule for SimdScalarTwin {
                             self.name(),
                             format!(
                                 "lane-batched kernel `{kernel}` has no scalar reference \
-                                 `fn {scalar}` in this file; keep the twin next to the kernel \
-                                 (or escape with `lint:allow(simd-scalar-twin): <where it \
-                                 lives>`)"
+                                 `fn {scalar}` in this file; add the twin next to the kernel"
                             ),
                         ));
                     }
@@ -104,8 +100,7 @@ impl Rule for SimdScalarTwin {
                             format!(
                                 "lane-batched kernel `{kernel}` is not pinned against `{scalar}` \
                                  by this file's tests; add a lane-for-lane equivalence test \
-                                 referencing both (or escape with \
-                                 `lint:allow(simd-scalar-twin): <where the test lives>`)"
+                                 referencing both"
                             ),
                         ));
                     }

@@ -16,9 +16,8 @@
 //! when its fn is reachable from a non-test fn in a result-affecting crate
 //! over approximate call edges. Test code neither roots nor carries taint.
 //!
-//! Findings anchor at the source line — that is where the escape comment
-//! belongs, next to the read it justifies:
-//! `lint:allow(taint-ambient-nondeterminism): <why it cannot reach a result>`.
+//! Findings anchor at the source line — that is where the fix belongs:
+//! derive the value from the run's seed instead of reading it.
 
 use std::collections::BTreeSet;
 
@@ -112,7 +111,7 @@ impl Rule for TaintAmbientNondeterminism {
                 .iter()
                 .any(|m| pf.span_mentions(span.clone(), m));
             // Dedup per (line, source): a path mentioned twice on a line is
-            // one read site to escape, not two findings.
+            // one read site to fix, not two findings.
             let mut seen = BTreeSet::new();
             for (line, path) in pf.paths_in(span) {
                 let source = PATH_SOURCES
@@ -151,8 +150,7 @@ impl Rule for TaintAmbientNondeterminism {
                     self.name(),
                     format!(
                         "`{spelling}` reads {what} {route}; derive the value from the run's \
-                         seed, or escape with `lint:allow(taint-ambient-nondeterminism): <why \
-                         it cannot reach a result>`"
+                         seed"
                     ),
                 ));
             }

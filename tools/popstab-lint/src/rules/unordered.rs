@@ -7,10 +7,8 @@
 //! processes* even when a single run looks repeatable. Because the hazard
 //! is the iteration and iteration is easy to add two callers away from the
 //! container, the rule bans the types themselves in result-affecting
-//! crates: use `BTreeMap`/`BTreeSet` or sorted vectors, or escape a
-//! genuinely membership-only use with
-//! `lint:allow(forbid-unordered-iteration)` plus a one-line proof of
-//! order-insensitivity.
+//! crates: use `BTreeMap`/`BTreeSet` or sorted vectors, even for a
+//! membership-only use.
 
 use crate::diag::Diagnostic;
 use crate::lexer::contains_token;
@@ -45,9 +43,7 @@ impl Rule for ForbidUnorderedIteration {
                         self.name(),
                         format!(
                             "`{token}` iterates in per-process random order; use \
-                             `BTree{}`/sorted vectors, or escape with \
-                             `lint:allow(forbid-unordered-iteration): <why order cannot reach a \
-                             result>`",
+                             `BTree{}`/sorted vectors",
                             &token[4..]
                         ),
                     ));

@@ -1,300 +1,22 @@
-//! Lexed source files and the `lint:allow` escape protocol.
-//!
-//! Escapes are explicit, per-rule, and always carry a justification:
-//!
-//! * `// lint:allow(<rule>): <why>` — suppresses `<rule>` on the same line,
-//!   or (when written as a comment line) on the next code line below the
-//!   contiguous comment block it belongs to;
-//! * `// lint:allow-file(<rule>): <why>` — suppresses `<rule>` for the whole
-//!   file; must appear within the first [`FILE_ALLOW_WINDOW`] lines so the
-//!   escape is visible where readers look for module-level contracts.
-//!
-//! A malformed escape (unknown rule, missing justification, misplaced
-//! `allow-file`) is itself a diagnostic: an allow that cannot be audited is
-//! a hole in the gate, not an escape valve.
+//! Lexed source files.
 
-use crate::diag::Diagnostic;
 use crate::lexer::{lex, LexedLine};
 
-/// File-level allows must appear within this many leading lines.
-pub const FILE_ALLOW_WINDOW: usize = 20;
-
-/// Justifications shorter than this are rubber stamps, not arguments.
-pub const MIN_JUSTIFICATION: usize = 15;
-
-/// One parsed allow escape.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Allow {
-    /// 1-based line the escape comment sits on.
-    pub line: usize,
-    /// The rule name inside the parentheses.
-    pub rule: String,
-    /// Whether this is a `lint:allow-file` escape.
-    pub file_wide: bool,
-    /// The justification text after the closing `):`.
-    pub justification: String,
-}
-
-/// A lexed source file plus its parsed allow escapes.
+/// A lexed source file.
 #[derive(Debug, Clone)]
 pub struct SourceFile {
     /// Workspace-relative path, unix separators.
     pub path: String,
     /// Per-line code/comment channels.
     pub lines: Vec<LexedLine>,
-    /// Parsed `lint:allow` escapes, in line order.
-    pub allows: Vec<Allow>,
-    /// Escapes that could not be parsed: `(line, problem)`.
-    pub malformed_allows: Vec<(usize, String)>,
 }
 
 impl SourceFile {
     /// Lexes `text` into a source file at workspace-relative `path`.
     pub fn new(path: &str, text: &str) -> SourceFile {
-        let lines = lex(text);
-        let mut allows = Vec::new();
-        let mut malformed = Vec::new();
-        for (idx, line) in lines.iter().enumerate() {
-            // A directive starts its comment; `lint:allow` mentioned
-            // mid-prose (documentation about the syntax) is not an escape.
-            let text = line.comment.trim_start();
-            if !text.starts_with("lint:allow") {
-                continue;
-            }
-            match parse_allow(text, idx + 1) {
-                Ok((allow, _consumed)) => allows.push(allow),
-                Err(problem) => malformed.push((idx + 1, problem)),
-            }
-        }
         SourceFile {
             path: path.to_string(),
-            lines,
-            allows,
-            malformed_allows: malformed,
+            lines: lex(text),
         }
-    }
-
-    /// Whether `rule` is suppressed on 1-based `line`: by a same-line
-    /// escape, by an escape in the contiguous comment block directly above,
-    /// or by a file-wide escape in the leading window.
-    pub fn is_allowed(&self, rule: &str, line: usize) -> bool {
-        !self.covering_allows(rule, line).is_empty()
-    }
-
-    /// Indices into [`SourceFile::allows`] of every escape that covers
-    /// `rule` on 1-based `line`. The engine marks *all* of them used, so a
-    /// redundant pair (file-wide plus same-line) is not half-reported as
-    /// stale.
-    pub fn covering_allows(&self, rule: &str, line: usize) -> Vec<usize> {
-        let mut out = Vec::new();
-        for (idx, allow) in self.allows.iter().enumerate() {
-            if allow.rule != rule {
-                continue;
-            }
-            let covers = if allow.file_wide {
-                allow.line <= FILE_ALLOW_WINDOW
-            } else {
-                // A same-line escape, or an allow written as its own comment
-                // line covering the next code line below its comment block.
-                allow.line == line
-                    || (allow.line < line && self.comment_block_reaches(allow.line, line))
-            };
-            if covers {
-                out.push(idx);
-            }
-        }
-        out
-    }
-
-    /// Whether every line strictly between 1-based `from` and `to` is
-    /// comment-only or blank (so `from`'s comment block ends at `to`), and
-    /// `from` itself is a comment-only line.
-    fn comment_block_reaches(&self, from: usize, to: usize) -> bool {
-        if !self.is_comment_only(from) {
-            return false;
-        }
-        (from + 1..to).all(|l| self.is_comment_only(l) || self.is_blank(l))
-    }
-
-    fn is_comment_only(&self, line: usize) -> bool {
-        self.lines
-            .get(line - 1)
-            .is_some_and(|l| l.code.trim().is_empty() && !l.comment.trim().is_empty())
-    }
-
-    fn is_blank(&self, line: usize) -> bool {
-        self.lines
-            .get(line - 1)
-            .is_some_and(|l| l.code.trim().is_empty() && l.comment.trim().is_empty())
-    }
-
-    /// Diagnostics for malformed or misplaced escapes. `known_rules` is the
-    /// registry of valid rule names.
-    pub fn allow_diagnostics(&self, known_rules: &[&'static str]) -> Vec<Diagnostic> {
-        let mut out = Vec::new();
-        for (line, problem) in &self.malformed_allows {
-            out.push(Diagnostic::new(
-                &self.path,
-                *line,
-                "lint-allow-syntax",
-                problem.clone(),
-            ));
-        }
-        for allow in &self.allows {
-            if !known_rules.contains(&allow.rule.as_str()) {
-                out.push(Diagnostic::new(
-                    &self.path,
-                    allow.line,
-                    "lint-allow-syntax",
-                    format!("allow names unknown rule `{}`", allow.rule),
-                ));
-            }
-            if allow.file_wide && allow.line > FILE_ALLOW_WINDOW {
-                out.push(Diagnostic::new(
-                    &self.path,
-                    allow.line,
-                    "lint-allow-syntax",
-                    format!(
-                        "lint:allow-file must appear within the first {FILE_ALLOW_WINDOW} lines"
-                    ),
-                ));
-            }
-        }
-        out
-    }
-}
-
-/// Parses one escape starting at `text` (which begins with `lint:allow`).
-/// Returns the allow and the number of bytes consumed.
-fn parse_allow(text: &str, line: usize) -> Result<(Allow, usize), String> {
-    let (file_wide, after_kw) = if let Some(rest) = text.strip_prefix("lint:allow-file") {
-        (true, rest)
-    } else if let Some(rest) = text.strip_prefix("lint:allow") {
-        (false, rest)
-    } else {
-        unreachable!("caller guarantees the prefix");
-    };
-    let Some(open) = after_kw.strip_prefix('(') else {
-        return Err("expected `(` after lint:allow — syntax is `lint:allow(<rule>): <why>`".into());
-    };
-    let Some(close) = open.find(')') else {
-        return Err("unclosed `(` in lint:allow".into());
-    };
-    let rule = open[..close].trim().to_string();
-    if rule.is_empty() {
-        return Err("empty rule name in lint:allow".into());
-    }
-    let after_paren = &open[close + 1..];
-    let Some(just) = after_paren.strip_prefix(':') else {
-        return Err(format!(
-            "lint:allow({rule}) needs a justification — syntax is `lint:allow({rule}): <why>`"
-        ));
-    };
-    let justification = just.trim().to_string();
-    if justification.is_empty() {
-        return Err(format!("lint:allow({rule}) has an empty justification"));
-    }
-    if justification.len() < MIN_JUSTIFICATION {
-        return Err(format!(
-            "lint:allow({rule}) justification `{justification}` is too short ({} chars, \
-             need ≥ {MIN_JUSTIFICATION}); say *why* the hazard cannot reach a result",
-            justification.len()
-        ));
-    }
-    let consumed = text.len() - after_paren.len();
-    Ok((
-        Allow {
-            line,
-            rule,
-            file_wide,
-            justification,
-        },
-        consumed,
-    ))
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn same_line_allow_suppresses_that_line_only() {
-        let f = SourceFile::new(
-            "a.rs",
-            "use x; // lint:allow(some-rule): membership only, never iterated\nuse y;",
-        );
-        assert!(f.is_allowed("some-rule", 1));
-        assert!(!f.is_allowed("some-rule", 2));
-        assert!(!f.is_allowed("other-rule", 1));
-    }
-
-    #[test]
-    fn comment_block_allow_covers_the_next_code_line() {
-        let src = "fn f() {\n    // lint:allow(some-rule): the read picks a worker count\n    // and worker counts cannot change results.\n    let x = 1;\n    let y = 2;\n}";
-        let f = SourceFile::new("a.rs", src);
-        assert!(f.is_allowed("some-rule", 4));
-        assert!(!f.is_allowed("some-rule", 5));
-    }
-
-    #[test]
-    fn file_allow_in_window_covers_everything() {
-        let src = "//! Module docs.\n// lint:allow-file(some-rule): sets here are only counted\nfn f() {}\nfn g() {}";
-        let f = SourceFile::new("a.rs", src);
-        assert!(f.is_allowed("some-rule", 3));
-        assert!(f.is_allowed("some-rule", 4));
-    }
-
-    #[test]
-    fn file_allow_outside_window_is_rejected() {
-        let mut src = "fn f() {}\n".repeat(FILE_ALLOW_WINDOW);
-        src.push_str(
-            "// lint:allow-file(some-rule): declared far too late to be visible\nfn g() {}",
-        );
-        let f = SourceFile::new("a.rs", &src);
-        assert!(!f.is_allowed("some-rule", FILE_ALLOW_WINDOW + 2));
-        let diags = f.allow_diagnostics(&["some-rule"]);
-        assert_eq!(diags.len(), 1);
-        assert!(diags[0].message.contains("first"));
-    }
-
-    #[test]
-    fn missing_justification_is_malformed() {
-        let f = SourceFile::new("a.rs", "use x; // lint:allow(some-rule)\n");
-        assert!(!f.is_allowed("some-rule", 1));
-        let diags = f.allow_diagnostics(&["some-rule"]);
-        assert_eq!(diags.len(), 1);
-        assert!(diags[0].message.contains("justification"));
-    }
-
-    #[test]
-    fn unknown_rule_is_flagged() {
-        let f = SourceFile::new(
-            "a.rs",
-            "use x; // lint:allow(no-such-rule): membership only, never iterated\n",
-        );
-        let diags = f.allow_diagnostics(&["some-rule"]);
-        assert_eq!(diags.len(), 1);
-        assert!(diags[0].message.contains("unknown rule"));
-    }
-
-    #[test]
-    fn a_short_justification_is_malformed() {
-        // 14 chars is a rubber stamp, not an argument.
-        let f = SourceFile::new("a.rs", "use x; // lint:allow(some-rule): just because.\n");
-        assert!(!f.is_allowed("some-rule", 1));
-        let diags = f.allow_diagnostics(&["some-rule"]);
-        assert_eq!(diags.len(), 1);
-        assert!(diags[0].message.contains("too short"), "{diags:?}");
-    }
-
-    #[test]
-    fn covering_allows_reports_every_covering_escape() {
-        let src = "// lint:allow-file(some-rule): counted only, order never observed\n\
-                   use x; // lint:allow(some-rule): membership only, never iterated\n";
-        let f = SourceFile::new("a.rs", src);
-        // Line 2 is covered by both the file-wide and the same-line escape.
-        assert_eq!(f.covering_allows("some-rule", 2), vec![0, 1]);
-        assert_eq!(f.covering_allows("some-rule", 5), vec![0]);
-        assert!(f.covering_allows("other-rule", 2).is_empty());
     }
 }

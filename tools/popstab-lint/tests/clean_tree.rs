@@ -105,11 +105,10 @@ fn write_seeded_workspace(seeded: &Path) {
             "fn mean(xs: &[f64]) -> f64 { xs.iter().sum::<f64>() }\n",
             // simd-scalar-twin: kernel with no scalar twin, no test.
             "fn dash_x8(xs: &[u64; 8]) -> [u64; 8] { *xs }\n",
-            // unused-allow: the set it silenced is long gone.
-            "// lint:allow(forbid-unordered-iteration): the hash set below was replaced.\n",
-            "use std::collections::BTreeSet;\n",
-            // lint-allow-syntax: justification below the 15-char floor.
-            "fn g() {} // lint:allow(simd-scalar-twin): elsewhere\n",
+            // forbid-unordered-iteration again, under a would-be escape
+            // comment: the lint has none, so the finding still fires.
+            "// lint:allow(forbid-unordered-iteration): membership only, never iterated.\n",
+            "use std::collections::HashSet;\n",
         ),
     )
     .unwrap();
@@ -159,11 +158,14 @@ fn the_binary_exits_zero_on_the_tree_and_nonzero_on_a_seeded_tree() {
         "simd-scalar-twin",
         "stream-version-coherence",
         "workspace-manifest-invariants",
-        "unused-allow",
-        "lint-allow-syntax",
     ] {
         assert!(stdout.contains(rule), "rule {rule} did not fire:\n{stdout}");
     }
+    // A `lint:allow` comment is inert: the `HashSet` below it is reported.
+    assert!(
+        stdout.contains("crates/sim/src/rng.rs:9: [forbid-unordered-iteration]"),
+        "a lint:allow comment suppressed a finding:\n{stdout}"
+    );
     // The laundering finding names the cross-crate call chain: the read in
     // the shim was reached *from* result-affecting code.
     assert!(
