@@ -13,7 +13,7 @@
 
 use popstab_core::params::Params;
 use popstab_core::protocol::PopulationStability;
-use popstab_sim::{Adversary, BatchRunner, MatchingModel, RunSpec, Scenario, SimConfig};
+use popstab_sim::{BatchRunner, MatchingModel, RunSpec, Scenario, SimConfig};
 
 use crate::equilibrium::{equilibrium_population, exact_epoch_drift};
 use crate::stats::Summary;
@@ -32,7 +32,8 @@ pub struct DriftPoint {
 
 /// Runs `trials` single-epoch simulations on `runner`, starting at
 /// population `m0` with no adversary, and returns the summary of
-/// `Δ = end − start`.
+/// `Δ = end − start`. Per-trial seeds depend only on `seed` and the trial
+/// index, so the result does not depend on the worker count.
 pub fn measure_drift(
     runner: &BatchRunner,
     params: &Params,
@@ -41,40 +42,6 @@ pub fn measure_drift(
     trials: u32,
     seed: u64,
 ) -> Summary {
-    measure_drift_with(
-        runner,
-        params,
-        m0,
-        gamma,
-        trials,
-        seed,
-        || popstab_sim::NoOpAdversary,
-        0,
-    )
-}
-
-/// As [`measure_drift`], but under an adversary built per-trial by
-/// `make_adversary`, with per-round budget `k`.
-///
-/// Trials fan out across `runner`; `make_adversary` is therefore called
-/// from worker threads (hence `Fn + Sync`), once per trial, on the thread
-/// that runs that trial. Per-trial seeds depend only on `seed` and the
-/// trial index, so the result does not depend on the worker count.
-#[allow(clippy::too_many_arguments)]
-pub fn measure_drift_with<A, F>(
-    runner: &BatchRunner,
-    params: &Params,
-    m0: usize,
-    gamma: f64,
-    trials: u32,
-    seed: u64,
-    make_adversary: F,
-    k: usize,
-) -> Summary
-where
-    A: Adversary<popstab_core::state::AgentState>,
-    F: Fn() -> A + Sync,
-{
     let epoch = u64::from(params.epoch_len());
     let deltas = runner.run((0..trials).collect(), |_, trial: u32| {
         let cfg = SimConfig::builder()
@@ -82,18 +49,12 @@ where
                 seed.wrapping_add(u64::from(trial))
                     .wrapping_mul(0x9e37_79b9_7f4a_7c15),
             )
-            .matching(if gamma >= 1.0 {
-                MatchingModel::Full
-            } else {
-                MatchingModel::ExactFraction(gamma)
-            })
-            .adversary_budget(k)
+            .matching(MatchingModel::fraction(gamma))
             .target(params.target())
             .build()
             .expect("valid drift config");
         let protocol = PopulationStability::new(params.clone());
-        let scenario = Scenario::new(protocol, cfg, m0).against(make_adversary());
-        let (engine, _) = scenario.run(RunSpec::rounds(epoch), &mut ());
+        let (engine, _) = Scenario::new(protocol, cfg, m0).run(RunSpec::rounds(epoch), &mut ());
         engine.population() as f64 - m0 as f64
     });
     let mut summary = Summary::new();

@@ -46,8 +46,10 @@
 //!
 //! `snapshot <name> --at R -o FILE` runs registry entry `<name>` to round
 //! `R` and writes the engine state as a versioned snapshot; `resume FILE
-//! --rounds N` restores it (rebuilding protocol and adversary from the
-//! entry the snapshot is labeled with) and runs `N` more rounds. By the
+//! --rounds N` restores it into the entry the snapshot is labeled with and
+//! runs `N` more rounds. `snapshot`, `resume` and `run-recoverable` build
+//! protocol and adversary from the entry's one builder
+//! ([`scenario::find_builder`]), the same one `scenario <name>` runs. By the
 //! snapshot contract a resumed run is bit-identical to the uninterrupted
 //! one, which the CI snapshot-determinism leg enforces via `--trace`
 //! (golden-format per-round lines on stdout, nothing else).
@@ -63,12 +65,16 @@
 //! exact trace suffix of an uninterrupted run, which the CI fault-injection
 //! leg diffs byte for byte.
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 use std::time::Instant;
 
+use popstab_bench::scenario::{self, BoxedAdversary};
 use popstab_bench::{experiments, Exec};
-use popstab_sim::{BatchRunner, Checkpoint, OnRound, RoundReport, RunSpec, Snapshot, Tee, Threads};
+use popstab_core::protocol::PopulationStability;
+use popstab_sim::{
+    BatchRunner, Checkpoint, Engine, OnRound, RoundReport, RunSpec, Snapshot, Tee, Threads,
+};
 
 /// (id, description, runner) — the runner receives the parsed run knobs.
 type Experiment = (&'static str, &'static str, fn(&Exec));
@@ -160,29 +166,33 @@ fn usage() {
 }
 
 /// `experiments snapshot <name> --at R -o FILE`.
-fn cmd_snapshot(name: &str, at: u64, out: &str, threads: Threads) -> ExitCode {
-    let Some(entry) = popstab_bench::scenario::find(name) else {
-        eprintln!("unknown scenario `{name}`; see `experiments --list`");
-        return ExitCode::FAILURE;
-    };
-    let Some(hook) = entry.snapshot else {
-        eprintln!("scenario `{name}` has no snapshot support (non-PopulationStability state)");
-        return ExitCode::FAILURE;
-    };
-    let mut engine = hook().engine();
+fn cmd_snapshot(name: &str, at: u64, out: &str, threads: Threads) -> Result<(), String> {
+    let mut engine = scenario::find_builder(name)?().engine();
     engine.run(RunSpec::rounds(at).threads(threads), &mut ());
     let mut snap = engine.snapshot();
     snap.label = name.to_string();
-    if let Err(e) = snap.write_to_file(out) {
-        eprintln!("writing snapshot to `{out}`: {e}");
-        return ExitCode::FAILURE;
-    }
+    snap.write_to_file(out)
+        .map_err(|e| format!("writing snapshot to `{out}`: {e}"))?;
     println!(
         "snapshot {name}: round={} population={} -> {out}",
         snap.round(),
         snap.population()
     );
-    ExitCode::SUCCESS
+    Ok(())
+}
+
+/// Restores `snap` into the scenario its label names, rebuilt by that
+/// registry entry's builder; `source` names the file in the error.
+fn restore(
+    snap: &Snapshot,
+    source: &Path,
+) -> Result<Engine<PopulationStability, BoxedAdversary>, String> {
+    scenario::find_builder(&snap.label)
+        .and_then(|build| {
+            let scenario = build();
+            Engine::restore(scenario.protocol, scenario.adversary, snap).map_err(|e| e.to_string())
+        })
+        .map_err(|e| format!("restoring `{}`: {e}", source.display()))
 }
 
 /// One golden-format trace line: the per-round format the CI determinism
@@ -215,16 +225,9 @@ struct Recoverable {
     trace: bool,
 }
 
-fn cmd_run_recoverable(opts: &Recoverable, threads: Threads) -> ExitCode {
+fn cmd_run_recoverable(opts: &Recoverable, threads: Threads) -> Result<(), String> {
     let name = opts.name.as_str();
-    let Some(entry) = popstab_bench::scenario::find(name) else {
-        eprintln!("unknown scenario `{name}`; see `experiments --list`");
-        return ExitCode::FAILURE;
-    };
-    let Some(hook) = entry.snapshot else {
-        eprintln!("scenario `{name}` has no snapshot support (non-PopulationStability state)");
-        return ExitCode::FAILURE;
-    };
+    let build = scenario::find_builder(name)?;
     let base = opts
         .checkpoints
         .as_ref()
@@ -240,37 +243,28 @@ fn cmd_run_recoverable(opts: &Recoverable, threads: Threads) -> ExitCode {
     let (mut engine, from) = match scan.best {
         Some((path, snap)) => {
             if snap.label != name {
-                eprintln!(
+                return Err(format!(
                     "checkpoint `{}` is labeled `{}`, not `{name}`; refusing to resume",
                     path.display(),
                     snap.label
-                );
-                return ExitCode::FAILURE;
+                ));
             }
-            let scenario = hook();
-            match popstab_sim::Engine::restore(scenario.protocol, scenario.adversary, &snap) {
-                Ok(engine) => {
-                    eprintln!(
-                        "resuming `{name}` from `{}` at round {}",
-                        path.display(),
-                        snap.round()
-                    );
-                    (engine, snap.round())
-                }
-                Err(e) => {
-                    eprintln!("restoring `{}`: {e}", path.display());
-                    return ExitCode::FAILURE;
-                }
-            }
+            let engine = restore(&snap, &path)?;
+            eprintln!(
+                "resuming `{name}` from `{}` at round {}",
+                path.display(),
+                snap.round()
+            );
+            (engine, snap.round())
         }
-        None => (hook().engine(), 0),
+        None => (build().engine(), 0),
     };
     if from >= opts.rounds {
         eprintln!(
             "`{name}` already ran {from} of {} rounds; nothing to do",
             opts.rounds
         );
-        return ExitCode::SUCCESS;
+        return Ok(());
     }
     let mut checkpoint = Checkpoint::every(opts.every, &base)
         .keep(opts.keep)
@@ -307,38 +301,14 @@ fn cmd_run_recoverable(opts: &Recoverable, threads: Threads) -> ExitCode {
             checkpoint.written()
         );
     }
-    ExitCode::SUCCESS
+    Ok(())
 }
 
 /// `experiments resume FILE [--rounds N] [--trace]`.
-fn cmd_resume(file: &str, rounds: u64, trace: bool, threads: Threads) -> ExitCode {
-    let snap = match Snapshot::read_from_file(file) {
-        Ok(snap) => snap,
-        Err(e) => {
-            eprintln!("reading snapshot `{file}`: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let Some(entry) = popstab_bench::scenario::find(&snap.label) else {
-        eprintln!(
-            "snapshot `{file}` is labeled `{}`, which is not a registry scenario",
-            snap.label
-        );
-        return ExitCode::FAILURE;
-    };
-    let Some(hook) = entry.snapshot else {
-        eprintln!("scenario `{}` has no snapshot support", snap.label);
-        return ExitCode::FAILURE;
-    };
-    let scenario = hook();
-    let mut engine =
-        match popstab_sim::Engine::restore(scenario.protocol, scenario.adversary, &snap) {
-            Ok(engine) => engine,
-            Err(e) => {
-                eprintln!("restoring `{file}`: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
+fn cmd_resume(file: &str, rounds: u64, trace: bool, threads: Threads) -> Result<(), String> {
+    let snap =
+        Snapshot::read_from_file(file).map_err(|e| format!("reading snapshot `{file}`: {e}"))?;
+    let mut engine = restore(&snap, Path::new(file))?;
     let spec = RunSpec::rounds(rounds).threads(threads);
     if trace {
         // Golden-trace format, one line per executed round, nothing else:
@@ -352,13 +322,10 @@ fn cmd_resume(file: &str, rounds: u64, trace: bool, threads: Threads) -> ExitCod
             snap.round(),
             outcome.executed,
             engine.population(),
-            match outcome.halted {
-                None => "no".to_string(),
-                Some(reason) => format!("{reason:?}"),
-            }
+            scenario::halted(outcome.halted)
         );
     }
-    ExitCode::SUCCESS
+    Ok(())
 }
 
 /// What `experiments` was asked to do.
@@ -564,14 +531,14 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    match command {
+    let result = match command {
         Command::Help => {
             usage();
-            ExitCode::SUCCESS
+            Ok(())
         }
         Command::List => {
-            popstab_bench::scenario::print_list();
-            ExitCode::SUCCESS
+            scenario::print_list();
+            Ok(())
         }
         Command::Snapshot { name, at, out } => cmd_snapshot(&name, at, &out, exec.threads),
         Command::Resume {
@@ -580,16 +547,9 @@ fn main() -> ExitCode {
             trace,
         } => cmd_resume(&file, rounds, trace, exec.threads),
         Command::RunRecoverable(opts) => cmd_run_recoverable(&opts, exec.threads),
-        Command::Scenarios(names) => {
-            for name in &names {
-                let Some(entry) = popstab_bench::scenario::find(name) else {
-                    eprintln!("unknown scenario `{name}`; see `experiments --list`");
-                    return ExitCode::FAILURE;
-                };
-                (entry.run)(&exec);
-            }
-            ExitCode::SUCCESS
-        }
+        Command::Scenarios(names) => names
+            .iter()
+            .try_for_each(|name| scenario::find(name).map(|entry| entry.run(&exec))),
         Command::Experiments(ids) => {
             for want in &ids {
                 let Some((_, _, runner)) = IDS.iter().find(|(id, _, _)| id == want) else {
@@ -605,7 +565,14 @@ fn main() -> ExitCode {
                     start.elapsed().as_secs_f64()
                 );
             }
-            ExitCode::SUCCESS
+            Ok(())
+        }
+    };
+    match result {
+        Ok(()) => ExitCode::SUCCESS,
+        Err(message) => {
+            eprintln!("{message}");
+            ExitCode::FAILURE
         }
     }
 }

@@ -51,7 +51,7 @@ pub fn run(exec: &Exec) {
         spec.initial = Some(m_eq as usize);
         let run = run_clean(&params, spec, exec.threads);
         let epoch = u64::from(params.epoch_len());
-        let pops = run.trajectory().epoch_end_populations(epoch);
+        let pops = run.metrics.epoch_end_populations(epoch);
         let tail = &pops[pops.len() / 2..];
         let tail_mean = tail.iter().sum::<usize>() as f64 / tail.len().max(1) as f64;
         table.row([

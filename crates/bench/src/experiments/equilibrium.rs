@@ -32,7 +32,7 @@ pub fn run(exec: &Exec) {
         spec.initial = Some(m_eq as usize);
         let run = run_clean(&params, spec, exec.threads);
         let epoch = u64::from(params.epoch_len());
-        let pops = run.trajectory().epoch_end_populations(epoch);
+        let pops = run.metrics.epoch_end_populations(epoch);
         (
             n,
             pops.iter().sum::<usize>() as f64 / pops.len().max(1) as f64,

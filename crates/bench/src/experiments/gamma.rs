@@ -22,21 +22,21 @@ pub fn run(exec: &Exec) {
     // One independent simulation per matching model: the sweep runs as one
     // batch (`--jobs` controls the worker count; rows are identical for
     // any value).
-    let configs = [
-        (0.25, MatchingModel::ExactFraction(0.25)),
-        (0.5, MatchingModel::ExactFraction(0.5)),
-        (0.5, MatchingModel::RandomFraction { min_gamma: 0.5 }),
-        (1.0, MatchingModel::Full),
+    let models = vec![
+        MatchingModel::ExactFraction(0.25),
+        MatchingModel::ExactFraction(0.5),
+        MatchingModel::RandomFraction { min_gamma: 0.5 },
+        MatchingModel::Full,
     ];
-    let rows = exec.runner.run(configs.to_vec(), |_, (gamma, model)| {
+    let rows = exec.runner.run(models, |_, model| {
         let mut spec = JobSpec::new(88, epochs);
-        spec.gamma = gamma;
-        spec.matching = Some(model);
+        spec.matching = model;
         let run = run_clean(&params, spec, exec.threads);
         let (lo, hi) = run.population_range().unwrap();
-        (gamma, model, lo, hi, run.population())
+        (model, lo, hi, run.population())
     });
-    for (gamma, model, lo, hi, final_pop) in rows {
+    for (model, lo, hi, final_pop) in rows {
+        let gamma = model.gamma();
         let m_eq = exact_equilibrium(&params, gamma);
         let in_band = lo as f64 >= 0.5 * m_eq && (hi as f64) <= (1.6 * m_eq).max(1.25 * n as f64);
         table.row([

@@ -37,7 +37,7 @@ pub fn run(exec: &Exec) {
             let mut spec = JobSpec::new(99, 2 + post_epochs).record_epoch_ends(&params);
             spec.budget = usize::MAX;
             let run = run_protocol(&params, adv, spec, exec.threads);
-            (label, run.trajectory().epoch_end_populations(epoch))
+            (label, run.metrics.epoch_end_populations(epoch))
         });
     for (label, pops) in outcomes {
         let wounded = pops[2] as f64;

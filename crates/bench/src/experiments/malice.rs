@@ -50,11 +50,7 @@ pub fn run(exec: &Exec) {
             .seed(47)
             .target(n)
             .adversary_budget(1)
-            .matching(if gamma >= 1.0 {
-                MatchingModel::Full
-            } else {
-                MatchingModel::ExactFraction(gamma)
-            })
+            .matching(MatchingModel::fraction(gamma))
             .max_population(16 * n as usize)
             .build()
             .unwrap();

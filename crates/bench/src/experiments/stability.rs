@@ -49,7 +49,7 @@ pub fn run(exec: &Exec) {
         let m_eq = exact_equilibrium(&params, 1.0);
         let run = run_clean(&params, JobSpec::new(seed * 1031 + 7, epochs), exec.threads);
         let (lo, hi) = run.population_range().unwrap();
-        let max_dev = run.trajectory().max_epoch_deviation(epoch).unwrap_or(0);
+        let max_dev = run.metrics.max_epoch_deviation(epoch).unwrap_or(0);
         let in_band = lo as f64 >= 0.6 * m_eq && (hi as f64) <= 1.4 * m_eq.max(n as f64);
         [
             n.to_string(),

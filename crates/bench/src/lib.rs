@@ -17,7 +17,8 @@
 //! [`run_protocol`] lowers it onto a [`Scenario`] +
 //! [`Engine::run`](popstab_sim::Engine::run) with a
 //! [`RecordStats`] observer, and the [`scenario`] module names ready-made
-//! protocol/adversary/config combos the binary resolves by name. Every
+//! protocol/adversary/config combos the binary resolves by name, each
+//! stated once in its builder. Every
 //! experiment and scenario receives the run knobs as one [`Exec`], parsed
 //! once from the command line. Criterion micro-benchmarks for the hot
 //! paths live in `benches/`.
@@ -30,7 +31,7 @@ use popstab_core::protocol::PopulationStability;
 use popstab_core::state::AgentState;
 use popstab_sim::{
     Adversary, BatchRunner, Engine, MatchingModel, MetricsRecorder, NoOpAdversary, RecordStats,
-    RunOutcome, RunSpec, Scenario, SimConfig, Threads, Trajectory,
+    RunOutcome, RunSpec, Scenario, SimConfig, Threads,
 };
 
 /// How experiments execute: the run knobs of the `experiments` command
@@ -61,12 +62,8 @@ pub struct JobSpec {
     pub seed: u64,
     /// Initial population (defaults to the target `N` if `None`).
     pub initial: Option<usize>,
-    /// Matched fraction (1.0 = full matching), used when `matching` is
-    /// `None`.
-    pub gamma: f64,
-    /// Explicit matching-model override (e.g. `RandomFraction`); takes
-    /// precedence over `gamma`.
-    pub matching: Option<MatchingModel>,
+    /// How each round's matching is sampled.
+    pub matching: MatchingModel,
     /// Per-round adversary budget enforced by the engine.
     pub budget: usize,
     /// Number of epochs to run.
@@ -86,8 +83,7 @@ impl JobSpec {
         JobSpec {
             seed,
             initial: None,
-            gamma: 1.0,
-            matching: None,
+            matching: MatchingModel::Full,
             budget: 0,
             epochs,
             metrics: None,
@@ -133,11 +129,6 @@ impl<A: Adversary<AgentState>> ProtocolRun<A> {
     pub fn population_range(&self) -> Option<(usize, usize)> {
         self.metrics.population_range()
     }
-
-    /// Trajectory view over the recorded metrics.
-    pub fn trajectory(&self) -> Trajectory<'_> {
-        self.metrics.trajectory()
-    }
 }
 
 /// Lowers a [`JobSpec`] onto the [`Scenario`] it describes without running
@@ -150,16 +141,11 @@ pub fn protocol_scenario<A: Adversary<AgentState>>(
     adversary: A,
     spec: &JobSpec,
 ) -> Scenario<PopulationStability, A> {
-    let matching = spec.matching.unwrap_or(if spec.gamma >= 1.0 {
-        MatchingModel::Full
-    } else {
-        MatchingModel::ExactFraction(spec.gamma)
-    });
     let cfg = SimConfig::builder()
         .seed(spec.seed)
         .target(params.target())
         .adversary_budget(spec.budget)
-        .matching(matching)
+        .matching(spec.matching)
         .max_population(64 * params.target() as usize)
         .build()
         .expect("valid experiment config");

@@ -97,34 +97,21 @@ impl<S> Adversary<S> for NoOpAdversary {
 }
 
 /// Boxed adversaries are adversaries too, so experiment suites can hold
-/// heterogeneous strategies in one collection.
-impl<S> Adversary<S> for Box<dyn Adversary<S>> {
+/// heterogeneous strategies in one collection, and fork branches and batch
+/// jobs can carry them across worker threads (`Box<dyn Adversary<S> +
+/// Send>`). Every method forwards, [`is_noop`](Adversary::is_noop)
+/// included, so a boxed no-op keeps the engine's resident fast path.
+impl<S, A: Adversary<S> + ?Sized> Adversary<S> for Box<A> {
     fn name(&self) -> &'static str {
-        self.as_ref().name()
+        (**self).name()
     }
 
     fn act(&mut self, ctx: &RoundContext, agents: &[S], rng: &mut SimRng) -> Vec<Alteration<S>> {
-        self.as_mut().act(ctx, agents, rng)
+        (**self).act(ctx, agents, rng)
     }
 
     fn is_noop(&self) -> bool {
-        self.as_ref().is_noop()
-    }
-}
-
-/// The `Send` flavor, so fork branches and batch jobs can carry
-/// heterogeneous boxed strategies across worker threads.
-impl<S> Adversary<S> for Box<dyn Adversary<S> + Send> {
-    fn name(&self) -> &'static str {
-        self.as_ref().name()
-    }
-
-    fn act(&mut self, ctx: &RoundContext, agents: &[S], rng: &mut SimRng) -> Vec<Alteration<S>> {
-        self.as_mut().act(ctx, agents, rng)
-    }
-
-    fn is_noop(&self) -> bool {
-        self.as_ref().is_noop()
+        (**self).is_noop()
     }
 }
 
@@ -156,6 +143,10 @@ mod tests {
         };
         assert!(adv.act(&ctx, &[], &mut rng_from_seed(0)).is_empty());
         assert_eq!(adv.name(), "none");
+        assert!(adv.is_noop());
+        let sendable: Box<dyn Adversary<u8> + Send> = Box::new(NoOpAdversary);
+        assert!(sendable.is_noop());
+        assert_eq!(sendable.name(), "none");
     }
 
     #[test]

@@ -116,7 +116,6 @@ pub mod metrics;
 pub mod protocols;
 pub mod rng;
 pub mod snapshot;
-pub mod trace;
 
 pub use adversary::{Adversary, Alteration, NoOpAdversary, RoundContext};
 pub use agent::{Action, Observable, Observation, Protocol};
@@ -138,4 +137,3 @@ pub use snapshot::{
     Checkpoint, RecoveryScan, Snapshot, SnapshotError, SnapshotReader, SnapshotState,
     SNAPSHOT_FORMAT_VERSION,
 };
-pub use trace::Trajectory;

@@ -81,6 +81,17 @@ pub enum MatchingModel {
 }
 
 impl MatchingModel {
+    /// The model that matches exactly a `gamma` fraction each round:
+    /// [`Full`](Self::Full) at `gamma ≥ 1`, else
+    /// [`ExactFraction`](Self::ExactFraction)`(gamma)`.
+    pub fn fraction(gamma: f64) -> MatchingModel {
+        if gamma >= 1.0 {
+            MatchingModel::Full
+        } else {
+            MatchingModel::ExactFraction(gamma)
+        }
+    }
+
     /// The guaranteed matched fraction `γ` of this model.
     pub fn gamma(&self) -> f64 {
         match *self {
@@ -819,6 +830,11 @@ mod tests {
     #[test]
     fn gamma_accessor() {
         assert_eq!(MatchingModel::Full.gamma(), 1.0);
+        assert_eq!(MatchingModel::fraction(1.0), MatchingModel::Full);
+        assert_eq!(
+            MatchingModel::fraction(0.25),
+            MatchingModel::ExactFraction(0.25)
+        );
         assert_eq!(MatchingModel::ExactFraction(0.5).gamma(), 0.5);
         assert_eq!(
             MatchingModel::RandomFraction { min_gamma: 0.25 }.gamma(),

@@ -85,11 +85,6 @@ impl RoundStats {
         }
     }
 
-    /// Signed color imbalance `c0 − c1` among active agents.
-    pub fn color_imbalance(&self) -> i64 {
-        self.color0 as i64 - self.color1 as i64
-    }
-
     /// Fraction of the population that is active (0 if empty).
     pub fn active_fraction(&self) -> f64 {
         if self.population == 0 {
@@ -230,11 +225,6 @@ impl MetricsRecorder {
         self.stats.clear();
     }
 
-    /// Trajectory view over the recorded rounds.
-    pub fn trajectory(&self) -> crate::trace::Trajectory<'_> {
-        crate::trace::Trajectory::new(self.rounds())
-    }
-
     /// Minimum and maximum population over all records, if any.
     pub fn population_range(&self) -> Option<(usize, usize)> {
         let mut it = self.stats.iter().map(|s| s.population);
@@ -253,12 +243,21 @@ impl MetricsRecorder {
         self.stats.iter().map(|s| s.wrong_round).max().unwrap_or(0)
     }
 
-    /// Maximum active fraction over all records (Lemma 4 diagnostics).
-    pub fn max_active_fraction(&self) -> f64 {
+    /// Populations sampled at the end of each epoch of length `epoch_len`
+    /// (records whose round number is `≡ epoch_len − 1 (mod epoch_len)`).
+    pub fn epoch_end_populations(&self, epoch_len: u64) -> Vec<usize> {
+        assert!(epoch_len > 0, "epoch_len must be positive");
         self.stats
             .iter()
-            .map(|s| s.active_fraction())
-            .fold(0.0, f64::max)
+            .filter(|s| s.round % epoch_len == epoch_len - 1)
+            .map(|s| s.population)
+            .collect()
+    }
+
+    /// Largest absolute population change between consecutive epoch ends.
+    pub fn max_epoch_deviation(&self, epoch_len: u64) -> Option<u64> {
+        let pops = self.epoch_end_populations(epoch_len);
+        pops.windows(2).map(|w| w[1].abs_diff(w[0]) as u64).max()
     }
 }
 
@@ -299,7 +298,6 @@ mod tests {
         assert_eq!(s.color1, 2);
         assert_eq!(s.majority_round, Some(3));
         assert_eq!(s.wrong_round, 1);
-        assert_eq!(s.color_imbalance(), -1);
         assert!((s.active_fraction() - 0.75).abs() < 1e-12);
     }
 
@@ -348,8 +346,28 @@ mod tests {
         assert_eq!(rec.len(), 4);
         assert_eq!(rec.population_range(), Some((8, 14)));
         assert_eq!(rec.max_wrong_round(), 3);
-        assert!((rec.max_active_fraction() - 0.5).abs() < 1e-9);
         rec.clear();
         assert!(rec.is_empty());
+    }
+
+    #[test]
+    fn epoch_sampling() {
+        let mut rec = MetricsRecorder::new();
+        for r in 0..20 {
+            rec.record(RoundStats {
+                round: r,
+                population: (r as usize + 1) * 10,
+                ..RoundStats::default()
+            });
+        }
+        // epoch_len 5 -> rounds 4, 9, 14, 19
+        assert_eq!(rec.epoch_end_populations(5), vec![50, 100, 150, 200]);
+        assert_eq!(rec.max_epoch_deviation(5), Some(50));
+    }
+
+    #[test]
+    #[should_panic(expected = "epoch_len must be positive")]
+    fn zero_epoch_len_panics() {
+        MetricsRecorder::new().epoch_end_populations(0);
     }
 }

@@ -51,7 +51,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         );
     }
 
-    let traj = rec.trajectory();
     let (lo, hi) = rec.population_range().expect("metrics recorded");
     println!();
     println!(
@@ -60,7 +59,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
     println!(
         "max per-epoch deviation: {} (Õ(√N) = {} per Lemma 7)",
-        traj.max_epoch_deviation(epoch).unwrap_or(0),
+        rec.max_epoch_deviation(epoch).unwrap_or(0),
         params.sqrt_n()
     );
     Ok(())

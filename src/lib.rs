@@ -79,7 +79,7 @@
 //! | `engine.run_rounds_par(n, w)` | `engine.run(RunSpec::rounds(n).sharded(w), &mut obs)` |
 //! | `engine.run_until_par(max, w, pred)` | `engine.run(RunSpec::until(max, pred).sharded(w), &mut obs)` |
 //! | `engine.set_recording(false)` | pass `&mut ()` as the observer |
-//! | `engine.metrics()` / `engine.trajectory()` | own a `MetricsRecorder`, fill it via `RecordStats::new(&mut rec)` |
+//! | `engine.metrics()` / `engine.trajectory()` | own a `MetricsRecorder`, fill it via `RecordStats::new(&mut rec)`; `rec.epoch_end_populations(len)` / `rec.max_epoch_deviation(len)` |
 //! | `SimConfig::metrics_every` / `metrics_phase` | `RecordStats::stride(&mut rec, every, phase)` |
 //!
 //! `Engine::run` carries the `P: Sync, P::State: Send + Sync, P::Message:
@@ -253,6 +253,6 @@ pub mod prelude {
         ForkBranch, HaltReason, JobFailure, JobOutcome, MatchingModel, MetricsRecorder, Observable,
         Observation, Observer, OnRound, Protocol, RecordStats, RecoveryScan, RetryPolicy,
         RoundContext, RunOutcome, RunSpec, Scenario, SimConfig, SimRng, Snapshot, SnapshotError,
-        SnapshotState, Stride, Tee, Threads, Trajectory, SNAPSHOT_FORMAT_VERSION,
+        SnapshotState, Stride, Tee, Threads, SNAPSHOT_FORMAT_VERSION,
     };
 }

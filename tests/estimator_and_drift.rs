@@ -124,9 +124,9 @@ fn exact_equilibrium_matches_long_run_fixed_point() {
         RunSpec::epochs(200, epoch),
         &mut Stride::new(epoch, RecordStats::new(&mut rec)),
     );
-    let pops = rec.trajectory().population_series();
+    let pops = rec.rounds();
     assert_eq!(pops.len(), 200);
-    let mean = pops.iter().sum::<usize>() as f64 / pops.len() as f64;
+    let mean = pops.iter().map(|s| s.population).sum::<usize>() as f64 / pops.len() as f64;
     assert!(
         (mean - m_eq).abs() < 0.35 * m_eq,
         "time-average {mean} far from exact equilibrium {m_eq}"

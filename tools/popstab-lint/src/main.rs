@@ -17,7 +17,7 @@ use popstab_lint::workspace::Workspace;
 use popstab_lint::{rules, run_lint};
 
 fn main() -> ExitCode {
-    let format = match parse_args() {
+    let format = match parse_args(std::env::args().skip(1)) {
         Ok(Some(format)) => format,
         Ok(None) => {
             print!("{}", rules::rules_markdown());
@@ -62,13 +62,16 @@ fn main() -> ExitCode {
     ExitCode::FAILURE
 }
 
-/// Parses the CLI: `Ok(Some(format))` to lint, `Ok(None)` for `--rules-md`.
-fn parse_args() -> Result<Option<Format>, String> {
+/// Parses the CLI (without the program name): `Ok(Some(format))` to lint,
+/// `Ok(None)` for `--rules-md`. Every argument is read before either is
+/// returned, so a bad one fails however the flags are ordered.
+fn parse_args(args: impl IntoIterator<Item = String>) -> Result<Option<Format>, String> {
     let mut format = Format::Text;
-    let mut args = std::env::args().skip(1);
+    let mut rules_md = false;
+    let mut args = args.into_iter();
     while let Some(arg) = args.next() {
         match arg.as_str() {
-            "--rules-md" => return Ok(None),
+            "--rules-md" => rules_md = true,
             "--format" => {
                 let value = args.next().ok_or("--format needs a value")?;
                 format = Format::parse(&value)
@@ -77,7 +80,7 @@ fn parse_args() -> Result<Option<Format>, String> {
             other => return Err(format!("unknown argument `{other}`")),
         }
     }
-    Ok(Some(format))
+    Ok((!rules_md).then_some(format))
 }
 
 /// Walks up from the current directory to the manifest declaring
@@ -101,4 +104,23 @@ fn find_workspace_root() -> Option<PathBuf> {
     // tools/popstab-lint/../.. is the workspace root.
     let compiled = PathBuf::from(env!("CARGO_MANIFEST_DIR"));
     compiled.parent()?.parent().map(PathBuf::from)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(line: &str) -> Result<Option<Format>, String> {
+        parse_args(line.split_whitespace().map(String::from))
+    }
+
+    #[test]
+    fn every_argument_is_parsed_before_acting() {
+        assert!(parse("--rules-md --format yaml").is_err());
+        assert!(parse("--format yaml --rules-md").is_err());
+        assert!(parse("--rules-md --bogus").is_err());
+        assert_eq!(parse("--format json --rules-md"), Ok(None));
+        assert_eq!(parse("--format json"), Ok(Some(Format::Json)));
+        assert_eq!(parse(""), Ok(Some(Format::Text)));
+    }
 }
