@@ -5,10 +5,8 @@ use popstab_core::state::AgentState;
 use popstab_sim::{Adversary, Alteration, RoundContext, SimRng};
 use rand::Rng;
 
-use crate::majority_round;
-
-/// Deletes `k` uniformly random agents per round, chosen with full knowledge
-/// of the state slice (though for uniform deletion the knowledge is unused).
+/// Deletes `k` uniformly random agents per round. Uniform deletion needs
+/// only the population size, so it reads no agent state.
 #[derive(Debug, Clone, Copy)]
 pub struct RandomDeleter {
     k: usize,
@@ -28,14 +26,17 @@ impl Adversary<AgentState> for RandomDeleter {
 
     fn act(
         &mut self,
-        _ctx: &RoundContext,
-        agents: &[AgentState],
+        ctx: &RoundContext,
+        _agents: &[AgentState],
         rng: &mut SimRng,
     ) -> Vec<Alteration<AgentState>> {
-        sample_distinct(agents.len(), self.k, rng)
+        sample_distinct(ctx.population, self.k, rng)
             .into_iter()
             .map(Alteration::Delete)
             .collect()
+    }
+    fn reads_states(&self) -> bool {
+        false
     }
 }
 
@@ -62,13 +63,16 @@ impl Adversary<AgentState> for ObliviousDeleter {
 
     fn act(
         &mut self,
-        _ctx: &RoundContext,
-        agents: &[AgentState],
+        ctx: &RoundContext,
+        _agents: &[AgentState],
         _rng: &mut SimRng,
     ) -> Vec<Alteration<AgentState>> {
-        (0..self.k.min(agents.len()))
+        (0..self.k.min(ctx.population))
             .map(Alteration::Delete)
             .collect()
+    }
+    fn reads_states(&self) -> bool {
+        false
     }
 }
 
@@ -95,14 +99,17 @@ impl Adversary<AgentState> for RandomInserter {
 
     fn act(
         &mut self,
-        _ctx: &RoundContext,
-        agents: &[AgentState],
+        ctx: &RoundContext,
+        _agents: &[AgentState],
         _rng: &mut SimRng,
     ) -> Vec<Alteration<AgentState>> {
-        let round = majority_round(agents).unwrap_or(0);
+        let round = ctx.majority_round.unwrap_or(0);
         (0..self.k)
             .map(|_| Alteration::Insert(AgentState::desynced(&self.params, round)))
             .collect()
+    }
+    fn reads_states(&self) -> bool {
+        false
     }
 }
 
@@ -129,14 +136,14 @@ impl Adversary<AgentState> for Churn {
 
     fn act(
         &mut self,
-        _ctx: &RoundContext,
-        agents: &[AgentState],
+        ctx: &RoundContext,
+        _agents: &[AgentState],
         rng: &mut SimRng,
     ) -> Vec<Alteration<AgentState>> {
         let deletes = self.k / 2;
         let inserts = self.k - deletes;
-        let round = majority_round(agents).unwrap_or(0);
-        let mut out: Vec<Alteration<AgentState>> = sample_distinct(agents.len(), deletes, rng)
+        let round = ctx.majority_round.unwrap_or(0);
+        let mut out: Vec<Alteration<AgentState>> = sample_distinct(ctx.population, deletes, rng)
             .into_iter()
             .map(Alteration::Delete)
             .collect();
@@ -144,6 +151,9 @@ impl Adversary<AgentState> for Churn {
             (0..inserts).map(|_| Alteration::Insert(AgentState::desynced(&self.params, round))),
         );
         out
+    }
+    fn reads_states(&self) -> bool {
+        false
     }
 }
 
@@ -179,12 +189,10 @@ mod tests {
         Params::for_target(1024).unwrap()
     }
 
-    fn ctx(budget: usize) -> RoundContext {
-        RoundContext {
-            round: 0,
-            budget,
-            target: 1024,
-        }
+    /// The context over `agents`; the adversaries here read nothing else,
+    /// so the tests hand them an empty slice.
+    fn ctx(budget: usize, agents: &[AgentState]) -> RoundContext {
+        RoundContext::observe(0, budget, 1024, agents)
     }
 
     #[test]
@@ -213,7 +221,7 @@ mod tests {
         let p = params();
         let agents = vec![AgentState::fresh(&p); 30];
         let mut adv = RandomDeleter::new(4);
-        let out = adv.act(&ctx(4), &agents, &mut rng_from_seed(3));
+        let out = adv.act(&ctx(4, &agents), &[], &mut rng_from_seed(3));
         assert_eq!(out.len(), 4);
         assert!(out.iter().all(|a| a.is_delete()));
     }
@@ -223,7 +231,7 @@ mod tests {
         let p = params();
         let agents = vec![AgentState::fresh(&p); 10];
         let mut adv = ObliviousDeleter::new(3);
-        let out = adv.act(&ctx(3), &agents, &mut rng_from_seed(4));
+        let out = adv.act(&ctx(3, &agents), &[], &mut rng_from_seed(4));
         assert_eq!(
             out,
             vec![
@@ -239,7 +247,7 @@ mod tests {
         let p = params();
         let agents = vec![AgentState::desynced(&p, 42); 10];
         let mut adv = RandomInserter::new(p.clone(), 2);
-        let out = adv.act(&ctx(2), &agents, &mut rng_from_seed(5));
+        let out = adv.act(&ctx(2, &agents), &[], &mut rng_from_seed(5));
         assert_eq!(out.len(), 2);
         for alt in out {
             match alt {
@@ -254,7 +262,7 @@ mod tests {
         let p = params();
         let agents = vec![AgentState::fresh(&p); 20];
         let mut adv = Churn::new(p.clone(), 5);
-        let out = adv.act(&ctx(5), &agents, &mut rng_from_seed(6));
+        let out = adv.act(&ctx(5, &agents), &[], &mut rng_from_seed(6));
         let deletes = out.iter().filter(|a| a.is_delete()).count();
         let inserts = out.iter().filter(|a| a.is_insert()).count();
         assert_eq!(deletes, 2);

@@ -58,6 +58,11 @@ impl Adversary<AgentState> for Composite {
         }
         out
     }
+
+    /// The state slice is read if any part reads it.
+    fn reads_states(&self) -> bool {
+        self.parts.iter().any(|part| part.reads_states())
+    }
 }
 
 #[cfg(test)]
@@ -80,15 +85,25 @@ mod tests {
         assert_eq!(adv.len(), 2);
         assert!(!adv.is_empty());
         let agents = vec![AgentState::fresh(&p); 10];
-        let ctx = RoundContext {
-            round: 0,
-            budget: 3,
-            target: 1024,
-        };
-        let out = adv.act(&ctx, &agents, &mut rng_from_seed(1));
+        let ctx = RoundContext::observe(0, 3, 1024, &agents);
+        assert!(!adv.reads_states(), "no part reads states");
+        let out = adv.act(&ctx, &[], &mut rng_from_seed(1));
         assert_eq!(out.len(), 3);
         assert!(out[0].is_delete() && out[1].is_delete() && out[2].is_insert());
         assert_eq!(adv.name(), "combo");
+    }
+
+    #[test]
+    fn composite_reads_states_if_any_part_does() {
+        let p = Params::for_target(1024).unwrap();
+        let adv = Composite::new(
+            "mixed",
+            vec![
+                Box::new(RandomInserter::new(p, 1)),
+                Box::new(crate::LeaderSniper::new(1, None)),
+            ],
+        );
+        assert!(adv.reads_states());
     }
 
     #[test]
@@ -96,13 +111,8 @@ mod tests {
         let p = Params::for_target(1024).unwrap();
         let mut adv = Composite::new("empty", vec![]);
         assert!(adv.is_empty());
-        let ctx = RoundContext {
-            round: 0,
-            budget: 3,
-            target: 1024,
-        };
-        assert!(adv
-            .act(&ctx, &[AgentState::fresh(&p)], &mut rng_from_seed(2))
-            .is_empty());
+        let agents = [AgentState::fresh(&p)];
+        let ctx = RoundContext::observe(0, 3, 1024, &agents);
+        assert!(adv.act(&ctx, &agents, &mut rng_from_seed(2)).is_empty());
     }
 }

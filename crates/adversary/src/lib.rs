@@ -23,6 +23,14 @@
 //! * [`Trauma`] — one-shot deletion/insertion of a large fraction of the
 //!   population (injury / hyper-proliferation),
 //! * [`Composite`] — round-robin combination of sub-strategies.
+//!
+//! The bulk strategies, the forgers and the trauma events decide from the
+//! round context alone — the population size and the majority round the
+//! engine puts in [`RoundContext`](popstab_sim::RoundContext) — and declare
+//! [`reads_states`](popstab_sim::Adversary::reads_states) `false`, so a
+//! resident columnar population is never transposed for them.
+//! [`LeaderSniper`] and [`ClusterPoisoner`] pick victims by their state and
+//! read the slice.
 
 pub mod bulk;
 pub mod composite;
@@ -39,18 +47,6 @@ pub use throttle::Throttle;
 pub use trauma::{Trauma, TraumaKind};
 
 use popstab_core::state::AgentState;
-use popstab_sim::RoundHistogram;
-
-/// Returns the most common `round` value among the given agents, or `None`
-/// if the slice is empty. Adversaries use this to forge agents that blend
-/// in with (or deliberately clash with) the honest clock. Ties go to the
-/// largest round ([`RoundHistogram::majority`]): the result seeds forged
-/// agents, so the tie-break must be a function of the counts alone.
-pub fn majority_round(agents: &[AgentState]) -> Option<u32> {
-    let mut counts = RoundHistogram::new();
-    counts.add_all(agents.iter().map(|a| a.round));
-    counts.majority().map(|(r, _)| r)
-}
 
 /// The full attack suite at raw (per-round) budget `k`: every strategy the
 /// paper's analysis must survive. At simulation scales you almost always
@@ -95,10 +91,14 @@ pub fn throttled_suite(
 mod tests {
     use super::*;
     use popstab_core::params::Params;
+    use popstab_sim::RoundContext;
 
+    /// The majority round the adversaries forge with comes from the round
+    /// context, which takes it from the agents' `round` fields.
     #[test]
     fn majority_round_of_empty_is_none() {
-        assert_eq!(majority_round(&[]), None);
+        let ctx = RoundContext::observe::<AgentState>(0, 1, 1024, &[]);
+        assert_eq!((ctx.population, ctx.majority_round), (0, None));
     }
 
     #[test]
@@ -107,7 +107,8 @@ mod tests {
         let mut agents = vec![AgentState::desynced(&p, 7); 5];
         agents.push(AgentState::desynced(&p, 3));
         agents.push(AgentState::desynced(&p, 3));
-        assert_eq!(majority_round(&agents), Some(7));
+        let ctx = RoundContext::observe(0, 1, 1024, &agents);
+        assert_eq!((ctx.population, ctx.majority_round), (7, Some(7)));
     }
 
     #[test]

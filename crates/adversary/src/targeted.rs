@@ -6,7 +6,6 @@ use popstab_core::state::{AgentState, Color};
 use popstab_sim::{Adversary, Alteration, RoundContext, SimRng};
 
 use crate::bulk::sample_distinct;
-use crate::majority_round;
 
 /// Deletes leaders as soon as they appear (optionally only leaders of one
 /// color). This is the attack that breaks leader-election-based protocols
@@ -84,11 +83,11 @@ impl Adversary<AgentState> for ColorFlooder {
 
     fn act(
         &mut self,
-        _ctx: &RoundContext,
-        agents: &[AgentState],
+        ctx: &RoundContext,
+        _agents: &[AgentState],
         _rng: &mut SimRng,
     ) -> Vec<Alteration<AgentState>> {
-        let round = majority_round(agents).unwrap_or(0);
+        let round = ctx.majority_round.unwrap_or(0);
         // Forged leaders only help the attacker while recruitment can still
         // complete; inserting one mid-epoch yields a partial cluster, which
         // is still adversarially useful, so insert whenever.
@@ -101,6 +100,9 @@ impl Adversary<AgentState> for ColorFlooder {
                 Alteration::Insert(s)
             })
             .collect()
+    }
+    fn reads_states(&self) -> bool {
+        false
     }
 }
 
@@ -176,15 +178,18 @@ impl Adversary<AgentState> for DesyncInserter {
 
     fn act(
         &mut self,
-        _ctx: &RoundContext,
-        agents: &[AgentState],
+        ctx: &RoundContext,
+        _agents: &[AgentState],
         _rng: &mut SimRng,
     ) -> Vec<Alteration<AgentState>> {
         let t = self.params.epoch_len();
-        let round = (majority_round(agents).unwrap_or(0) + self.offset) % t;
+        let round = (ctx.majority_round.unwrap_or(0) + self.offset) % t;
         (0..self.k)
             .map(|_| Alteration::Insert(AgentState::desynced(&self.params, round)))
             .collect()
+    }
+    fn reads_states(&self) -> bool {
+        false
     }
 }
 
@@ -213,21 +218,24 @@ impl Adversary<AgentState> for DeviationAmplifier {
     fn act(
         &mut self,
         ctx: &RoundContext,
-        agents: &[AgentState],
+        _agents: &[AgentState],
         rng: &mut SimRng,
     ) -> Vec<Alteration<AgentState>> {
         let target = ctx.target as usize;
-        if agents.len() >= target {
-            let round = majority_round(agents).unwrap_or(0);
+        if ctx.population >= target {
+            let round = ctx.majority_round.unwrap_or(0);
             (0..self.k)
                 .map(|_| Alteration::Insert(AgentState::desynced(&self.params, round)))
                 .collect()
         } else {
-            sample_distinct(agents.len(), self.k, rng)
+            sample_distinct(ctx.population, self.k, rng)
                 .into_iter()
                 .map(Alteration::Delete)
                 .collect()
         }
+    }
+    fn reads_states(&self) -> bool {
+        false
     }
 }
 
@@ -240,12 +248,8 @@ mod tests {
         Params::for_target(1024).unwrap()
     }
 
-    fn ctx(budget: usize, target: u64) -> RoundContext {
-        RoundContext {
-            round: 0,
-            budget,
-            target,
-        }
+    fn ctx(budget: usize, target: u64, agents: &[AgentState]) -> RoundContext {
+        RoundContext::observe(0, budget, target, agents)
     }
 
     #[test]
@@ -255,7 +259,7 @@ mod tests {
         agents.push(AgentState::leader(&p, Color::One, 1));
         agents.push(AgentState::leader(&p, Color::Zero, 2));
         let mut adv = LeaderSniper::new(5, None);
-        let out = adv.act(&ctx(5, 1024), &agents, &mut rng_from_seed(1));
+        let out = adv.act(&ctx(5, 1024, &agents), &agents, &mut rng_from_seed(1));
         assert_eq!(out.len(), 2);
         assert!(out
             .iter()
@@ -268,7 +272,7 @@ mod tests {
         let mut agents = vec![AgentState::leader(&p, Color::One, 1)];
         agents.push(AgentState::leader(&p, Color::Zero, 2));
         let mut adv = LeaderSniper::new(5, Some(Color::Zero));
-        let out = adv.act(&ctx(5, 1024), &agents, &mut rng_from_seed(2));
+        let out = adv.act(&ctx(5, 1024, &agents), &agents, &mut rng_from_seed(2));
         assert_eq!(out, vec![Alteration::Delete(1)]);
         assert_eq!(adv.name(), "leader-sniper-c0");
     }
@@ -278,7 +282,7 @@ mod tests {
         let p = params();
         let agents = vec![AgentState::desynced(&p, 33); 8];
         let mut adv = ColorFlooder::new(p.clone(), 3, Color::One);
-        let out = adv.act(&ctx(3, 1024), &agents, &mut rng_from_seed(3));
+        let out = adv.act(&ctx(3, 1024, &agents), &[], &mut rng_from_seed(3));
         assert_eq!(out.len(), 3);
         let mut lineages = Vec::new();
         for alt in out {
@@ -303,7 +307,7 @@ mod tests {
         agents.push(AgentState::active_at(&p, 5, Color::Zero));
         agents.push(AgentState::active_at(&p, 5, Color::Zero));
         let mut adv = ClusterPoisoner::new(10);
-        let out = adv.act(&ctx(10, 1024), &agents, &mut rng_from_seed(4));
+        let out = adv.act(&ctx(10, 1024, &agents), &agents, &mut rng_from_seed(4));
         assert_eq!(out.len(), 2);
         assert!(out
             .iter()
@@ -315,7 +319,7 @@ mod tests {
         let p = params();
         let agents = vec![AgentState::desynced(&p, 10); 4];
         let mut adv = DesyncInserter::new(p.clone(), 2, 7);
-        let out = adv.act(&ctx(2, 1024), &agents, &mut rng_from_seed(5));
+        let out = adv.act(&ctx(2, 1024, &agents), &[], &mut rng_from_seed(5));
         for alt in out {
             match alt {
                 Alteration::Insert(s) => assert_eq!(s.round, 17),
@@ -330,7 +334,7 @@ mod tests {
         let t = p.epoch_len();
         let agents = vec![AgentState::desynced(&p, t - 1); 4];
         let mut adv = DesyncInserter::new(p.clone(), 1, 2);
-        let out = adv.act(&ctx(1, 1024), &agents, &mut rng_from_seed(6));
+        let out = adv.act(&ctx(1, 1024, &agents), &[], &mut rng_from_seed(6));
         match &out[0] {
             Alteration::Insert(s) => assert_eq!(s.round, 1),
             other => panic!("expected insert, got {other:?}"),
@@ -343,10 +347,10 @@ mod tests {
         let agents = vec![AgentState::fresh(&p); 10];
         let mut adv = DeviationAmplifier::new(p.clone(), 2);
         // Below target: deletes.
-        let out = adv.act(&ctx(2, 100), &agents, &mut rng_from_seed(7));
+        let out = adv.act(&ctx(2, 100, &agents), &[], &mut rng_from_seed(7));
         assert!(out.iter().all(|a| a.is_delete()));
         // At/above target: inserts.
-        let out = adv.act(&ctx(2, 10), &agents, &mut rng_from_seed(8));
+        let out = adv.act(&ctx(2, 10, &agents), &[], &mut rng_from_seed(8));
         assert!(out.iter().all(|a| a.is_insert()));
     }
 }

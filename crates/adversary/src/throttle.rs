@@ -69,6 +69,10 @@ impl<S, A: Adversary<S>> Adversary<S> for Throttle<A> {
             Vec::new()
         }
     }
+
+    fn reads_states(&self) -> bool {
+        self.inner.reads_states()
+    }
 }
 
 #[cfg(test)]
@@ -79,12 +83,8 @@ mod tests {
     use popstab_core::state::AgentState;
     use popstab_sim::rng::rng_from_seed;
 
-    fn ctx(round: u64) -> RoundContext {
-        RoundContext {
-            round,
-            budget: 10,
-            target: 1024,
-        }
+    fn ctx(round: u64, agents: &[AgentState]) -> RoundContext {
+        RoundContext::observe(round, 10, 1024, agents)
     }
 
     #[test]
@@ -94,7 +94,7 @@ mod tests {
         let mut adv = Throttle::new(RandomDeleter::new(2), 5, 1);
         let mut rng = rng_from_seed(1);
         for round in 0..20u64 {
-            let out = adv.act(&ctx(round), &agents, &mut rng);
+            let out = adv.act(&ctx(round, &agents), &[], &mut rng);
             if round % 5 == 1 {
                 assert_eq!(out.len(), 2, "round {round}");
             } else {
@@ -109,11 +109,14 @@ mod tests {
         let agents = vec![AgentState::fresh(&p); 10];
         let mut adv = Throttle::per_epoch(RandomDeleter::new(1), 500);
         let mut rng = rng_from_seed(2);
-        assert!(adv.act(&ctx(0), &agents, &mut rng).is_empty());
-        assert_eq!(adv.act(&ctx(1), &agents, &mut rng).len(), 1);
-        assert!(adv.act(&ctx(2), &agents, &mut rng).is_empty());
-        assert_eq!(adv.act(&ctx(501), &agents, &mut rng).len(), 1);
+        assert!(adv.act(&ctx(0, &agents), &[], &mut rng).is_empty());
+        assert_eq!(adv.act(&ctx(1, &agents), &[], &mut rng).len(), 1);
+        assert!(adv.act(&ctx(2, &agents), &[], &mut rng).is_empty());
+        assert_eq!(adv.act(&ctx(501, &agents), &[], &mut rng).len(), 1);
         assert_eq!(adv.name(), "random-delete");
+        assert!(!adv.reads_states());
+        let sniper = Throttle::per_epoch(crate::LeaderSniper::new(1, None), 500);
+        assert!(Adversary::<AgentState>::reads_states(&sniper));
     }
 
     #[test]

@@ -10,7 +10,6 @@ use popstab_core::state::AgentState;
 use popstab_sim::{Adversary, Alteration, RoundContext, SimRng};
 
 use crate::bulk::sample_distinct;
-use crate::majority_round;
 
 /// What the trauma does to the population.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -70,26 +69,29 @@ impl Adversary<AgentState> for Trauma {
     fn act(
         &mut self,
         ctx: &RoundContext,
-        agents: &[AgentState],
+        _agents: &[AgentState],
         rng: &mut SimRng,
     ) -> Vec<Alteration<AgentState>> {
         if self.fired || ctx.round != self.at_round {
             return Vec::new();
         }
         self.fired = true;
-        let count = (self.fraction * agents.len() as f64).round() as usize;
+        let count = (self.fraction * ctx.population as f64).round() as usize;
         match self.kind {
-            TraumaKind::Injury => sample_distinct(agents.len(), count, rng)
+            TraumaKind::Injury => sample_distinct(ctx.population, count, rng)
                 .into_iter()
                 .map(Alteration::Delete)
                 .collect(),
             TraumaKind::Proliferation => {
-                let round = majority_round(agents).unwrap_or(0);
+                let round = ctx.majority_round.unwrap_or(0);
                 (0..count)
                     .map(|_| Alteration::Insert(AgentState::desynced(&self.params, round)))
                     .collect()
             }
         }
+    }
+    fn reads_states(&self) -> bool {
+        false
     }
 }
 
@@ -102,12 +104,8 @@ mod tests {
         Params::for_target(1024).unwrap()
     }
 
-    fn ctx(round: u64) -> RoundContext {
-        RoundContext {
-            round,
-            budget: usize::MAX,
-            target: 1024,
-        }
+    fn ctx(round: u64, agents: &[AgentState]) -> RoundContext {
+        RoundContext::observe(round, usize::MAX, 1024, agents)
     }
 
     #[test]
@@ -115,13 +113,19 @@ mod tests {
         let p = params();
         let agents = vec![AgentState::fresh(&p); 100];
         let mut adv = Trauma::new(p.clone(), TraumaKind::Injury, 0.3, 5);
-        assert!(adv.act(&ctx(4), &agents, &mut rng_from_seed(1)).is_empty());
-        let hit = adv.act(&ctx(5), &agents, &mut rng_from_seed(1));
+        assert!(adv
+            .act(&ctx(4, &agents), &[], &mut rng_from_seed(1))
+            .is_empty());
+        let hit = adv.act(&ctx(5, &agents), &[], &mut rng_from_seed(1));
         assert_eq!(hit.len(), 30);
         assert!(hit.iter().all(|a| a.is_delete()));
         assert!(adv.fired());
-        assert!(adv.act(&ctx(5), &agents, &mut rng_from_seed(1)).is_empty());
-        assert!(adv.act(&ctx(6), &agents, &mut rng_from_seed(1)).is_empty());
+        assert!(adv
+            .act(&ctx(5, &agents), &[], &mut rng_from_seed(1))
+            .is_empty());
+        assert!(adv
+            .act(&ctx(6, &agents), &[], &mut rng_from_seed(1))
+            .is_empty());
     }
 
     #[test]
@@ -129,7 +133,7 @@ mod tests {
         let p = params();
         let agents = vec![AgentState::desynced(&p, 12); 50];
         let mut adv = Trauma::new(p.clone(), TraumaKind::Proliferation, 0.5, 0);
-        let hit = adv.act(&ctx(0), &agents, &mut rng_from_seed(2));
+        let hit = adv.act(&ctx(0, &agents), &[], &mut rng_from_seed(2));
         assert_eq!(hit.len(), 25);
         for alt in hit {
             match alt {

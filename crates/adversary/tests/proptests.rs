@@ -4,8 +4,8 @@
 use proptest::prelude::*;
 
 use popstab_adversary::{
-    majority_round, Churn, ClusterPoisoner, ColorFlooder, DesyncInserter, DeviationAmplifier,
-    LeaderSniper, ObliviousDeleter, RandomDeleter, RandomInserter, Throttle,
+    Churn, ClusterPoisoner, ColorFlooder, DesyncInserter, DeviationAmplifier, LeaderSniper,
+    ObliviousDeleter, RandomDeleter, RandomInserter, Throttle,
 };
 use popstab_core::params::Params;
 use popstab_core::state::{AgentState, Color};
@@ -64,7 +64,7 @@ proptest! {
         round in 0u64..2000,
     ) {
         let p = params();
-        let ctx = RoundContext { round, budget: k, target: 1024 };
+        let ctx = RoundContext::observe(round, k, 1024, &pop);
         let mut rng = rng_from_seed(seed);
         let mut strategies: Vec<Box<dyn Adversary<AgentState>>> = vec![
             Box::new(RandomDeleter::new(k)),
@@ -79,7 +79,9 @@ proptest! {
             Box::new(DeviationAmplifier::new(p.clone(), k)),
         ];
         for strategy in &mut strategies {
-            let alts = strategy.act(&ctx, &pop, &mut rng);
+            // A summary-only strategy must act on the context alone.
+            let agents = if strategy.reads_states() { &pop[..] } else { &[] };
+            let alts = strategy.act(&ctx, agents, &mut rng);
             assert_well_formed(&alts, pop.len(), k);
         }
     }
@@ -90,10 +92,10 @@ proptest! {
         k in 0usize..200,
         seed in 0u64..100,
     ) {
-        let ctx = RoundContext { round: 0, budget: k, target: 1024 };
+        let ctx = RoundContext::observe(0, k, 1024, &pop);
         let mut rng = rng_from_seed(seed);
         let mut del = RandomDeleter::new(k);
-        let alts = del.act(&ctx, &pop, &mut rng);
+        let alts = del.act(&ctx, &[], &mut rng);
         prop_assert!(alts.len() <= pop.len());
         // All indices distinct.
         let mut idx: Vec<usize> = alts
@@ -108,8 +110,9 @@ proptest! {
         prop_assert_eq!(idx.len(), alts.len());
     }
 
-    /// The dense histogram picks the same round as the `BTreeMap` count it
-    /// replaced, ties (largest round wins), forged `u32::MAX` rounds and
+    /// The majority round the engine hands adversaries (the dense histogram
+    /// behind `RoundStats::observe`) picks the same round as a `BTreeMap`
+    /// count, ties (largest round wins), forged `u32::MAX` rounds and
     /// rounds straddling the dense cap included.
     #[test]
     fn majority_round_matches_the_ordered_map_reference(
@@ -131,14 +134,16 @@ proptest! {
             *counts.entry(r).or_insert(0usize) += 1;
         }
         let reference = counts.into_iter().max_by_key(|&(_, c)| c).map(|(r, _)| r);
-        prop_assert_eq!(majority_round(&agents), reference);
+        let ctx = RoundContext::observe(0, 0, 1024, &agents);
+        prop_assert_eq!(ctx.majority_round, reference);
+        prop_assert_eq!(ctx.population, agents.len());
     }
 
     #[test]
     fn desync_inserts_differ_from_majority(pop in arb_population(), seed in 0u64..100) {
         prop_assume!(!pop.is_empty());
         let p = params();
-        let ctx = RoundContext { round: 0, budget: 3, target: 1024 };
+        let ctx = RoundContext::observe(0, 3, 1024, &pop);
         let mut rng = rng_from_seed(seed);
         let offset = 7u32;
         let mut adv = DesyncInserter::new(p.clone(), 3, offset);
@@ -148,8 +153,7 @@ proptest! {
             *counts.entry(a.round).or_insert(0usize) += 1;
         }
         let max_count = *counts.values().max().unwrap();
-        let _ = majority_round(&pop);
-        for alt in adv.act(&ctx, &pop, &mut rng) {
+        for alt in adv.act(&ctx, &[], &mut rng) {
             match alt {
                 Alteration::Insert(s) => {
                     let base = (s.round + p.epoch_len() - offset % p.epoch_len()) % p.epoch_len();
@@ -179,8 +183,8 @@ proptest! {
         let mut rng = rng_from_seed(1);
         let mut fired = 0u64;
         for round in 0..rounds {
-            let ctx = RoundContext { round, budget: k, target: 1024 };
-            let alts = adv.act(&ctx, &pop, &mut rng);
+            let ctx = RoundContext::observe(round, k, 1024, &pop);
+            let alts = adv.act(&ctx, &[], &mut rng);
             if round % period == phase {
                 prop_assert_eq!(alts.len(), k.min(20));
                 fired += 1;
@@ -194,7 +198,7 @@ proptest! {
 
     #[test]
     fn leader_sniper_only_hits_leaders(pop in arb_population(), seed in 0u64..100) {
-        let ctx = RoundContext { round: 0, budget: 64, target: 1024 };
+        let ctx = RoundContext::observe(0, 64, 1024, &pop);
         let mut rng = rng_from_seed(seed);
         let mut adv = LeaderSniper::new(64, None);
         for alt in adv.act(&ctx, &pop, &mut rng) {
@@ -210,7 +214,7 @@ proptest! {
         let c0 = pop.iter().filter(|a| a.active && a.color == Color::Zero).count();
         let c1 = pop.iter().filter(|a| a.active && a.color == Color::One).count();
         let minority = if c0 <= c1 { Color::Zero } else { Color::One };
-        let ctx = RoundContext { round: 0, budget: 8, target: 1024 };
+        let ctx = RoundContext::observe(0, 8, 1024, &pop);
         let mut rng = rng_from_seed(seed);
         let mut adv = ClusterPoisoner::new(8);
         for alt in adv.act(&ctx, &pop, &mut rng) {

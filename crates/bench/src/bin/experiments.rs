@@ -345,10 +345,10 @@ enum Command {
     },
     /// `run-recoverable <name> --rounds N ...`.
     RunRecoverable(Recoverable),
-    /// `scenario <name>...`.
-    Scenarios(Vec<String>),
-    /// Experiment ids, in order (`all` already expanded).
-    Experiments(Vec<String>),
+    /// `scenario <name>...`, every name resolved.
+    Scenarios(Vec<&'static scenario::NamedScenario>),
+    /// Experiments, in order (`all` already expanded, every id resolved).
+    Experiments(Vec<&'static Experiment>),
 }
 
 /// The parsed command line: the run knobs and the command to run with them.
@@ -385,7 +385,9 @@ fn bench_ns(value: &str) -> Option<Vec<u64>> {
 /// Parses `experiments`' arguments (without the program name) on a
 /// machine with `avail` cores. Pure: the caller supplies both, reads no
 /// environment, and prints whatever comes back. `--list` and `--help` end
-/// the parse where they stand, ignoring anything after them.
+/// the parse where they stand, ignoring anything after them. Scenario
+/// names and experiment ids are resolved here, all of them before anything
+/// runs, so an unknown one fails at once.
 fn parse_args(args: impl IntoIterator<Item = String>, avail: usize) -> Result<Cli, String> {
     let mut quick = false;
     let mut jobs: Option<usize> = None;
@@ -499,22 +501,30 @@ fn parse_args(args: impl IntoIterator<Item = String>, avail: usize) -> Result<Cl
             trace,
         }),
         (None, Some("scenario")) => {
-            let names: Vec<String> = positional.collect();
-            if names.is_empty() {
+            let entries: Vec<_> = positional
+                .map(|name| scenario::find(&name))
+                .collect::<Result<_, _>>()?;
+            if entries.is_empty() {
                 return Err("scenario needs at least one name; see `experiments --list`".into());
             }
-            Command::Scenarios(names)
+            Command::Scenarios(entries)
         }
         // `bench` overwrites the committed BENCH_engine.json with
         // machine-local numbers, so the figures bundle excludes it; run it
         // explicitly when refreshing the perf trajectory.
-        (None, Some(_)) if selected.iter().any(|s| s == "all") => Command::Experiments(
-            IDS.iter()
-                .map(|(id, _, _)| id.to_string())
-                .filter(|id| id != "bench")
-                .collect(),
+        (None, Some(_)) if selected.iter().any(|s| s == "all") => {
+            Command::Experiments(IDS.iter().filter(|(id, _, _)| *id != "bench").collect())
+        }
+        (None, Some(_)) => Command::Experiments(
+            selected
+                .iter()
+                .map(|want| {
+                    IDS.iter()
+                        .find(|(id, _, _)| id == want)
+                        .ok_or(format!("unknown experiment `{want}`"))
+                })
+                .collect::<Result<_, _>>()?,
         ),
-        (None, Some(_)) => Command::Experiments(selected),
     };
     Ok(Cli { exec, command })
 }
@@ -547,23 +557,16 @@ fn main() -> ExitCode {
             trace,
         } => cmd_resume(&file, rounds, trace, exec.threads),
         Command::RunRecoverable(opts) => cmd_run_recoverable(&opts, exec.threads),
-        Command::Scenarios(names) => names
-            .iter()
-            .try_for_each(|name| scenario::find(name).map(|entry| entry.run(&exec))),
-        Command::Experiments(ids) => {
-            for want in &ids {
-                let Some((_, _, runner)) = IDS.iter().find(|(id, _, _)| id == want) else {
-                    eprintln!("unknown experiment `{want}`");
-                    usage();
-                    return ExitCode::FAILURE;
-                };
+        Command::Scenarios(entries) => {
+            entries.iter().for_each(|entry| entry.run(&exec));
+            Ok(())
+        }
+        Command::Experiments(experiments) => {
+            for (id, _, runner) in experiments {
                 println!("================================================================");
                 let start = Instant::now();
                 runner(&exec);
-                println!(
-                    "[{want} finished in {:.1}s]\n",
-                    start.elapsed().as_secs_f64()
-                );
+                println!("[{id} finished in {:.1}s]\n", start.elapsed().as_secs_f64());
             }
             Ok(())
         }
@@ -693,7 +696,39 @@ mod tests {
         match parse("stability all", 2).unwrap().command {
             Command::Experiments(ids) => {
                 assert_eq!(ids.len(), IDS.len() - 1);
-                assert!(!ids.iter().any(|id| id == "bench"));
+                assert!(!ids.iter().any(|(id, _, _)| *id == "bench"));
+            }
+            other => panic!("{other:?}"),
+        }
+    }
+
+    /// Every name is resolved before anything runs: one unknown name fails
+    /// the whole command line, wherever it stands.
+    #[test]
+    fn unknown_names_fail_before_anything_runs() {
+        for line in [
+            "scenario clean-1024 no-such-name",
+            "scenario no-such-name clean-1024",
+            "stability no-such-id",
+            "no-such-id stability",
+        ] {
+            let err = parse(line, 2).unwrap_err();
+            assert!(err.contains("no-such-"), "{line}: {err}");
+        }
+        match parse("scenario clean-1024 deleter-throttled-1024", 2)
+            .unwrap()
+            .command
+        {
+            Command::Scenarios(entries) => {
+                let names: Vec<&str> = entries.iter().map(|e| e.name).collect();
+                assert_eq!(names, ["clean-1024", "deleter-throttled-1024"]);
+            }
+            other => panic!("{other:?}"),
+        }
+        match parse("gamma stability", 2).unwrap().command {
+            Command::Experiments(ids) => {
+                let ids: Vec<&str> = ids.iter().map(|(id, _, _)| *id).collect();
+                assert_eq!(ids, ["gamma", "stability"]);
             }
             other => panic!("{other:?}"),
         }

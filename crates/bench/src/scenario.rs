@@ -69,6 +69,7 @@ enum Kind {
 }
 
 /// One registry entry: a named, self-describing scenario.
+#[derive(Debug)]
 pub struct NamedScenario {
     /// Registry key (`experiments scenario <name>`).
     pub name: &'static str,

@@ -24,9 +24,12 @@
 //!
 //! The engine transposes `Vec<AgentState>` in ([`ColumnarStep::load`]) only
 //! when the vector was mutated behind the columns' back, and back out
-//! ([`ColumnarStep::store`]) only when an observer, adversary, or snapshot
-//! reads it — each resident round streams ~17 bytes per agent instead of
-//! two passes over 24-byte structs. Recorded rounds stay resident too:
+//! ([`ColumnarStep::store`]) only when an observer, a state-reading
+//! adversary, or a snapshot reads it — each resident round streams ~17
+//! bytes per agent instead of two passes over 24-byte structs. Adversarial
+//! alterations land in the columns directly ([`ColumnarStep::alter`],
+//! `O(K)` lanes), so a summary-only adversary such as churn keeps the
+//! population resident too. Recorded rounds stay resident too:
 //! [`ColumnarStep::stats`] computes a round's [`RoundStats`] as popcounts
 //! over the flag columns plus one epoch-round histogram over `round`
 //! (uniform blocks counted 64 lanes at a time), never building the vector.
@@ -57,11 +60,13 @@
 //! reproduces the scalar vector byte for byte. `epoch_len` needs no
 //! column: every step writes `params.epoch_len()` into every surviving
 //! agent, so `store` pins it uniformly — exact because a store can only
-//! observe stepped agents (daughters clone stepped parents; adversarial
-//! inserts force a reload first). The engine-level equivalence property
-//! tests (`tests/columnar_equivalence.rs`) pin columnar vs scalar
-//! trajectories bit-for-bit, and the golden fixtures pin both against
-//! history.
+//! observe stepped agents: daughters clone stepped parents, and an
+//! adversarial insert or modify, written into the columns by `load` or
+//! `alter` with its round normalized and its `epoch_len` dropped, is
+//! stepped in the same round, before anything can read the vector. The
+//! engine-level equivalence property tests
+//! (`tests/columnar_equivalence.rs`) pin columnar vs scalar trajectories
+//! bit-for-bit, and the golden fixtures pin both against history.
 //!
 //! # Latch hazards
 //!
@@ -90,7 +95,9 @@ use std::sync::atomic::AtomicU64;
 use std::sync::atomic::Ordering::Relaxed;
 
 use popstab_sim::batch::ShardPool;
-use popstab_sim::columns::{tail_mask, word_shard_range, BitCol, ColumnarStep};
+use popstab_sim::columns::{
+    fill_deleted, tail_mask, word_shard_range, BitCol, ColumnarStep, Refill,
+};
 use popstab_sim::matching::UNMATCHED;
 use popstab_sim::rng::{biased_coin_x8, slot_key_x8, slot_rng, LANES};
 use popstab_sim::{Action, Protocol, RoundHistogram, RoundStats};
@@ -288,12 +295,7 @@ impl StabilityColumns {
         self.to_recruit.push(self.to_recruit[i]);
         let lineage = *self.lineage[i].get_mut();
         self.lineage.push(AtomicU64::new(lineage));
-        for col in [
-            &mut self.active,
-            &mut self.recruiting,
-            &mut self.color,
-            &mut self.is_leader,
-        ] {
+        for col in self.flags_mut() {
             col.resize_words(nw);
             let v = col.get(i);
             col.set(la, v);
@@ -308,12 +310,7 @@ impl StabilityColumns {
         self.to_recruit.swap_remove(i);
         self.lineage.swap_remove(i);
         let nw = last.div_ceil(64);
-        for col in [
-            &mut self.active,
-            &mut self.recruiting,
-            &mut self.color,
-            &mut self.is_leader,
-        ] {
+        for col in self.flags_mut() {
             if i != last {
                 let v = col.get(last);
                 col.set(i, v);
@@ -324,6 +321,39 @@ impl StabilityColumns {
             col.resize_words(nw);
         }
         self.len = last;
+    }
+
+    /// The four flag columns.
+    fn flags_mut(&mut self) -> [&mut BitCol; 4] {
+        [
+            &mut self.active,
+            &mut self.recruiting,
+            &mut self.color,
+            &mut self.is_leader,
+        ]
+    }
+
+    /// Writes `s` into lane `i` as the load pass would, round normalized.
+    fn write_lane(&mut self, i: usize, s: &AgentState) {
+        self.round[i] = normalized_round(s.round, self.proto.params().epoch_len());
+        self.to_recruit[i] = s.to_recruit;
+        *self.lineage[i].get_mut() = s.lineage;
+        self.active.set(i, s.active);
+        self.recruiting.set(i, s.recruiting);
+        self.color.set(i, s.color == Color::One);
+        self.is_leader.set(i, s.is_leader);
+    }
+
+    /// Copies lane `from` into lane `to`.
+    fn copy_lane(&mut self, from: usize, to: usize) {
+        self.round[to] = self.round[from];
+        self.to_recruit[to] = self.to_recruit[from];
+        let lineage = *self.lineage[from].get_mut();
+        *self.lineage[to].get_mut() = lineage;
+        for col in self.flags_mut() {
+            let v = col.get(from);
+            col.set(to, v);
+        }
     }
 
     /// Whether every flag column holds exactly the population's words,
@@ -530,6 +560,38 @@ impl ColumnarStep<AgentState> for StabilityColumns {
         }
     }
 
+    /// Runs [`fill_deleted`]'s plan lane by lane: `O(K)` work against the
+    /// `O(N)` store and reload it replaces. An insert off the majority
+    /// round makes its block mixed-round, which the step runs through
+    /// [`PopulationStability::step`].
+    fn alter(
+        &mut self,
+        inserted: &[AgentState],
+        modified: &[(usize, AgentState)],
+        deleted: &[usize],
+    ) -> bool {
+        for (slot, state) in modified {
+            self.write_lane(*slot, state);
+        }
+        let len = self.len;
+        let end = fill_deleted(len, inserted.len(), deleted, |slot, from| match from {
+            Refill::Slot(j) => self.copy_lane(j, slot),
+            Refill::Insert(k) => self.write_lane(slot, &inserted[k]),
+        });
+        self.resize(end);
+        // Lanes vacated in the last word join the tail, whose bits stay
+        // zero (`BitCol` docs).
+        if end % 64 != 0 {
+            for col in self.flags_mut() {
+                col.words_mut()[end / 64] &= tail_mask(end % 64);
+            }
+        }
+        for (k, state) in inserted.iter().take(end.saturating_sub(len)).enumerate() {
+            self.write_lane(len + k, state);
+        }
+        true
+    }
+
     fn store(&self, agents: &mut Vec<AgentState>) {
         let t = self.proto.params().epoch_len();
         agents.clear();
@@ -631,11 +693,22 @@ impl ColumnarStep<AgentState> for StabilityColumns {
     }
 }
 
+/// An agent's round as the columns hold it: reduced modulo the epoch length
+/// `t`. Exact, because the scalar step normalizes before any use and a
+/// store can only observe stepped (hence normalized) agents.
+#[inline]
+fn normalized_round(round: u32, t: u32) -> u32 {
+    if round < t {
+        round
+    } else {
+        round % t
+    }
+}
+
 /// Transpose pass: stream `agents` (one range) once into the authoritative
 /// columns. Bit words are built in registers and stored whole, so stale
 /// buffer contents and tail bits never leak. Rounds are normalized on the
-/// way in — exact, because the scalar step normalizes before any use and
-/// a store can only observe stepped (hence normalized) agents.
+/// way in ([`normalized_round`]).
 fn load_range(t: u32, agents: &[AgentState], st: &mut StateRange<'_>, lineage: &mut [AtomicU64]) {
     for (w, chunk) in agents.chunks(64).enumerate() {
         let mut wa = 0u64;
@@ -648,7 +721,7 @@ fn load_range(t: u32, agents: &[AgentState], st: &mut StateRange<'_>, lineage: &
             wr |= u64::from(s.recruiting) << l;
             wc |= u64::from(s.color == Color::One) << l;
             il |= u64::from(s.is_leader) << l;
-            st.round[la] = if s.round < t { s.round } else { s.round % t };
+            st.round[la] = normalized_round(s.round, t);
             st.to_recruit[la] = s.to_recruit;
             *lineage[la].get_mut() = s.lineage;
         }
@@ -1369,6 +1442,60 @@ mod tests {
     proptest::proptest! {
         #![proptest_config(proptest::prelude::ProptestConfig::with_cases(24))]
 
+        /// Altering resident columns equals loading the vector that the
+        /// engine's push-then-swap-remove semantics leave, lane for lane:
+        /// stores, stats and tail bits alike, growing and shrinking across
+        /// word boundaries.
+        #[test]
+        fn alter_matches_loading_the_altered_vector(
+            kinds in proptest::collection::vec(0u8..3, 0..300),
+            inserts in proptest::collection::vec((0u32..600, 0u8..3), 0..70),
+            deletes in proptest::collection::vec(0usize..300, 0..150),
+            modifies in proptest::collection::vec((0usize..300, 0u32..600), 0..8),
+        ) {
+            let params = Params::for_target(1024).unwrap();
+            let state = |kind: u8, round: u32| match kind {
+                0 => AgentState::desynced(&params, round),
+                1 => AgentState::leader(&params, Color::One, u64::from(round) | 1),
+                _ => AgentState::active_at(&params, round.max(1), Color::Zero),
+            };
+            let agents: Vec<AgentState> =
+                kinds.iter().enumerate().map(|(i, &k)| state(k, i as u32)).collect();
+            let len = agents.len();
+            let inserted: Vec<AgentState> = inserts.iter().map(|&(r, k)| state(k, r)).collect();
+            let modified: Vec<(usize, AgentState)> = modifies
+                .iter()
+                .filter(|&&(i, _)| i < len)
+                .map(|&(i, r)| (i, state(1, r)))
+                .collect();
+            let mut deleted: Vec<usize> = deletes.into_iter().filter(|&i| i < len).collect();
+            deleted.sort_unstable();
+            deleted.dedup();
+
+            let mut want = agents.clone();
+            for (i, s) in &modified {
+                want[*i] = *s;
+            }
+            want.extend(inserted.iter().cloned());
+            for &i in deleted.iter().rev() {
+                want.swap_remove(i);
+            }
+            let mut loaded = StabilityColumns::new(params.clone());
+            loaded.load(&want, None);
+
+            let mut altered = StabilityColumns::new(params.clone());
+            altered.load(&agents, None);
+            proptest::prop_assert!(altered.alter(&inserted, &modified, &deleted));
+            proptest::prop_assert_eq!(altered.len(), want.len());
+            proptest::prop_assert!(altered.tail_bits_clear(), "tail bits set");
+            let (mut got, mut reference) = (Vec::new(), Vec::new());
+            altered.store(&mut got);
+            loaded.store(&mut reference);
+            proptest::prop_assert_eq!(got, reference);
+            proptest::prop_assert_eq!(altered.stats(), loaded.stats());
+        }
+
+
         /// On load and after every step and apply, the stats kernel counts
         /// what observing the stored vector counts. The populations mix
         /// desynced rounds (so blocks fall back to per-lane counting),
@@ -1441,6 +1568,44 @@ mod tests {
         assert!(stepper.tail_bits_clear(), "shrinking left tail bits set");
         assert_eq!(stepper.stats().map(|s| s.leaders), Some(120));
         assert_stats_match_stored(&stepper, "after shrinking");
+    }
+
+    /// The capacity of every authoritative column.
+    fn capacities(stepper: &StabilityColumns) -> [usize; 7] {
+        [
+            stepper.round.capacity(),
+            stepper.to_recruit.capacity(),
+            stepper.lineage.capacity(),
+            stepper.active.capacity_bytes(),
+            stepper.recruiting.capacity_bytes(),
+            stepper.color.capacity_bytes(),
+            stepper.is_leader.capacity_bytes(),
+        ]
+    }
+
+    /// A net-zero alteration (as many inserts as deletes) on full columns
+    /// refills the deleted lanes in place: no column reallocates, which
+    /// pushing the inserts before removing would have done.
+    #[test]
+    fn net_zero_alter_keeps_every_column_capacity() {
+        let params = Params::for_target(1024).unwrap();
+        let agents: Vec<AgentState> = (0..1024)
+            .map(|i| AgentState::leader(&params, Color::One, i | 1))
+            .collect();
+        let mut stepper = StabilityColumns::new(params.clone());
+        stepper.load(&agents, None);
+        assert_eq!(
+            stepper.round.capacity(),
+            stepper.len(),
+            "load sizes exactly"
+        );
+        let before = capacities(&stepper);
+        let inserted = vec![AgentState::desynced(&params, 9); 4];
+        let modified = [(7, AgentState::fresh(&params))];
+        assert!(stepper.alter(&inserted, &modified, &[3, 64, 500, 1023]));
+        assert_eq!(stepper.len(), 1024);
+        assert_eq!(capacities(&stepper), before, "a column reallocated");
+        assert!(stepper.tail_bits_clear());
     }
 
     #[test]

@@ -36,15 +36,25 @@
 //! * [`EngineView::stats`](crate::EngineView::stats) asks
 //!   [`ColumnarStep::stats`] first, so a [`RecordStats`](crate::RecordStats)
 //!   run over a stepper with a stats kernel never stores mid-run;
-//! * a real adversary ([`Adversary::is_noop`](crate::Adversary::is_noop)
-//!   `false`; a declared no-op is handed an empty slice and reads nothing);
+//! * an adversary that reads states
+//!   ([`Adversary::reads_states`](crate::Adversary::reads_states)). One
+//!   that decides from the round context alone, and the declared no-op,
+//!   are handed an empty slice. The context's population size and
+//!   majority round come from the same stats as `EngineView::stats`;
 //! * [`Engine::agents`](crate::Engine::agents) and
 //!   [`Engine::snapshot`](crate::Engine::snapshot), at any time — also
 //!   after an observer's panic was caught mid-run, when the end-of-run
 //!   store never happened.
 //!
-//! Writing the vector (adversary alterations, the scalar step) marks the
-//! columns stale, and the next columnar step reloads them first.
+//! Adversarial alterations go to each form that is current, through one
+//! in-place plan ([`fill_deleted`]): the vector when it is current, and
+//! the columns through [`ColumnarStep::alter`] when they are. A stepper
+//! whose `alter` declines (the default) leaves the alterations to the
+//! vector, which is stored first if it was stale. Any other write of the
+//! vector (that fallback, the scalar step) marks the columns stale, and
+//! the next columnar step reloads them first. So a run whose adversary
+//! reads no states and whose stepper implements `alter` and `stats` loads
+//! once and stores once, as a clean run does.
 //!
 //! # Determinism contract
 //!
@@ -62,7 +72,10 @@
 use std::cell::{Cell, OnceCell};
 use std::fmt;
 
+use crate::adversary::Alteration;
+use crate::agent::Observable;
 use crate::batch::ShardPool;
+use crate::engine::RoundReport;
 use crate::metrics::RoundStats;
 
 /// A protocol's columnar state store and step-phase executor, as installed
@@ -79,7 +92,8 @@ use crate::metrics::RoundStats;
 pub trait ColumnarStep<S>: fmt::Debug + Send {
     /// Transposes `agents` into the columns, making them current. Called
     /// before a step whenever the vector was written since the columns
-    /// were last current (first round, adversary alterations, restores).
+    /// were last current (first round, restores, alterations that
+    /// [`alter`](Self::alter) declined).
     ///
     /// `pool` is the pool the round runs on — the engine always passes
     /// `Some`, and `None` means one shard. The transpose may fan out across
@@ -122,6 +136,22 @@ pub trait ColumnarStep<S>: fmt::Debug + Send {
     /// descending order.
     fn apply(&mut self, splits: &[usize], deaths: &[usize]);
 
+    /// Applies one round's adversarial alterations to the current columns
+    /// in place, in the order [`fill_deleted`] plans them, and returns
+    /// `true`: the columns then hold what loading the altered vector would
+    /// give, and stay current. Every slot is below [`len`](Self::len);
+    /// `modified` lists (slot, state) pairs in the adversary's order, a
+    /// later pair overwriting an earlier one; `deleted` is ascending and
+    /// deduplicated. No column needs to grow past the final length.
+    ///
+    /// The default returns `false` and leaves the columns untouched: the
+    /// engine then alters the vector and reloads the columns before the
+    /// next step.
+    fn alter(&mut self, inserted: &[S], modified: &[(usize, S)], deleted: &[usize]) -> bool {
+        let _ = (inserted, modified, deleted);
+        false
+    }
+
     /// Transposes the columns back into `agents` (clearing it first),
     /// reproducing byte for byte the vector the scalar path would hold
     /// after the same rounds.
@@ -149,6 +179,73 @@ pub trait ColumnarStep<S>: fmt::Debug + Send {
     /// steppers without retained buffers.
     fn mem_bytes(&self) -> usize {
         0
+    }
+}
+
+/// Where [`fill_deleted`] refills a deleted slot from.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Refill {
+    /// The current content of this population slot, which lies at or past
+    /// the final length and is read no more.
+    Slot(usize),
+    /// This index of the round's insert list.
+    Insert(usize),
+}
+
+/// The in-place alteration plan, shared by both forms of the population.
+///
+/// Of a population of `len` slots, with `inserted` agents to insert and
+/// the `deleted` slots (ascending, deduplicated, each `< len`) to remove,
+/// the engine's semantics are: append the inserts, then swap-remove the
+/// deleted slots in descending order. This plan reaches the same result
+/// without growing past the final length. Over the virtual tail — the
+/// `len` slots followed by the inserts — it calls `fill(slot, from)` for
+/// each deleted slot that the swap-remove would refill, in that order, and
+/// returns the final length `end`. The caller then keeps slots `0..end`:
+/// it truncates to `end` when `end ≤ len`, and otherwise appends inserts
+/// `0..end − len`. Modifies are applied before the plan.
+pub fn fill_deleted(
+    len: usize,
+    inserted: usize,
+    deleted: &[usize],
+    mut fill: impl FnMut(usize, Refill),
+) -> usize {
+    let mut end = len + inserted;
+    for &slot in deleted.iter().rev() {
+        end -= 1;
+        if slot != end {
+            fill(
+                slot,
+                if end < len {
+                    Refill::Slot(end)
+                } else {
+                    Refill::Insert(end - len)
+                },
+            );
+        }
+    }
+    end
+}
+
+/// Runs the alteration plan ([`fill_deleted`]) on the agent vector.
+fn alter_vec<S: Clone>(
+    agents: &mut Vec<S>,
+    inserted: &[S],
+    modified: &[(usize, S)],
+    deleted: &[usize],
+) {
+    for (slot, state) in modified {
+        agents[*slot] = state.clone();
+    }
+    let len = agents.len();
+    let end = fill_deleted(len, inserted.len(), deleted, |slot, from| match from {
+        Refill::Slot(j) => agents.swap(slot, j),
+        Refill::Insert(k) => agents[slot] = inserted[k].clone(),
+    });
+    if end <= len {
+        agents.truncate(end);
+    } else {
+        agents.extend_from_slice(&inserted[..end - len]);
     }
 }
 
@@ -228,12 +325,53 @@ impl<S: Clone> Population<S> {
         self.columns_current = false;
     }
 
-    /// [`ColumnarStep::stats`] of the columns when they are current.
-    pub(crate) fn column_stats(&self) -> Option<RoundStats> {
-        self.columns
-            .as_deref()
-            .filter(|_| self.columns_current)
-            .and_then(|columns| columns.stats())
+    /// Applies the adversary's alterations, the first `budget` of them in
+    /// order, to each form that is current (module docs, "Residency"), and
+    /// counts them into `report`. Delete and modify slots at or above the
+    /// population are ignored; repeated deletes collapse but still consume
+    /// budget. The result equals pushing the inserts and then
+    /// swap-removing the sorted, deduplicated deletes in descending order.
+    /// `deleted` is scratch for the delete list.
+    pub(crate) fn apply_alterations(
+        &mut self,
+        alterations: Vec<Alteration<S>>,
+        budget: usize,
+        deleted: &mut Vec<usize>,
+        report: &mut RoundReport,
+    ) {
+        let len = self.len();
+        let (mut inserted, mut modified) = (Vec::new(), Vec::new());
+        deleted.clear();
+        for alt in alterations.into_iter().take(budget) {
+            match alt {
+                // Duplicates are collapsed by the sort+dedup below; a
+                // per-push `contains` probe made bulk deletes O(budget²).
+                Alteration::Delete(i) if i < len => deleted.push(i),
+                Alteration::Insert(state) => inserted.push(state),
+                Alteration::Modify(i, state) if i < len => modified.push((i, state)),
+                Alteration::Delete(_) | Alteration::Modify(..) => {}
+            }
+        }
+        deleted.sort_unstable();
+        deleted.dedup();
+        report.inserted = inserted.len();
+        report.deleted = deleted.len();
+        report.modified = modified.len();
+        if inserted.is_empty() && modified.is_empty() && deleted.is_empty() {
+            return;
+        }
+        let in_columns = self.columns_current
+            && self
+                .columns
+                .as_mut()
+                .is_some_and(|columns| columns.alter(&inserted, &modified, deleted));
+        if !in_columns {
+            self.agents();
+            self.columns_current = false;
+        }
+        if let Some(agents) = self.vector.get_mut() {
+            alter_vec(agents, &inserted, &modified, deleted);
+        }
     }
 
     /// Runs the step phase in the columns ([`ColumnarStep::step`]), loading
@@ -296,6 +434,23 @@ impl<S: Clone> Population<S> {
         let capacity = self.vector.get().map_or(0, Vec::capacity) + parked.capacity();
         self.parked.set(parked);
         capacity * std::mem::size_of::<S>() + self.columns.as_ref().map_or(0, |c| c.mem_bytes())
+    }
+}
+
+impl<S: Clone + Observable> Population<S> {
+    /// The observation part of [`RoundStats`] (`round` left 0): from the
+    /// columns' [`stats`](ColumnarStep::stats) kernel when they are current
+    /// and have one, otherwise [`RoundStats::observe`] of the vector,
+    /// stored first if it was stale. Both give the same stats.
+    pub(crate) fn stats(&self) -> RoundStats {
+        let columns = self.columns.as_deref().filter(|_| self.columns_current);
+        match columns.and_then(|columns| columns.stats()) {
+            Some(stats) => {
+                debug_assert_eq!(stats.population, self.len());
+                stats
+            }
+            None => RoundStats::observe(0, self.agents()),
+        }
     }
 }
 
@@ -389,6 +544,149 @@ pub fn word_shard_range(n_words: usize, nshards: usize, s: usize) -> (usize, usi
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// The engine's alteration semantics as a loop: modifies in order,
+    /// inserts pushed, then the sorted, deduplicated in-range deletes
+    /// swap-removed in descending order.
+    fn reference(agents: &[u32], alterations: &[Alteration<u32>], budget: usize) -> Vec<u32> {
+        let mut agents = agents.to_vec();
+        let len = agents.len();
+        let mut deleted = Vec::new();
+        for alt in alterations.iter().take(budget) {
+            match *alt {
+                Alteration::Delete(i) if i < len => deleted.push(i),
+                Alteration::Insert(s) => agents.push(s),
+                Alteration::Modify(i, s) if i < len => agents[i] = s,
+                _ => {}
+            }
+        }
+        deleted.sort_unstable();
+        deleted.dedup();
+        for &i in deleted.iter().rev() {
+            agents.swap_remove(i);
+        }
+        agents
+    }
+
+    /// A columnar form that is a plain vector. Its step does nothing, and
+    /// its `alter` runs the plan when `accepts`, else declines.
+    #[derive(Debug)]
+    struct VecColumns {
+        lanes: Vec<u32>,
+        accepts: bool,
+    }
+
+    impl ColumnarStep<u32> for VecColumns {
+        fn load(&mut self, agents: &[u32], _pool: Option<&ShardPool>) {
+            self.lanes = agents.to_vec();
+        }
+
+        fn step(
+            &mut self,
+            _partners: &[u32],
+            _round_key: u64,
+            _pool: Option<&ShardPool>,
+            _splits: &mut Vec<usize>,
+            _deaths: &mut Vec<usize>,
+        ) {
+        }
+
+        fn apply(&mut self, _splits: &[usize], _deaths: &[usize]) {}
+
+        fn alter(
+            &mut self,
+            inserted: &[u32],
+            modified: &[(usize, u32)],
+            deleted: &[usize],
+        ) -> bool {
+            if self.accepts {
+                alter_vec(&mut self.lanes, inserted, modified, deleted);
+            }
+            self.accepts
+        }
+
+        fn store(&self, agents: &mut Vec<u32>) {
+            agents.clone_from(&self.lanes);
+        }
+
+        fn len(&self) -> usize {
+            self.lanes.len()
+        }
+    }
+
+    /// Random alterations over slots `0..40`, so some are out of range for
+    /// a shorter population and deletes repeat.
+    fn arb_alterations() -> impl Strategy<Value = Vec<Alteration<u32>>> {
+        prop::collection::vec(
+            (0u8..3, 0usize..40, any::<u32>()).prop_map(|(kind, i, s)| match kind {
+                0 => Alteration::Delete(i),
+                1 => Alteration::Insert(s),
+                _ => Alteration::Modify(i, s),
+            }),
+            0..48,
+        )
+    }
+
+    /// How the population holds its forms before the alterations land.
+    #[derive(Debug, Clone, Copy)]
+    enum Forms {
+        VectorOnly,
+        ColumnsOnly,
+        Both,
+    }
+
+    proptest! {
+        /// The in-place plan reproduces the push + descending swap-remove
+        /// loop exactly, in every form the population can be in, with
+        /// columns that accept the alterations and with columns that
+        /// decline them.
+        #[test]
+        fn alteration_plan_matches_push_then_swap_remove(
+            len in 0usize..32,
+            alterations in arb_alterations(),
+            budget in 0usize..56,
+            accepts in any::<bool>(),
+        ) {
+            let agents: Vec<u32> = (0..len as u32).map(|i| i * 10).collect();
+            let want = reference(&agents, &alterations, budget);
+            for forms in [Forms::VectorOnly, Forms::ColumnsOnly, Forms::Both] {
+                let columns: Option<Box<dyn ColumnarStep<u32>>> = match forms {
+                    Forms::VectorOnly => None,
+                    _ => Some(Box::new(VecColumns { lanes: Vec::new(), accepts })),
+                };
+                let mut pop = Population::new(agents.clone(), columns);
+                if !matches!(forms, Forms::VectorOnly) {
+                    ShardPool::with(1, |pool| {
+                        pop.step_columns(&[], 0, pool, &mut Vec::new(), &mut Vec::new())
+                    });
+                }
+                if matches!(forms, Forms::Both) {
+                    pop.agents();
+                }
+                let mut report = RoundReport::default();
+                pop.apply_alterations(alterations.clone(), budget, &mut Vec::new(), &mut report);
+                prop_assert_eq!(pop.len(), want.len(), "{:?}", forms);
+                prop_assert_eq!(
+                    pop.len() + report.deleted,
+                    len + report.inserted,
+                    "{:?}: counts", forms
+                );
+                let touched = report.inserted + report.deleted + report.modified > 0;
+                prop_assert_eq!(
+                    pop.columns_current,
+                    !matches!(forms, Forms::VectorOnly) && (accepts || !touched),
+                    "{:?}: a declined alteration must leave the columns stale", forms
+                );
+                if let Some(columns) = pop.columns.as_deref().filter(|_| pop.columns_current) {
+                    let mut stored = Vec::new();
+                    columns.store(&mut stored);
+                    prop_assert_eq!(&stored, &want, "{:?}: columns", forms);
+                }
+                prop_assert_eq!(pop.agents(), &want[..], "{:?}: vector", forms);
+            }
+        }
+    }
 
     #[test]
     fn bitcol_set_get_roundtrip() {

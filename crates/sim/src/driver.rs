@@ -232,13 +232,9 @@ impl<'a, P: Protocol> EngineView<'a, P> {
     /// observes [`agents`](Self::agents), storing them if needed. Both give
     /// the same stats.
     pub fn stats(&self) -> RoundStats {
-        let round = self.round.saturating_sub(1);
-        match self.pop.column_stats() {
-            Some(stats) => {
-                debug_assert_eq!(stats.population, self.pop.len());
-                RoundStats { round, ..stats }
-            }
-            None => RoundStats::observe(round, self.agents()),
+        RoundStats {
+            round: self.round.saturating_sub(1),
+            ..self.pop.stats()
         }
     }
 

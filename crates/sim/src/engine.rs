@@ -44,7 +44,7 @@
 
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 
-use crate::adversary::{Adversary, Alteration, NoOpAdversary, RoundContext};
+use crate::adversary::{Adversary, NoOpAdversary, RoundContext};
 use crate::agent::{Action, Protocol};
 use crate::batch::{shard_chunks, shard_range, ShardPool};
 use crate::columns::Population;
@@ -328,24 +328,39 @@ impl<P: Protocol, A: Adversary<P::State>> Engine<P, A> {
         pool: &ShardPool,
     ) {
         // Phase 1: adversary (sees everything, blind to the coming matching).
-        // The declared no-op ([`Adversary::is_noop`]) reads nothing and gets
-        // an empty slice, which is what lets the columnar path keep its
-        // columns resident across rounds.
+        // Every adversary but the declared no-op ([`Adversary::is_noop`])
+        // gets the population summary, from the columns' stats kernel
+        // when it has one. Only one that reads states gets the vector, so
+        // the columnar path keeps its columns resident across rounds for
+        // the rest, whose alterations apply in the columns.
+        let noop = self.adversary.is_noop();
+        let majority_round = if noop {
+            None
+        } else {
+            self.pop.stats().majority_round
+        };
         let ctx = RoundContext {
             round: self.round,
             budget: self.cfg.adversary_budget,
             target: self.cfg.target,
+            population: self.pop.len(),
+            majority_round,
         };
-        let agents = if self.adversary.is_noop() {
-            &[]
-        } else {
+        let agents = if self.adversary.reads_states() {
             self.pop.agents()
+        } else {
+            &[]
         };
         let alterations = self.adversary.act(&ctx, agents, &mut self.adv_rng);
         if !alterations.is_empty() {
-            debug_assert!(!self.adversary.is_noop(), "is_noop adversary altered");
+            debug_assert!(!noop, "is_noop adversary altered");
             // `deaths` is free until the step phase clears it.
-            self.apply_alterations(alterations, &mut scratch.deaths, report);
+            self.pop.apply_alterations(
+                alterations,
+                self.cfg.adversary_budget,
+                &mut scratch.deaths,
+                report,
+            );
         }
 
         // Phase 2: matching over survivors. Round `r`'s pairs are a pure
@@ -391,50 +406,6 @@ impl<P: Protocol, A: Adversary<P::State>> Engine<P, A> {
             self.halted = Some(HaltReason::Extinct);
         } else if population > self.cfg.max_population {
             self.halted = Some(HaltReason::Exploded);
-        }
-    }
-
-    /// Applies adversary alterations under the budget, in order. `Delete` and
-    /// `Modify` indices refer to the slice the adversary saw; deletions are
-    /// deferred to the end (swap-remove, descending) so indices stay stable,
-    /// and insertions are appended after the original slice.
-    fn apply_alterations(
-        &mut self,
-        alterations: Vec<Alteration<P::State>>,
-        to_delete: &mut Vec<usize>,
-        report: &mut RoundReport,
-    ) {
-        let agents = self.pop.agents_mut();
-        let original_len = agents.len();
-        to_delete.clear();
-        for alt in alterations.into_iter().take(self.cfg.adversary_budget) {
-            match alt {
-                Alteration::Delete(i) => {
-                    // Duplicates are collected here and collapsed by the
-                    // sort+dedup below (a repeat delete still consumes
-                    // budget, exactly as before) — a per-push `contains`
-                    // probe made bulk-delete adversaries O(budget²).
-                    if i < original_len {
-                        to_delete.push(i);
-                    }
-                }
-                Alteration::Insert(state) => {
-                    agents.push(state);
-                    report.inserted += 1;
-                }
-                Alteration::Modify(i, state) => {
-                    if i < original_len {
-                        agents[i] = state;
-                        report.modified += 1;
-                    }
-                }
-            }
-        }
-        to_delete.sort_unstable();
-        to_delete.dedup();
-        report.deleted = to_delete.len();
-        for &i in to_delete.iter().rev() {
-            agents.swap_remove(i);
         }
     }
 }
@@ -711,6 +682,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::adversary::Alteration;
     use crate::agent::{Observable, Observation};
     use crate::driver::Threads;
     use crate::matching::MatchingModel;

@@ -126,8 +126,12 @@
 //!   included ([`RecordStats`](prelude::RecordStats) reads the columns'
 //!   stats kernel), and transpose back to the vector only when something
 //!   actually reads it (an observer calling `EngineView::agents`, an
-//!   acting adversary, a checkpoint, [`Engine::snapshot`](prelude::Engine),
-//!   [`Engine::agents`](prelude::Engine)).
+//!   adversary that reads agent states, a checkpoint,
+//!   [`Engine::snapshot`](prelude::Engine),
+//!   [`Engine::agents`](prelude::Engine)). Adversarial alterations are
+//!   applied in the columns, and adversaries that decide from the round's
+//!   population size and majority round alone (churn, the inserters and
+//!   deleters, trauma) never transpose them.
 //!   [`Engine::set_columnar(false)`](prelude::Engine) forces the scalar
 //!   loop, which is how the equivalence tests pin the two paths.
 //! * **Bit-for-bit identical, by construction and by gate.** Batching can

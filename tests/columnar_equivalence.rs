@@ -4,9 +4,9 @@
 //! The columnar store keeps the population resident across rounds and
 //! transposes back only when something reads the vector, so these
 //! properties drive every residency decision the engine makes: long
-//! resident stretches, recording from the columns' stats kernel, column
-//! reloads after adversarial churn, counted stores for recording and
-//! checkpointing observers, snapshot/restore through the columnar path,
+//! resident stretches, recording from the columns' stats kernel,
+//! adversarial alterations applied in the resident columns, counted loads
+//! and stores for adversaries, recording and checkpointing observers, snapshot/restore through the columnar path,
 //! and reads after an observer's panic was caught mid-run — comparing
 //! per-round reports, the **full agent state vector** (every field, every
 //! slot), the halt state, and the encoded snapshot bytes across random
@@ -22,7 +22,9 @@ use std::sync::Arc;
 
 use proptest::prelude::*;
 
-use population_stability::adversary::{Churn, DesyncInserter, Trauma, TraumaKind};
+use population_stability::adversary::{
+    Churn, DesyncInserter, LeaderSniper, RandomInserter, Throttle, Trauma, TraumaKind,
+};
 use population_stability::core::columns::StabilityColumns;
 use population_stability::core::message::Message;
 use population_stability::core::state::AgentState;
@@ -75,6 +77,27 @@ fn churn_engine(seed: u64) -> Engine<PopulationStability, Churn> {
     adversarial_engine(seed, |params| Churn::new(params, 8))
 }
 
+/// Two inserts at the majority round every round: pure growth.
+fn inserter_engine(seed: u64) -> Engine<PopulationStability, RandomInserter> {
+    adversarial_engine(seed, |params| RandomInserter::new(params, 2))
+}
+
+/// Four inserts five rounds off the majority clock on every third round:
+/// mixed-round blocks, and resident rounds in between.
+fn desync_engine(seed: u64) -> Engine<PopulationStability, Throttle<DesyncInserter>> {
+    adversarial_engine(seed, |params| {
+        Throttle::new(DesyncInserter::new(params, 4, 5), 3, 1)
+    })
+}
+
+/// Proliferation trauma mid-epoch: a bulk insert of blank agents.
+fn proliferation_engine(seed: u64) -> Engine<PopulationStability, Trauma> {
+    adversarial_engine(seed, |params| {
+        let epoch = u64::from(params.epoch_len());
+        Trauma::new(params, TraumaKind::Proliferation, 0.3, epoch / 2)
+    })
+}
+
 /// Runs `rounds` rounds and fingerprints everything observable afterwards:
 /// the per-round report trace, the final agent vector, the round counter,
 /// and the engine's snapshot bytes (label-free, so byte-comparable).
@@ -99,19 +122,25 @@ where
 }
 
 /// Fingerprints the engine `make` builds after `rounds` rounds on the
-/// scalar and on the columnar path and asserts the two agree.
+/// scalar and on the columnar path, serial and sharded over `workers`, and
+/// asserts all four agree.
 fn assert_paths_agree<A: Adversary<AgentState>>(
     what: &str,
     make: impl Fn() -> Engine<PopulationStability, A>,
     rounds: u64,
-    threads: Threads,
+    workers: usize,
 ) {
-    let scalar = fingerprint(make(), false, rounds, threads);
-    let columnar = fingerprint(make(), true, rounds, threads);
-    assert_eq!(scalar.0, columnar.0, "{what}: report traces diverged");
-    assert_eq!(scalar.1, columnar.1, "{what}: agent vectors diverged");
-    assert_eq!(scalar.2, columnar.2, "{what}: rounds diverged");
-    assert_eq!(scalar.3, columnar.3, "{what}: snapshot bytes diverged");
+    let serial = fingerprint(make(), false, rounds, Threads::Serial);
+    for threads in [Threads::Serial, Threads::Sharded(workers)] {
+        for columnar in [false, true] {
+            let run = fingerprint(make(), columnar, rounds, threads);
+            let what = format!("{what}, {threads:?}, columnar {columnar}");
+            assert_eq!(serial.0, run.0, "{what}: report traces diverged");
+            assert_eq!(serial.1, run.1, "{what}: agent vectors diverged");
+            assert_eq!(serial.2, run.2, "{what}: rounds diverged");
+            assert_eq!(serial.3, run.3, "{what}: snapshot bytes diverged");
+        }
+    }
 }
 
 proptest! {
@@ -136,21 +165,24 @@ proptest! {
         }
     }
 
-    /// Adversarial runs: every round materializes the vector for the
-    /// adversary and reloads the columns after its alterations, so the
-    /// load/store transposes round-trip mid-run, not just at the edges.
-    /// Trauma deletes in bulk on some rounds; churn deletes and inserts on
-    /// every round.
+    /// Adversarial runs: the adversaries read only the round context, so
+    /// their alterations land in the resident columns, never in a stored
+    /// vector; the end-of-run store must still reproduce the scalar loop.
+    /// Trauma deletes or inserts in bulk once; churn deletes and inserts on
+    /// every round; the inserter grows the population every round; the
+    /// throttled desync inserter makes mixed-round blocks every third
+    /// round. Serial and sharded rounds must agree too.
     #[test]
     fn columnar_adversarial_runs_bit_identical_to_scalar(
         seed in 0u64..1000,
         rounds in 1u64..700,
         workers in 2usize..5,
     ) {
-        for threads in [Threads::Serial, Threads::Sharded(workers)] {
-            assert_paths_agree("trauma", || trauma_engine(seed), rounds, threads);
-            assert_paths_agree("churn", || churn_engine(seed), rounds, threads);
-        }
+        assert_paths_agree("trauma", || trauma_engine(seed), rounds, workers);
+        assert_paths_agree("proliferation", || proliferation_engine(seed), rounds, workers);
+        assert_paths_agree("churn", || churn_engine(seed), rounds, workers);
+        assert_paths_agree("inserter", || inserter_engine(seed), rounds, workers);
+        assert_paths_agree("desync", || desync_engine(seed), rounds, workers);
     }
 }
 
@@ -274,20 +306,34 @@ fn columnar_recorded_desynced_runs_match_scalar() {
     }
 }
 
+/// How often a [`Counting`] stepper transposed the population.
+#[derive(Debug, Default)]
+struct Transposes {
+    loads: AtomicUsize,
+    stores: AtomicUsize,
+}
+
+impl Transposes {
+    /// (loads, stores) so far.
+    fn get(&self) -> (usize, usize) {
+        (self.loads.load(Relaxed), self.stores.load(Relaxed))
+    }
+}
+
 /// The paper's protocol with its stepper wrapped in [`Counting`].
 #[derive(Debug)]
 struct Counted {
     inner: PopulationStability,
-    stores: Arc<AtomicUsize>,
+    counts: Arc<Transposes>,
     forward_stats: bool,
 }
 
-/// A stepper that counts its `store` calls and forwards its stats kernel
-/// only when asked to.
+/// A stepper that counts its `load` and `store` calls, forwards `alter`,
+/// and forwards its stats kernel only when asked to.
 #[derive(Debug)]
 struct Counting {
     inner: StabilityColumns,
-    stores: Arc<AtomicUsize>,
+    counts: Arc<Transposes>,
     forward_stats: bool,
 }
 
@@ -310,7 +356,7 @@ impl Protocol for Counted {
     fn columnar(&self) -> Option<Box<dyn ColumnarStep<AgentState>>> {
         Some(Box::new(Counting {
             inner: StabilityColumns::new(self.inner.params().clone()),
-            stores: Arc::clone(&self.stores),
+            counts: Arc::clone(&self.counts),
             forward_stats: self.forward_stats,
         }))
     }
@@ -318,6 +364,7 @@ impl Protocol for Counted {
 
 impl ColumnarStep<AgentState> for Counting {
     fn load(&mut self, agents: &[AgentState], pool: Option<&ShardPool>) {
+        self.counts.loads.fetch_add(1, Relaxed);
         self.inner.load(agents, pool);
     }
 
@@ -336,8 +383,17 @@ impl ColumnarStep<AgentState> for Counting {
         self.inner.apply(splits, deaths);
     }
 
+    fn alter(
+        &mut self,
+        inserted: &[AgentState],
+        modified: &[(usize, AgentState)],
+        deleted: &[usize],
+    ) -> bool {
+        self.inner.alter(inserted, modified, deleted)
+    }
+
     fn store(&self, agents: &mut Vec<AgentState>) {
-        self.stores.fetch_add(1, Relaxed);
+        self.counts.stores.fetch_add(1, Relaxed);
         self.inner.store(agents);
     }
 
@@ -354,35 +410,85 @@ impl ColumnarStep<AgentState> for Counting {
     }
 }
 
-/// A clean engine over [`Counted`], and its store counter.
-fn counted_engine(forward_stats: bool) -> (Engine<Counted>, Arc<AtomicUsize>) {
+/// An engine over [`Counted`] under `adversary` with budget `budget`, and
+/// its transpose counters.
+fn counted_engine_under<A: Adversary<AgentState>>(
+    forward_stats: bool,
+    adversary: A,
+    budget: usize,
+) -> (Engine<Counted, A>, Arc<Transposes>) {
     let params = Params::for_target(TARGET).unwrap();
     let cfg = SimConfig::builder()
         .seed(31)
         .target(TARGET)
+        .adversary_budget(budget)
         .build()
         .unwrap();
-    let stores = Arc::new(AtomicUsize::new(0));
+    let counts = Arc::new(Transposes::default());
     let proto = Counted {
         inner: PopulationStability::new(params),
-        stores: Arc::clone(&stores),
+        counts: Arc::clone(&counts),
         forward_stats,
     };
-    (Engine::with_population(proto, cfg, TARGET as usize), stores)
+    let engine = Engine::with_adversary(proto, adversary, cfg, TARGET as usize);
+    (engine, counts)
+}
+
+/// A clean engine over [`Counted`], and its transpose counters.
+fn counted_engine(forward_stats: bool) -> (Engine<Counted>, Arc<Transposes>) {
+    counted_engine_under(forward_stats, NoOpAdversary, 0)
 }
 
 /// Records three 10-round runs and returns the stats and the store count
 /// after each run.
 fn record_three_runs(forward_stats: bool) -> (Vec<RoundStats>, Vec<usize>) {
-    let (mut engine, stores) = counted_engine(forward_stats);
+    let (mut engine, counts) = counted_engine(forward_stats);
     let mut rec = MetricsRecorder::new();
     let counts = (0..3)
         .map(|_| {
             engine.run(RunSpec::rounds(10), &mut RecordStats::new(&mut rec));
-            stores.load(Relaxed)
+            counts.get().1
         })
         .collect();
     (rec.rounds().to_vec(), counts)
+}
+
+/// The (loads, stores) seen after each round of an `R`-round run under
+/// `adversary`, and after the run's end-of-run store.
+fn transposes_per_round<A: Adversary<AgentState>>(
+    adversary: A,
+    rounds: u64,
+) -> (Vec<(usize, usize)>, (usize, usize)) {
+    let (mut engine, counts) = counted_engine_under(true, adversary, 8);
+    let mut seen = Vec::new();
+    engine.run(
+        RunSpec::rounds(rounds),
+        &mut OnRound(|_: &RoundReport| seen.push(counts.get())),
+    );
+    (seen, counts.get())
+}
+
+/// Churn decides from the round context alone, and its alterations land in
+/// the resident columns: a run loads once, at its start, and never stores
+/// until its end. The leader sniper reads states, so every round after the
+/// first stores the vector for it, but its deletes land in the columns
+/// too, which are not reloaded.
+#[test]
+fn summary_only_adversaries_keep_the_population_resident() {
+    const ROUNDS: u64 = 40;
+    let params = Params::for_target(TARGET).unwrap();
+    let (churn, end) = transposes_per_round(Churn::new(params, 8), ROUNDS);
+    assert_eq!(
+        churn,
+        vec![(1, 0); ROUNDS as usize],
+        "churn transposed mid-run"
+    );
+    assert_eq!(end, (1, 1), "one end-of-run store");
+
+    let (sniper, end) = transposes_per_round(LeaderSniper::new(8, None), ROUNDS);
+    let want: Vec<(usize, usize)> = (0..ROUNDS as usize).map(|r| (1, r)).collect();
+    assert_eq!(sniper, want, "one store per round after the first");
+    assert_eq!(end, (1, ROUNDS as usize));
 }
 
 /// With a stats kernel, recording never materializes the vector mid-run:
@@ -404,12 +510,12 @@ fn recording_stores_once_per_run_with_a_stats_kernel() {
 #[test]
 fn checkpointing_stores_only_on_snapshot_rounds() {
     let base = Path::new(env!("CARGO_TARGET_TMPDIR")).join("columnar-checkpoint-stores");
-    let (mut engine, stores) = counted_engine(true);
+    let (mut engine, counts) = counted_engine(true);
     let mut ckpt = Checkpoint::every(5, &base).keep(2);
     engine.run(RunSpec::rounds(12), &mut ckpt);
     assert!(ckpt.errors().is_empty(), "{:?}", ckpt.errors());
     assert_eq!(ckpt.written(), 2);
-    assert_eq!(stores.load(Relaxed), 3);
+    assert_eq!(counts.get().1, 3);
     for slot in 0..2 {
         let _ = std::fs::remove_file(Checkpoint::slot_path(&base, slot));
     }
