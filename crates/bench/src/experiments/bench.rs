@@ -90,7 +90,7 @@ fn measure(n: u64, rounds: u64, workers: usize, round_threads: usize, reps: u32)
 
     // Best-of-`reps` per cell: each rep re-runs the identical simulation,
     // so the max rate is the machine's capability with scheduler noise
-    // stripped (the criterion-style estimator, without the dependency).
+    // stripped.
     // Engine construction is `O(N)` and stays outside every timed window.
     let (mut single_recorded_rps, mut single_fast_rps, mut batch_rps) = (0f64, 0f64, 0f64);
     let mut par_rps = 0f64;

@@ -20,8 +20,9 @@
 //! protocol/adversary/config combos the binary resolves by name, each
 //! stated once in its builder. Every
 //! experiment and scenario receives the run knobs as one [`Exec`], parsed
-//! once from the command line. Criterion micro-benchmarks for the hot
-//! paths live in `benches/`.
+//! once from the command line. Engine speed is timed in place, inside
+//! whole rounds: by the `bench` experiment (`BENCH_engine.json`) and by
+//! the benchmark package under `benchmark/`.
 
 pub mod experiments;
 pub mod scenario;

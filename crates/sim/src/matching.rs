@@ -184,7 +184,7 @@ impl Matching {
 /// keyed bijection strong enough to pass the chi-squared suites below —
 /// while rounds this small are nowhere near the Amdahl ceiling that
 /// parallel matching exists to lift. From 2¹⁶ agents up, the permutation's
-/// four-pass tier is statistically clean (partner-bucket chi-squared at
+/// four passes are statistically clean (partner-bucket chi-squared at
 /// 120k trials), its serial cost reaches parity with the shuffle (whose
 /// random swaps start cache-missing), and the pair construction shards
 /// across the round pool. Both branches are pure functions of
@@ -192,44 +192,27 @@ impl Matching {
 /// contract holds on either side of the boundary.
 pub const KEYED_PERMUTATION_MIN_POPULATION: usize = 1 << 16;
 
-/// Maximum mixing passes of [`SlotPermutation`] (the narrowest-domain
-/// tier runs all of them; see [`SlotPermutation::new`] for the schedule).
-/// Each pass is keyed xor, masked odd multiply, masked xorshift — about
-/// half a SplitMix64 finalizer — so the wide-domain hot path (four
-/// passes, walk ≈ 1) costs ~2 finalizers per walk step. (A Feistel
-/// network is the textbook choice here, but costs one finalizer per
-/// Feistel round; at the six rounds it needs to mix well it made the
-/// *serial* matching ~6× slower than the Fisher–Yates shuffle, which
-/// this construction must not be.)
-const MIX_PASSES: usize = 12;
+/// Mixing passes of [`SlotPermutation`]. Each pass is keyed xor, masked
+/// odd multiply, masked xorshift — about half a SplitMix64 finalizer — so
+/// a walk step (walk ≈ 1) costs ~2 finalizers. (A Feistel network is the
+/// textbook choice here, but costs one finalizer per Feistel round; at the
+/// six rounds it needs to mix well it made the *serial* matching ~6×
+/// slower than the Fisher–Yates shuffle, which this construction must
+/// not be.)
+const MIX_PASSES: usize = 4;
 
-/// Walk-domain width at which four tight-domain passes mix to statistical
-/// uniformity (clean partner-bucket chi-squared at 120k trials; the
-/// sampler only engages the permutation at
-/// [`KEYED_PERMUTATION_MIN_POPULATION`], i.e. at this width or above —
-/// narrower tiers exist for direct users of the type). Below it a masked
-/// multiply has too few high bits to diffuse into, so the narrower tiers
-/// walk a 4× oversized domain (the rejection steps compose the cipher
-/// with itself) and run more passes — populations that small are cheap to
-/// match anyway.
+/// Narrowest walk domain, in bits, at which [`MIX_PASSES`] tight-domain
+/// passes mix to statistical uniformity (clean partner-bucket chi-squared
+/// at 120k trials). The sampler engages the permutation only at
+/// [`KEYED_PERMUTATION_MIN_POPULATION`] agents, i.e. at this width or
+/// above; narrower domains, where a masked multiply has too few high bits
+/// to diffuse into, are rejected by [`SlotPermutation::new`].
 const FULL_STRENGTH_BITS: u32 = 16;
-
-/// Pass count of the 14–15-bit tier (wide enough for tight-domain walks,
-/// too narrow for the four-pass schedule: walk-free 14-bit domains need
-/// the fifth pass to clear the chi-squared bar).
-const MID_TIER_PASSES: u32 = 5;
-
-/// Floor on the walk-domain width, in bits. Tiny populations would
-/// otherwise get tiny domains, where even many mixing passes visibly
-/// under-mix; walking a ≥ 256-element domain instead costs extra cycle-walk
-/// steps on populations that are trivially cheap anyway, and keeps the
-/// construction in its well-mixed regime at every size.
-const MIN_DOMAIN_BITS: u32 = 8;
 
 /// A keyed pseudo-random permutation of the slot space `0..n`: an
 /// invertible mixing network (keyed xor, odd-constant multiply, xorshift —
-/// each step a bijection mod `2^bits`) over the smallest adequate
-/// power-of-two domain, restricted to `[0, n)` by cycle walking.
+/// each step a bijection mod `2^bits`) over the smallest power-of-two
+/// domain covering `n`, restricted to `[0, n)` by cycle walking.
 ///
 /// `apply(i)` is a pure function of `(key, n, i)` — no state, no draw
 /// order — which is what makes the matching sampler shardable: any worker
@@ -242,13 +225,10 @@ pub struct SlotPermutation {
     /// Per-pass subkeys, expanded once per permutation (i.e. once per
     /// engine round — never per slot).
     pass_keys: [u64; MIX_PASSES],
-    /// Mixing passes this domain width runs (see
-    /// [`SlotPermutation::new`]).
-    passes: u32,
     /// Permutation size: `apply` maps `[0, n)` onto itself.
     n: u64,
-    /// The walk domain is `2^bits ≥ n` (and `< 2n` above the
-    /// [`MIN_DOMAIN_BITS`] floor, so the expected walk length is < 2).
+    /// The walk domain is `2^bits`, with `n ≤ 2^bits < 2n`, so the
+    /// expected walk length is < 2.
     mask: u64,
     /// Cross-half fold distances, alternating between passes (a fixed
     /// single distance leaves shift-invariant structure the pair-frequency
@@ -265,14 +245,6 @@ const MIX_MULS: [u64; MIX_PASSES] = [
     0x94D0_49BB_1331_11EB,
     0xFF51_AFD7_ED55_8CCD,
     0xC4CE_B9FE_1A85_EC53,
-    0xBF58_476D_1CE4_E5B9,
-    0x94D0_49BB_1331_11EB,
-    0xFF51_AFD7_ED55_8CCD,
-    0xC4CE_B9FE_1A85_EC53,
-    0xBF58_476D_1CE4_E5B9,
-    0x94D0_49BB_1331_11EB,
-    0xFF51_AFD7_ED55_8CCD,
-    0xC4CE_B9FE_1A85_EC53,
 ];
 
 impl SlotPermutation {
@@ -280,47 +252,26 @@ impl SlotPermutation {
     ///
     /// # Panics
     ///
-    /// Panics if `n` is zero (there is no empty permutation to walk).
+    /// Panics if `n ≤ 2¹⁵`: the walk domain would be narrower than 16
+    /// bits, where four passes do not mix. The matching sampler shuffles
+    /// such populations instead (see [`KEYED_PERMUTATION_MIN_POPULATION`]).
     pub fn new(key: u64, n: u64) -> Self {
-        assert!(n > 0, "SlotPermutation over an empty domain");
-        // Smallest power-of-two domain covering n, floored so the mixing
-        // passes have enough width to work with (see MIN_DOMAIN_BITS).
-        let mut bits = (64 - (n - 1).leading_zeros()).max(MIN_DOMAIN_BITS);
-        // The pass/domain schedule, each tier validated by 120–160k-trial
-        // partner-bucket chi-squared probes: wide domains mix fully in
-        // four (≥ 16 bits) or five (14–15 bits) passes over the tight
-        // power-of-two domain; narrower ones additionally walk a 4×
-        // oversized space (the rejection steps compose the cipher with
-        // itself, expected ~4 applications per slot) and, below 11 bits,
-        // run every pass — affordable because the per-slot cost only
-        // rises as the slot count collapses.
-        let passes = if bits >= FULL_STRENGTH_BITS {
-            4
-        } else if bits >= 14 {
-            MID_TIER_PASSES
-        } else {
-            let narrow = bits <= 10;
-            bits += 2;
-            if narrow {
-                MIX_PASSES as u32
-            } else {
-                6
-            }
-        };
+        assert!(
+            n > 1 << (FULL_STRENGTH_BITS - 1),
+            "SlotPermutation over {n} slots: needs more than 2^{} slots",
+            FULL_STRENGTH_BITS - 1
+        );
+        // Smallest power-of-two domain covering n.
+        let bits = 64 - (n - 1).leading_zeros();
         let mut pass_keys = [0u64; MIX_PASSES];
         for (r, pk) in pass_keys.iter_mut().enumerate() {
             *pk = sub_seed(key, r as u64);
         }
         SlotPermutation {
             pass_keys,
-            passes,
             n,
-            mask: if bits == 64 {
-                u64::MAX
-            } else {
-                (1u64 << bits) - 1
-            },
-            shifts: [bits.div_ceil(2), (bits / 3).max(1)],
+            mask: u64::MAX >> (64 - bits),
+            shifts: [bits.div_ceil(2), bits / 3],
         }
     }
 
@@ -329,9 +280,9 @@ impl SlotPermutation {
     /// Cycle walking: the mixing network is a bijection of the whole
     /// power-of-two domain, so iterating it from `i` must re-enter
     /// `[0, n)` (at worst by coming back around to `i` itself); the
-    /// expected walk length is `domain / n < 2` once the domain exceeds
-    /// the `MIN_DOMAIN_BITS` floor. The induced map on `[0, n)` is a
-    /// bijection — the classic format-preserving-encryption argument.
+    /// expected walk length is `domain / n < 2`. The induced map on
+    /// `[0, n)` is a bijection — the classic format-preserving-encryption
+    /// argument.
     #[inline]
     pub fn apply(&self, i: u64) -> u64 {
         debug_assert!(i < self.n, "slot {i} outside permutation domain {}", self.n);
@@ -349,21 +300,15 @@ impl SlotPermutation {
     /// mod `2^bits`, so the composition is too. The multiply diffuses low
     /// bits upward, the xorshift folds high bits back down; alternating
     /// them under distinct subkeys and multipliers avalanches the whole
-    /// domain word — in four passes (~2 finalizers) on wide domains, more
-    /// on narrow ones (see [`FULL_STRENGTH_BITS`]).
-    // Indexed loops: each pass walks three arrays (subkey, multiplier,
-    // alternating fold distance) in lockstep; the first four passes get a
-    // constant bound so the hot wide-domain tier fully unrolls.
+    /// domain word in [`MIX_PASSES`] passes (~2 finalizers).
+    // Indexed loop: each pass walks three arrays (subkey, multiplier,
+    // alternating fold distance) in lockstep; the constant bound fully
+    // unrolls it.
     #[allow(clippy::needless_range_loop)]
     #[inline]
     fn mix(&self, x: u64) -> u64 {
         let mut x = x;
-        for i in 0..4 {
-            x ^= self.pass_keys[i] & self.mask;
-            x = x.wrapping_mul(MIX_MULS[i]) & self.mask;
-            x ^= x >> self.shifts[i & 1];
-        }
-        for i in 4..self.passes as usize {
+        for i in 0..MIX_PASSES {
             x ^= self.pass_keys[i] & self.mask;
             x = x.wrapping_mul(MIX_MULS[i]) & self.mask;
             x ^= x >> self.shifts[i & 1];
@@ -684,9 +629,7 @@ mod tests {
 
     #[test]
     fn slot_permutation_is_a_bijection_at_every_size() {
-        for n in [
-            1u64, 2, 3, 5, 16, 17, 100, 255, 256, 257, 1000, 65_536, 70_001,
-        ] {
+        for n in [32_769u64, 50_000, 65_535, 65_536, 65_537, 70_001] {
             for key in [0u64, 1, trial_key(6, n)] {
                 let perm = SlotPermutation::new(key, n);
                 let mut image: Vec<u64> = (0..n).map(|i| perm.apply(i)).collect();
@@ -699,10 +642,10 @@ mod tests {
         }
     }
 
-    /// The wide-domain (four-pass) regime of the permutation, which the
-    /// small-`n` distribution tests never reach: at `n = 50000` (16-bit
-    /// walk domain) the images of a few fixed slots, taken across many
-    /// keys, must be uniform over coarse buckets of the slot space.
+    /// The permutation at its narrowest walk domain (16 bits) with a
+    /// real cycle walk: at `n = 50000` the images of a few fixed slots,
+    /// taken across many keys, must be uniform over coarse buckets of the
+    /// slot space.
     #[test]
     fn slot_permutation_is_uniform_in_the_wide_domain_regime() {
         let n = 50_000u64;
@@ -732,9 +675,9 @@ mod tests {
     /// (agent 0 can never partner itself), at one population per sampler
     /// regime: 250/1000/8192/16384 run the keyed Fisher–Yates shuffle
     /// (below [`KEYED_PERMUTATION_MIN_POPULATION`]), 70000 the keyed
-    /// permutation's four-pass wide tier. The acceptance bound is ~5σ of
-    /// the chi-squared statistic; the residual permutation-tier biases
-    /// measured during tuning sat well below it at 4× these trial counts.
+    /// permutation. The acceptance bound is ~5σ of the chi-squared
+    /// statistic; the residual permutation biases measured during tuning
+    /// sat well below it at 4× these trial counts.
     #[test]
     fn partner_chi_squared_is_clean_in_every_pass_tier() {
         for (n, buckets, trials) in [
@@ -785,15 +728,24 @@ mod tests {
 
     #[test]
     fn slot_permutation_differs_across_keys() {
-        let n = 64u64;
-        let a = SlotPermutation::new(trial_key(7, 0), n);
-        let b = SlotPermutation::new(trial_key(7, 1), n);
-        let fixed = (0..n).filter(|&i| a.apply(i) == b.apply(i)).count();
-        // Two independent uniform permutations agree on ~1 point.
-        assert!(
-            fixed < 8,
-            "permutations nearly identical: {fixed} agreements"
-        );
+        for n in [32_769u64, 65_536, 70_001] {
+            let a = SlotPermutation::new(trial_key(7, 0), n);
+            let b = SlotPermutation::new(trial_key(7, 1), n);
+            let fixed = (0..n).filter(|&i| a.apply(i) == b.apply(i)).count();
+            // Two independent uniform permutations agree on ~1 point.
+            assert!(
+                fixed < 8,
+                "n={n}: permutations nearly identical: {fixed} agreements"
+            );
+        }
+    }
+
+    /// Below a 16-bit walk domain four passes do not mix, so the
+    /// permutation refuses such sizes rather than under-mixing them.
+    #[test]
+    #[should_panic(expected = "needs more than 2^15 slots")]
+    fn slot_permutation_rejects_narrow_domains() {
+        SlotPermutation::new(trial_key(7, 0), 1 << 15);
     }
 
     #[test]

@@ -27,10 +27,7 @@ pub struct FloatOrderDeterminism;
 
 /// Crates in scope: the result crates plus the statistics crate.
 fn float_scope(path: &str) -> bool {
-    result_scope(path)
-        || (path.starts_with("crates/analysis/")
-            && !path.contains("/tests/")
-            && !path.contains("/benches/"))
+    result_scope(path) || (path.starts_with("crates/analysis/") && !path.contains("/tests/"))
 }
 
 const INT_TYPES: &[&str] = &[

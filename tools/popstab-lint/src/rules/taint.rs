@@ -74,11 +74,10 @@ fn path_matches(path: &str, pattern: &str) -> bool {
 }
 
 /// Whether a source file should be treated as result-affecting input:
-/// integration tests, benches, and examples under a crate never are.
+/// integration tests and examples under a crate never are.
 pub(crate) fn result_scope(path: &str) -> bool {
     RESULT_CRATES.iter().any(|p| path.starts_with(p))
         && !path.contains("/tests/")
-        && !path.contains("/benches/")
         && !path.contains("/examples/")
 }
 
