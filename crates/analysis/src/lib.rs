@@ -1,9 +1,6 @@
 //! Analysis toolkit for the population stability reproduction.
 //!
 //! * [`stats`] — streaming summaries (Welford), Wilson confidence intervals,
-//! * [`concentration`] — Chernoff–Hoeffding bound helpers used to set the
-//!   tolerances that play the role of the paper's "with overwhelming
-//!   probability" statements,
 //! * [`equilibrium`] — the exact finite-size equilibrium `m* = N − 8√N` of
 //!   the one-epoch expected drift, and the drift model itself,
 //! * [`drift`] — empirical measurement of the per-epoch restoring drift
@@ -15,7 +12,6 @@
 //!   distribution of colors"),
 //! * [`report`] — fixed-width tables for the experiment harness.
 
-pub mod concentration;
 pub mod drift;
 pub mod equilibrium;
 pub mod estimator;

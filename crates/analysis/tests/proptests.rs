@@ -4,7 +4,6 @@
 
 use proptest::prelude::*;
 
-use popstab_analysis::concentration::{hoeffding_radius, hoeffding_tail};
 use popstab_analysis::equilibrium::{
     equilibrium_population, exact_epoch_drift, exact_equilibrium, expected_epoch_drift,
 };
@@ -66,13 +65,6 @@ proptest! {
         let p = successes as f64 / trials as f64;
         prop_assert!(lo <= p + 1e-12 && p <= hi + 1e-12, "p={p} not in [{lo}, {hi}]");
         prop_assert!((0.0..=1.0).contains(&lo) && (0.0..=1.0).contains(&hi));
-    }
-
-    #[test]
-    fn hoeffding_radius_inverts_tail(n in 1u64..10_000, delta in 0.0001f64..0.5) {
-        let t = hoeffding_radius(n, delta, 0.0, 1.0);
-        let tail = hoeffding_tail(n, t, 0.0, 1.0);
-        prop_assert!((tail - delta).abs() < 1e-6, "tail {tail} vs delta {delta}");
     }
 
     #[test]

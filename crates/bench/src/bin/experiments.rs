@@ -57,9 +57,10 @@
 //! `run-recoverable <name> --rounds N` is the crash-safe driver: it
 //! auto-checkpoints registry entry `<name>` every `--every K` rounds (default
 //! 10) into a rotation of `--keep M` files (default 3) under `--checkpoints
-//! BASE` (default `<name>.ckpt`), and on startup scans that rotation for the
-//! latest *valid* checkpoint — corrupt or truncated files are reported to
-//! stderr and skipped — resuming from it instead of starting over. A run
+//! BASE` (default `<name>.ckpt`; `K` and `M` must be positive), and on
+//! startup scans that rotation for the latest *valid* checkpoint — corrupt
+//! or truncated files are reported to stderr and skipped — resuming from it
+//! instead of starting over. A run
 //! that crashes mid-way (simulate one with `--kill-at R`, which exits with
 //! code 42 after round `R`) and is re-invoked therefore finishes with the
 //! exact trace suffix of an uninterrupted run, which the CI fault-injection
@@ -419,7 +420,7 @@ fn parse_args(args: impl IntoIterator<Item = String>, avail: usize) -> Result<Cl
                 .and_then(|v| v.parse::<u64>().ok())
                 .ok_or(format!("{flag} needs a non-negative integer"))
         };
-        let workers = |value: Option<String>| {
+        let positive = |value: Option<String>| {
             value
                 .and_then(|v| v.parse::<usize>().ok())
                 .filter(|&n| n > 0)
@@ -430,15 +431,15 @@ fn parse_args(args: impl IntoIterator<Item = String>, avail: usize) -> Result<Cl
             "--trace" => trace = true,
             "--at" => at = count(value())?,
             "--rounds" => rounds = Some(count(value())?),
-            "--every" => every = count(value())?,
-            "--keep" => keep = count(value())? as usize,
+            "--every" => every = positive(value())? as u64,
+            "--keep" => keep = positive(value())?,
             "--kill-at" => kill_at = Some(count(value())?),
             "--checkpoints" => {
                 checkpoints = Some(value().ok_or("--checkpoints needs a base path")?);
             }
             "--out" | "-o" => out = Some(value().ok_or(format!("{flag} needs a file path"))?),
-            "--jobs" | "-j" => jobs = Some(workers(value())?),
-            "--round-threads" => round_threads = Some(workers(value())?),
+            "--jobs" | "-j" => jobs = Some(positive(value())?),
+            "--round-threads" => round_threads = Some(positive(value())?),
             "--n" => {
                 ns = Some(
                     value()
@@ -629,6 +630,11 @@ mod tests {
             "--round-threads",
             "--n 1000 bench",
             "--quick=yes stability",
+            // Checkpoint cadence and rotation depth are positive too.
+            "run-recoverable clean-1024 --rounds 5 --every 0",
+            "run-recoverable clean-1024 --rounds 5 --every=0",
+            "run-recoverable clean-1024 --rounds 5 --keep 0",
+            "run-recoverable clean-1024 --rounds 5 --keep=-1",
         ] {
             assert!(parse(line, 4).is_err(), "{line}");
         }

@@ -29,17 +29,15 @@
 //!
 //! # Failure semantics
 //!
-//! [`BatchRunner::run`] treats a panicking job as fatal (the panic
-//! propagates once the scope joins). [`BatchRunner::run_faulty`] is the
-//! fault-tolerant variant: each job attempt runs under `catch_unwind`, a
-//! bounded [`RetryPolicy`] re-runs failed jobs (each retry receives the
-//! same `(index, job)` inputs, so with job-derived seeding a successful
-//! retry is bit-identical to a never-failed run), and jobs that exhaust
-//! their attempts are quarantined into the [`BatchReport`] instead of
-//! aborting the sweep. [`ShardPool`] is panic-safe as well: a panicking
-//! shard body cannot wedge the barrier, the panic is re-raised on the
-//! dispatching thread once every shard has finished, and the pool stays
-//! usable for later dispatches.
+//! A panicking job is fatal to its batch: [`BatchRunner::run`] stops
+//! claiming new jobs, lets the jobs already claimed finish, and re-raises
+//! the panic of the lowest-indexed failing job on the calling thread —
+//! the same payload a one-worker run raises, whatever the worker count.
+//! Surviving crashes is the job of checkpoints ([`crate::Checkpoint`]),
+//! not of the batch layer. [`ShardPool`] is panic-safe as well: a
+//! panicking shard body cannot wedge the barrier, the panic is re-raised
+//! on the dispatching thread once every shard has finished, and the pool
+//! stays usable for later dispatches.
 //!
 //! ```
 //! use popstab_sim::batch::{job_seed, BatchRunner, Scenario};
@@ -55,7 +53,6 @@
 //! assert_eq!(finals, BatchRunner::new(1).run(jobs, |_, _| 64));
 //! ```
 
-use std::fmt;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Condvar, Mutex, MutexGuard};
 
@@ -124,8 +121,14 @@ impl BatchRunner {
     ///
     /// Worker threads claim jobs through an atomic cursor (work stealing
     /// without queues: jobs are taken in index order, so long jobs at the
-    /// front do not serialize the batch). A panic in any job propagates to
-    /// the caller once the scope joins.
+    /// front do not serialize the batch).
+    ///
+    /// # Panics
+    ///
+    /// Re-raises the panic of the lowest-indexed failing job once every
+    /// claimed job has finished; no job is claimed after a failure. Since
+    /// claims go in index order, every lower-indexed job was claimed before
+    /// any failure, so the payload is the one a one-worker run raises.
     pub fn run<T, R, F>(&self, jobs: Vec<T>, run: F) -> Vec<R>
     where
         T: Send,
@@ -145,10 +148,12 @@ impl BatchRunner {
         let slots: Vec<Mutex<Option<T>>> = jobs.into_iter().map(|j| Mutex::new(Some(j))).collect();
         let results: Vec<Mutex<Option<R>>> = (0..n).map(|_| Mutex::new(None)).collect();
         let cursor = AtomicUsize::new(0);
+        let failure: Mutex<Option<(usize, Box<dyn std::any::Any + Send>)>> = Mutex::new(None);
         let run = &run;
         let slots = &slots;
         let results = &results;
         let cursor = &cursor;
+        let failure = &failure;
         std::thread::scope(|scope| {
             for _ in 0..workers {
                 scope.spawn(move || loop {
@@ -161,11 +166,27 @@ impl BatchRunner {
                         .expect("job slot poisoned")
                         .take()
                         .expect("job claimed twice");
-                    let result = run(i, job);
-                    *results[i].lock().expect("result slot poisoned") = Some(result);
+                    // AssertUnwindSafe: a failed job's state is never
+                    // looked at again; its payload is re-raised below.
+                    match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| run(i, job))) {
+                        Ok(result) => {
+                            *results[i].lock().expect("result slot poisoned") = Some(result)
+                        }
+                        Err(payload) => {
+                            // Exhausting the cursor stops every worker's claims.
+                            cursor.fetch_max(n, Ordering::Relaxed);
+                            let mut first = failure.lock().expect("failure slot poisoned");
+                            if first.as_ref().is_none_or(|&(j, _)| i < j) {
+                                *first = Some((i, payload));
+                            }
+                        }
+                    }
                 });
             }
         });
+        if let Some((_, payload)) = failure.lock().expect("failure slot poisoned").take() {
+            std::panic::resume_unwind(payload);
+        }
         results
             .iter()
             .map(|slot| {
@@ -175,213 +196,6 @@ impl BatchRunner {
                     .expect("job finished without a result")
             })
             .collect()
-    }
-
-    /// The fault-tolerant variant of [`run`](BatchRunner::run): executes
-    /// `run(index, attempt, &job)` for every job, catching per-attempt
-    /// panics, retrying up to `policy` attempts, and quarantining jobs that
-    /// never succeed into the returned [`BatchReport`] instead of aborting
-    /// the sweep.
-    ///
-    /// Determinism is preserved through failures: every attempt of a job
-    /// receives the identical `(index, &job)` inputs (attempt numbers start
-    /// at 1), so a job that seeds all of its randomness from those — the
-    /// batch contract — produces the same result whether it succeeded on
-    /// the first attempt or the last. A fault-free `run_faulty` sweep is
-    /// therefore bit-identical to the corresponding [`run`](BatchRunner::run) sweep, and
-    /// worker-count invariance carries over unchanged.
-    ///
-    /// Worker threads survive job panics: one poisoned job quarantines
-    /// itself, the rest of the batch completes normally.
-    pub fn run_faulty<T, R, F>(&self, jobs: Vec<T>, policy: RetryPolicy, run: F) -> BatchReport<R>
-    where
-        T: Send,
-        R: Send,
-        F: Fn(usize, u32, &T) -> R + Sync,
-    {
-        let run = &run;
-        let outcomes = self.run(jobs, move |index, job| {
-            let mut message = String::new();
-            for attempt in 1..=policy.max_attempts() {
-                // AssertUnwindSafe: a panicking attempt abandons everything
-                // it touched — the job is passed by shared reference and
-                // `run` must be a pure function of its arguments (the batch
-                // determinism contract) — so a from-scratch retry observes
-                // no broken state.
-                let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                    run(index, attempt, &job)
-                }));
-                match result {
-                    Ok(result) => return JobOutcome::Ok(result),
-                    Err(payload) => message = panic_message(payload.as_ref()),
-                }
-            }
-            JobOutcome::Quarantined(JobFailure {
-                index,
-                attempts: policy.max_attempts(),
-                message,
-            })
-        });
-        BatchReport { outcomes }
-    }
-}
-
-/// Renders a `catch_unwind` payload as text: the panic message when the
-/// payload is a string (the overwhelmingly common case — `panic!` with a
-/// literal or a formatted message), a placeholder otherwise.
-pub fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = payload.downcast_ref::<&'static str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "non-string panic payload".to_string()
-    }
-}
-
-/// Bounded retry policy for [`BatchRunner::run_faulty`]: how many times a
-/// job may be attempted before it is quarantined.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RetryPolicy {
-    max_attempts: u32,
-}
-
-impl RetryPolicy {
-    /// Allows up to `max_attempts` attempts per job (`0` is clamped to 1 —
-    /// every job always gets its first attempt).
-    pub fn attempts(max_attempts: u32) -> RetryPolicy {
-        RetryPolicy {
-            max_attempts: max_attempts.max(1),
-        }
-    }
-
-    /// No retries: one attempt, then quarantine.
-    pub fn none() -> RetryPolicy {
-        RetryPolicy::attempts(1)
-    }
-
-    /// The attempt bound.
-    pub fn max_attempts(self) -> u32 {
-        self.max_attempts
-    }
-}
-
-/// Three attempts per job — enough to shrug off a transient fault without
-/// grinding on a deterministic one.
-impl Default for RetryPolicy {
-    fn default() -> Self {
-        RetryPolicy::attempts(3)
-    }
-}
-
-/// A quarantined job: which job failed, how hard it was retried, and what
-/// the last panic said.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct JobFailure {
-    /// The failed job's batch index.
-    pub index: usize,
-    /// Attempts consumed (the policy's bound — quarantine means every
-    /// attempt failed).
-    pub attempts: u32,
-    /// The final attempt's panic message.
-    pub message: String,
-}
-
-impl fmt::Display for JobFailure {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "job {} failed all {} attempts: {}",
-            self.index, self.attempts, self.message
-        )
-    }
-}
-
-/// One job's fate in a [`BatchRunner::run_faulty`] sweep.
-#[derive(Debug)]
-pub enum JobOutcome<R> {
-    /// The job produced a result (possibly after retries — bit-identical
-    /// either way, by the batch determinism contract).
-    Ok(R),
-    /// The job panicked on every allowed attempt.
-    Quarantined(JobFailure),
-}
-
-impl<R> JobOutcome<R> {
-    /// The result, if the job succeeded.
-    pub fn ok(self) -> Option<R> {
-        match self {
-            JobOutcome::Ok(r) => Some(r),
-            JobOutcome::Quarantined(_) => None,
-        }
-    }
-
-    /// A reference to the result, if the job succeeded.
-    pub fn as_ok(&self) -> Option<&R> {
-        match self {
-            JobOutcome::Ok(r) => Some(r),
-            JobOutcome::Quarantined(_) => None,
-        }
-    }
-
-    /// The failure record, if the job was quarantined.
-    pub fn failure(&self) -> Option<&JobFailure> {
-        match self {
-            JobOutcome::Ok(_) => None,
-            JobOutcome::Quarantined(failure) => Some(failure),
-        }
-    }
-}
-
-/// The structured result of a [`BatchRunner::run_faulty`] sweep: one
-/// [`JobOutcome`] per job, in job order.
-#[derive(Debug)]
-pub struct BatchReport<R> {
-    outcomes: Vec<JobOutcome<R>>,
-}
-
-impl<R> BatchReport<R> {
-    /// Every job's outcome, in job order.
-    pub fn outcomes(&self) -> &[JobOutcome<R>] {
-        &self.outcomes
-    }
-
-    /// Consumes the report into its outcome vector.
-    pub fn into_outcomes(self) -> Vec<JobOutcome<R>> {
-        self.outcomes
-    }
-
-    /// The quarantined jobs, in job order.
-    pub fn failures(&self) -> impl Iterator<Item = &JobFailure> {
-        self.outcomes.iter().filter_map(JobOutcome::failure)
-    }
-
-    /// Whether every job succeeded.
-    pub fn is_clean(&self) -> bool {
-        self.outcomes.iter().all(|o| o.failure().is_none())
-    }
-
-    /// All results in job order when the sweep was clean, otherwise every
-    /// failure record.
-    ///
-    /// # Errors
-    ///
-    /// The quarantined jobs' [`JobFailure`]s when any job failed.
-    pub fn into_results(self) -> Result<Vec<R>, Vec<JobFailure>> {
-        if self.is_clean() {
-            Ok(self
-                .outcomes
-                .into_iter()
-                .filter_map(JobOutcome::ok)
-                .collect())
-        } else {
-            Err(self
-                .outcomes
-                .iter()
-                .filter_map(JobOutcome::failure)
-                .cloned()
-                .collect())
-        }
     }
 }
 
@@ -876,6 +690,25 @@ mod tests {
     }
 
     #[test]
+    fn a_failing_batch_reraises_its_lowest_failing_jobs_own_panic() {
+        for workers in 1..=4 {
+            let payload = std::panic::catch_unwind(|| {
+                BatchRunner::new(workers).run((0..10usize).collect(), |i, job| match i {
+                    3 => panic!("job 3 failed"),
+                    6 => panic!("job 6 failed"),
+                    _ => job,
+                })
+            })
+            .expect_err("a job panic was swallowed");
+            assert_eq!(
+                payload.downcast_ref::<&str>(),
+                Some(&"job 3 failed"),
+                "{workers} workers"
+            );
+        }
+    }
+
+    #[test]
     fn empty_batch_is_fine() {
         let out: Vec<u8> = BatchRunner::new(8).run(Vec::<u8>::new(), |_, j| j);
         assert!(out.is_empty());
@@ -1017,7 +850,7 @@ mod tests {
                     });
                 });
                 let payload = result.expect_err("worker panic was swallowed");
-                assert_eq!(panic_message(payload.as_ref()), "shard boom");
+                assert_eq!(payload.downcast_ref::<&str>(), Some(&"shard boom"));
                 // The pool stays usable for later generations even though a
                 // shard of the previous dispatch panicked.
                 let ran = AtomicU32::new(0);
@@ -1049,76 +882,6 @@ mod tests {
         // the all-shards barrier must hold on the unwinding path too, or
         // workers would race a dead stack frame.
         assert_eq!(finished.load(Ordering::Relaxed), 2);
-    }
-
-    #[test]
-    fn run_faulty_with_transient_faults_matches_the_plain_run() {
-        use std::sync::atomic::AtomicU32;
-        let runner = BatchRunner::new(4);
-        let jobs: Vec<u64> = (0..40).map(|i| job_seed(9, i)).collect();
-        let clean = runner.run(jobs.clone(), |i, seed| (i as u64).wrapping_mul(seed));
-        // Every third job panics on its first attempt; the retry re-derives
-        // the identical inputs, so the report must be bit-identical to the
-        // clean sweep.
-        let first_attempts = AtomicU32::new(0);
-        let report = runner.run_faulty(jobs, RetryPolicy::attempts(2), |i, attempt, seed| {
-            if i % 3 == 0 && attempt == 1 {
-                first_attempts.fetch_add(1, Ordering::Relaxed);
-                panic!("transient fault");
-            }
-            (i as u64).wrapping_mul(*seed)
-        });
-        assert!(report.is_clean());
-        assert_eq!(first_attempts.load(Ordering::Relaxed), 14);
-        assert_eq!(report.into_results().unwrap(), clean);
-    }
-
-    #[test]
-    fn run_faulty_quarantines_persistent_failures_without_losing_the_rest() {
-        let runner = BatchRunner::new(3);
-        let report = runner.run_faulty(
-            (0..10usize).collect(),
-            RetryPolicy::attempts(3),
-            |_, _, job| {
-                if *job == 4 {
-                    panic!("job four is cursed");
-                }
-                job * 10
-            },
-        );
-        assert!(!report.is_clean());
-        let failures: Vec<_> = report.failures().cloned().collect();
-        assert_eq!(failures.len(), 1);
-        assert_eq!(failures[0].index, 4);
-        assert_eq!(failures[0].attempts, 3);
-        assert_eq!(failures[0].message, "job four is cursed");
-        assert!(failures[0].to_string().contains("failed all 3 attempts"));
-        // Every other job is untouched, in order.
-        let ok: Vec<_> = report
-            .outcomes()
-            .iter()
-            .filter_map(JobOutcome::as_ok)
-            .copied()
-            .collect();
-        assert_eq!(ok, vec![0, 10, 20, 30, 50, 60, 70, 80, 90]);
-        assert_eq!(report.into_results().unwrap_err(), failures);
-    }
-
-    #[test]
-    fn retry_policy_clamps_and_defaults() {
-        assert_eq!(RetryPolicy::attempts(0).max_attempts(), 1);
-        assert_eq!(RetryPolicy::none().max_attempts(), 1);
-        assert_eq!(RetryPolicy::default().max_attempts(), 3);
-    }
-
-    #[test]
-    fn panic_message_renders_common_payloads() {
-        let caught = std::panic::catch_unwind(|| panic!("literal message")).unwrap_err();
-        assert_eq!(panic_message(caught.as_ref()), "literal message");
-        let caught = std::panic::catch_unwind(|| panic!("formatted {}", 7)).unwrap_err();
-        assert_eq!(panic_message(caught.as_ref()), "formatted 7");
-        let caught = std::panic::catch_unwind(|| std::panic::panic_any(17u32)).unwrap_err();
-        assert_eq!(panic_message(caught.as_ref()), "non-string panic payload");
     }
 
     #[test]

@@ -7,8 +7,9 @@
 //! same round loop and differed only along three orthogonal axes, which this
 //! module makes explicit:
 //!
-//! * **when to stop** — [`Stop`]: a fixed round count, a per-round
-//!   predicate, or an epoch grid,
+//! * **when to stop** — [`Stop`]: a fixed round count or a per-round
+//!   predicate (an epoch grid is `epochs × epoch_len` rounds, observed
+//!   at epoch ends through [`Stride`]),
 //! * **who executes a round** — [`Threads`]: how many shards the round's
 //!   [`ShardPool`](crate::batch::ShardPool) has (one for `Serial`),
 //! * **what to observe** — [`Observer`]: anything from the zero-cost `()`
@@ -48,9 +49,9 @@ use crate::config::SimConfig;
 use crate::engine::{HaltReason, RoundReport};
 use crate::metrics::{MetricsRecorder, RoundStats};
 
-/// The predicate type of specs that never stop early ([`RunSpec::rounds`] /
-/// [`RunSpec::epochs`]). A plain function pointer, so those constructors
-/// need no generics at the call site.
+/// The predicate type of specs that never stop early ([`RunSpec::rounds`]).
+/// A plain function pointer, so that constructor needs no generics at the
+/// call site.
 pub type NoStop = fn(&RoundReport) -> bool;
 
 /// When a run stops (in addition to the engine halting).
@@ -65,15 +66,6 @@ pub enum Stop<F = NoStop> {
         max_rounds: u64,
         /// Early-exit predicate, evaluated after every round.
         stop: F,
-    },
-    /// Run `epochs × epoch_len` rounds. Purely descriptive sugar over
-    /// [`Stop::Rounds`]: pair it with [`Stride::new`]`(epoch_len, …)` to
-    /// observe epoch boundaries only.
-    Epochs {
-        /// Number of epochs.
-        epochs: u64,
-        /// Rounds per epoch.
-        epoch_len: u64,
     },
 }
 
@@ -121,14 +113,6 @@ impl RunSpec<NoStop> {
             threads: Threads::Serial,
         }
     }
-
-    /// Runs `epochs` epochs of `epoch_len` rounds each, serially.
-    pub fn epochs(epochs: u64, epoch_len: u64) -> RunSpec {
-        RunSpec {
-            stop: Stop::Epochs { epochs, epoch_len },
-            threads: Threads::Serial,
-        }
-    }
 }
 
 impl<F: FnMut(&RoundReport) -> bool> RunSpec<F> {
@@ -158,7 +142,6 @@ impl<F: FnMut(&RoundReport) -> bool> RunSpec<F> {
         match self.stop {
             Stop::Rounds(n) => n,
             Stop::Until { max_rounds, .. } => max_rounds,
-            Stop::Epochs { epochs, epoch_len } => epochs.saturating_mul(epoch_len),
         }
     }
 }

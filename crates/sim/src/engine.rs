@@ -441,7 +441,7 @@ where
     /// round.
     ///
     /// This is the one execution entry point: the stop condition
-    /// ([`Stop::Rounds`] / [`Stop::Until`] / [`Stop::Epochs`]) and the
+    /// ([`Stop::Rounds`] / [`Stop::Until`]) and the
     /// thread configuration ([`Threads::Serial`] / [`Threads::Sharded`],
     /// one pool persisting across all rounds) live in
     /// the [`RunSpec`]; recording and any other instrumentation live in the
@@ -1145,7 +1145,7 @@ mod tests {
     #[test]
     fn epochs_spec_runs_the_full_grid() {
         let mut engine = Engine::with_population(Inert, cfg(15), 10);
-        let outcome = engine.run(RunSpec::epochs(4, 7), &mut ());
+        let outcome = engine.run(RunSpec::rounds(4 * 7), &mut ());
         assert_eq!(outcome.executed, 28);
         assert_eq!(engine.round(), 28);
     }

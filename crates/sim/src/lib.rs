@@ -55,14 +55,13 @@
 //! [`Snapshot::fork`] / [`batch::Scenario::fork`] branch one shared prefix
 //! into many divergent futures — see the [`snapshot`] module docs.
 //!
-//! The substrate is also fault-tolerant without giving up determinism:
-//! [`batch::BatchRunner::run_faulty`] retries and quarantines panicking
-//! jobs (a retried job re-derives identical inputs, so recovery is
-//! bit-exact), snapshots carry a verified checksum and are written
-//! atomically, [`Checkpoint`] auto-checkpoints a running engine and
-//! [`Checkpoint::scan`] finds the latest valid file to resume from, and
-//! [`fault::FaultPlan`] injects reproducible faults to prove all of it —
-//! see the [`batch`], [`snapshot`] and [`fault`] module docs.
+//! The substrate also survives crashes without giving up determinism:
+//! snapshots carry a verified checksum and are written atomically,
+//! [`Checkpoint`] auto-checkpoints a running engine and
+//! [`Checkpoint::scan`] finds the latest valid file to resume from, so a
+//! recovered run finishes bit-identical to one that never crashed — see
+//! the [`snapshot`] module docs. A panicking batch job or shard is
+//! re-raised on the calling thread with its own payload (see [`batch`]).
 //!
 //! # Parallel execution and the determinism contract
 //!
@@ -110,7 +109,6 @@ pub mod config;
 pub mod driver;
 pub mod engine;
 pub mod error;
-pub mod fault;
 pub mod matching;
 pub mod metrics;
 pub mod protocols;
@@ -119,9 +117,7 @@ pub mod snapshot;
 
 pub use adversary::{Adversary, Alteration, NoOpAdversary, RoundContext};
 pub use agent::{Action, Observable, Observation, Protocol};
-pub use batch::{
-    BatchReport, BatchRunner, ForkBranch, JobFailure, JobOutcome, RetryPolicy, Scenario,
-};
+pub use batch::{BatchRunner, ForkBranch, Scenario};
 pub use columns::ColumnarStep;
 pub use config::{SimConfig, SimConfigBuilder};
 pub use driver::{
@@ -129,7 +125,6 @@ pub use driver::{
 };
 pub use engine::{Engine, HaltReason, RoundReport};
 pub use error::SimError;
-pub use fault::FaultPlan;
 pub use matching::{Matching, MatchingModel};
 pub use metrics::{MetricsRecorder, RoundHistogram, RoundStats};
 pub use rng::SimRng;

@@ -224,13 +224,6 @@ pub fn counter_seed(master: u64, round: u64, slot: u64) -> u64 {
     round_key(master, round).wrapping_add(slot.wrapping_mul(SLOT_WEYL))
 }
 
-/// Builds the [`SimRng`] of agent `slot` in round `round` (see
-/// [`counter_seed`]).
-#[inline]
-pub fn counter_rng(master: u64, round: u64, slot: u64) -> SimRng {
-    CounterRng::keyed(counter_seed(master, round, slot))
-}
-
 /// The stream key of agent `slot` under a precomputed [`round_key`]:
 /// `counter_seed` with the round fold hoisted out. Scalar reference twin of
 /// [`slot_key_x8`].
@@ -239,9 +232,9 @@ pub fn slot_key(round_key: u64, slot: u64) -> u64 {
     round_key.wrapping_add(slot.wrapping_mul(SLOT_WEYL))
 }
 
-/// As [`counter_rng`], but from a precomputed [`round_key`] (the engine's
-/// hot path: one key per round, one multiply-add per agent — the finalizer
-/// runs per draw, not per agent).
+/// The [`SimRng`] of agent `slot` under a precomputed [`round_key`] (the
+/// engine's hot path: one key per round, one multiply-add per agent — the
+/// finalizer runs per draw, not per agent).
 #[inline]
 pub fn slot_rng(round_key: u64, slot: u64) -> SimRng {
     CounterRng::keyed(slot_key(round_key, slot))
@@ -264,15 +257,6 @@ pub fn slot_key_x8(round_key: u64, base_slot: u64) -> [u64; LANES] {
         *key = slot_key(round_key, base_slot.wrapping_add(l as u64));
     }
     keys
-}
-
-/// Counter-stream keys of [`LANES`] consecutive slots: lane `l` equals the
-/// scalar twin [`counter_seed`]`(master, round, base_slot + l)`. Callers
-/// stepping many lane groups per round should hoist the round fold and use
-/// [`slot_key_x8`] directly.
-#[inline]
-pub fn counter_seed_x8(master: u64, round: u64, base_slot: u64) -> [u64; LANES] {
-    slot_key_x8(round_key(master, round), base_slot)
 }
 
 /// Output `draw` (0-based) of the [`CounterRng`] stream keyed by `key`,
@@ -407,7 +391,7 @@ mod tests {
                 for slot in [0u64, 1, 2, 1000, u64::MAX - 1] {
                     let seed = counter_seed(master, round, slot);
                     assert_eq!(seed, counter_seed(master, round, slot));
-                    let mut a = counter_rng(master, round, slot);
+                    let mut a = CounterRng::keyed(seed);
                     let mut b = slot_rng(rk, slot);
                     assert_eq!(a.random::<u128>(), b.random::<u128>());
                 }
@@ -437,7 +421,7 @@ mod tests {
         let mut ones: u32 = 0;
         for round in 0..64u64 {
             for slot in 0..64u64 {
-                let mut rng = counter_rng(7, round, slot);
+                let mut rng = CounterRng::keyed(counter_seed(7, round, slot));
                 let draw = rng.random::<u64>();
                 first_draws.push(draw);
                 ones += draw.count_ones();
@@ -459,9 +443,9 @@ mod tests {
     /// guarantee lives at the draw, where the finalizer runs.)
     #[test]
     fn counter_stream_avalanches_in_every_argument() {
-        let base = counter_rng(99, 5, 17).random::<u64>();
+        let base = CounterRng::keyed(counter_seed(99, 5, 17)).random::<u64>();
         for (m, r, s) in [(98, 5, 17), (99, 4, 17), (99, 5, 16), (99, 5, 18)] {
-            let other = counter_rng(m, r, s).random::<u64>();
+            let other = CounterRng::keyed(counter_seed(m, r, s)).random::<u64>();
             let flipped = (base ^ other).count_ones();
             assert!(
                 (12..=52).contains(&flipped),
@@ -479,7 +463,7 @@ mod tests {
             let d = derived.random::<u64>();
             for round in 0..8u64 {
                 for slot in 0..8u64 {
-                    let mut c = counter_rng(3, round, slot);
+                    let mut c = CounterRng::keyed(counter_seed(3, round, slot));
                     assert_ne!(c.random::<u64>(), d, "{label} collides at ({round},{slot})");
                 }
             }
@@ -649,24 +633,6 @@ mod tests {
                 }
             }
 
-            /// `counter_seed_x8` lane `l` is exactly the scalar twin
-            /// `counter_seed(master, round, base + l)`.
-            #[test]
-            fn counter_seed_x8_matches_scalar_twin(
-                master in any::<u64>(),
-                round in 0u64..1 << 48,
-                base in any::<u64>(),
-            ) {
-                let lanes = counter_seed_x8(master, round, base);
-                for (l, &lane) in lanes.iter().enumerate() {
-                    assert_eq!(
-                        lane,
-                        counter_seed(master, round, base.wrapping_add(l as u64)),
-                        "lane {l}"
-                    );
-                }
-            }
-
             /// `nth_draw(key, i)` addresses the same output the sequential
             /// stream reaches by drawing `i + 1` times.
             #[test]
@@ -724,7 +690,7 @@ mod tests {
             let mut any_pass = false;
             let mut any_fail = false;
             for group in 0..64u64 {
-                let keys = counter_seed_x8(31, 2, group * LANES as u64);
+                let keys = slot_key_x8(round_key(31, 2), group * LANES as u64);
                 let mask = biased_coin_x8(1, &keys);
                 any_pass |= mask != 0;
                 any_fail |= mask != 0xFF;

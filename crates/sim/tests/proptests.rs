@@ -360,8 +360,9 @@ proptest! {
         prop_assert_eq!(&recorded, &expect);
     }
 
-    /// `Stop::Epochs` is `Stop::Rounds` on the epoch grid, and an epoch-end
-    /// `Stride` records exactly one sample per completed epoch.
+    /// An epoch grid is `epochs × epoch_len` rounds: an epoch-end `Stride`
+    /// records exactly one sample per completed epoch and leaves the run
+    /// identical to an unobserved one.
     #[test]
     fn epoch_specs_match_round_specs(
         seed in 0u64..300,
@@ -375,7 +376,7 @@ proptest! {
         let mut epoched = Engine::with_adversary(Flaky, Chaos, chaos_config(seed, 2), start);
         let mut rec = MetricsRecorder::new();
         epoched.run(
-            RunSpec::epochs(epochs, epoch_len),
+            RunSpec::rounds(rounds),
             &mut Stride::new(epoch_len, RecordStats::new(&mut rec)),
         );
         prop_assert_eq!(flat.population(), epoched.population());

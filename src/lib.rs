@@ -16,7 +16,7 @@
 //!   round desynchronizers, churn, trauma events, …),
 //! * [`baselines`] — the strawman protocols the paper discusses (Attempt 1,
 //!   Attempt 2, the empty protocol, the high-memory unique-ID protocol),
-//! * [`analysis`] — statistics, concentration bounds, invariant checkers for
+//! * [`analysis`] — statistics, invariant checkers for
 //!   the paper's lemmas, the finite-size equilibrium models and the
 //!   variance-based population estimator,
 //! * [`extensions`] — the §1.2 extended model in which agents can remove
@@ -74,7 +74,7 @@
 //! | `engine.run_rounds(n)` | `engine.run(RunSpec::rounds(n), &mut obs).executed` |
 //! | `engine.run_until(max, pred)` | `engine.run(RunSpec::until(max, pred), &mut obs)` |
 //! | `engine.run_range(n)` | `engine.run(RunSpec::rounds(n), &mut ()).population_range()` |
-//! | `engine.run_epochs(e, len)` | `engine.run(RunSpec::epochs(e, len), &mut Stride::new(len, RecordStats::new(&mut rec)))` |
+//! | `engine.run_epochs(e, len)` | `engine.run(RunSpec::rounds(e * len), &mut Stride::new(len, RecordStats::new(&mut rec)))` |
 //! | `engine.par_round(w)` | `engine.run(RunSpec::rounds(1).sharded(w), &mut obs).last` |
 //! | `engine.run_rounds_par(n, w)` | `engine.run(RunSpec::rounds(n).sharded(w), &mut obs)` |
 //! | `engine.run_until_par(max, w, pred)` | `engine.run(RunSpec::until(max, pred).sharded(w), &mut obs)` |
@@ -156,22 +156,16 @@
 //!
 //! # Failure semantics & recovery
 //!
-//! The fault-tolerance layer (PR 8) keeps crashes, panics and corrupted
-//! files from either losing work or — worse — silently changing results:
+//! The fault-tolerance layer keeps crashes, panics and corrupted files
+//! from either losing work or — worse — silently changing results:
 //!
-//! * **Job panics are contained.**
-//!   [`BatchRunner::run_faulty`](prelude::BatchRunner) catches a panicking
-//!   job, retries it under a bounded
-//!   [`RetryPolicy`](prelude::RetryPolicy), and quarantines jobs that fail
-//!   every attempt into a structured
-//!   [`BatchReport`](prelude::BatchReport) of
-//!   [`JobOutcome`](prelude::JobOutcome)s instead of aborting the sweep.
-//!   Because a retry re-derives the identical `(index, &job)` inputs, a
-//!   job that succeeds on attempt three returns exactly the bytes it would
-//!   have returned on attempt one: fault recovery never perturbs results.
-//!   Inside a round, a panicking worker shard cannot wedge the
-//!   `ShardPool` barrier — `dispatch` re-raises the panic only after every
-//!   shard has finished, leaving the pool usable.
+//! * **Panics surface with their own message.** A panicking job stops its
+//!   batch: [`BatchRunner::run`](prelude::BatchRunner) lets the jobs
+//!   already claimed finish, then re-raises the lowest-indexed failing
+//!   job's own panic — the payload a one-worker run raises, whatever the
+//!   worker count. Inside a round, a panicking worker shard cannot wedge
+//!   the `ShardPool` barrier — `dispatch` re-raises the panic only after
+//!   every shard has finished, leaving the pool usable.
 //! * **Snapshots are tamper-evident and torn-write-proof.** Since format
 //!   v2 a checksum over the entire payload is appended and verified at
 //!   decode before any field is parsed; format v3's four-lane word
@@ -192,11 +186,10 @@
 //!   checkpoint automatically; a run that crashes, recovers and finishes
 //!   is bit-identical to one that never crashed (the CI fault-injection
 //!   leg diffs the traces every push).
-//! * **Faults themselves are deterministic.** A
-//!   [`FaultPlan`](prelude::FaultPlan) schedules job panics and snapshot
-//!   corruption as a pure function of `(fault_seed, domain, key)`, so every fault-tolerance property above is pinned by
-//!   reproducible proptests (`tests/fault_tolerance.rs`) rather than by
-//!   flaky chaos.
+//! * **Every property above is pinned by reproducible tests**
+//!   (`tests/fault_tolerance.rs`): seeded crash points and cadences, and
+//!   every truncation and single-bit flip of a snapshot, rather than flaky
+//!   chaos.
 //!
 //! # Determinism contract & how it's enforced
 //!
@@ -253,10 +246,9 @@ pub mod prelude {
     pub use popstab_core::protocol::PopulationStability;
     pub use popstab_core::state::{AgentState, Color};
     pub use popstab_sim::{
-        Action, Adversary, Alteration, BatchReport, BatchRunner, Checkpoint, Engine, FaultPlan,
-        ForkBranch, HaltReason, JobFailure, JobOutcome, MatchingModel, MetricsRecorder, Observable,
-        Observation, Observer, OnRound, Protocol, RecordStats, RecoveryScan, RetryPolicy,
-        RoundContext, RunOutcome, RunSpec, Scenario, SimConfig, SimRng, Snapshot, SnapshotError,
-        SnapshotState, Stride, Tee, Threads, SNAPSHOT_FORMAT_VERSION,
+        Action, Adversary, Alteration, BatchRunner, Checkpoint, Engine, ForkBranch, HaltReason,
+        MatchingModel, MetricsRecorder, Observable, Observation, Observer, OnRound, Protocol,
+        RecordStats, RecoveryScan, RoundContext, RunOutcome, RunSpec, Scenario, SimConfig, SimRng,
+        Snapshot, SnapshotError, SnapshotState, Stride, Tee, Threads, SNAPSHOT_FORMAT_VERSION,
     };
 }

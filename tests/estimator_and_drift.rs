@@ -121,7 +121,7 @@ fn exact_equilibrium_matches_long_run_fixed_point() {
         Engine::with_population(PopulationStability::new(params.clone()), cfg, m_eq as usize);
     let mut rec = MetricsRecorder::new();
     engine.run(
-        RunSpec::epochs(200, epoch),
+        RunSpec::rounds(200 * epoch),
         &mut Stride::new(epoch, RecordStats::new(&mut rec)),
     );
     let pops = rec.rounds();

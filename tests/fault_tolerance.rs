@@ -1,14 +1,9 @@
-//! Facade-level properties of the fault-tolerance layer (PR 8):
+//! Facade-level properties of the fault-tolerance layer:
 //!
 //! * a run that crashes, recovers from the newest valid checkpoint and
 //!   finishes is bit-identical to a run that never crashed, for random
 //!   `(seed, rounds, crash point, checkpoint cadence, workers)` — serial
 //!   and sharded alike,
-//! * a batch sweep with deterministically injected job panics
-//!   ([`FaultPlan`]) retried by [`BatchRunner::run_faulty`] returns the
-//!   exact bytes of a fault-free sweep,
-//! * persistently failing jobs are quarantined without perturbing the
-//!   rest of the batch,
 //! * malformed snapshot bytes — truncated at every boundary, any single
 //!   bit flipped, foreign format versions — always decode to `Err`,
 //!   never a panic,
@@ -19,12 +14,10 @@
 //! facade surface, exactly as a downstream crate would.
 
 use std::path::{Path, PathBuf};
-use std::sync::Once;
 
 use proptest::prelude::*;
 
 use population_stability::prelude::*;
-use population_stability::sim::batch::job_seed;
 use population_stability::sim::snapshot::{write_u64, write_u8, SnapshotReader};
 use population_stability::sim::RoundReport;
 
@@ -148,35 +141,6 @@ fn clean_slots(base: &Path, keep: usize) {
     }
 }
 
-/// Silences the default panic printout for *scheduled* faults (their
-/// messages carry the `FaultPlan` prefix); anything else still reports —
-/// a real bug must not hide behind the injection machinery.
-fn quiet_injected_panics() {
-    static HOOK: Once = Once::new();
-    HOOK.call_once(|| {
-        let previous = std::panic::take_hook();
-        std::panic::set_hook(Box::new(move |info| {
-            let injected = info
-                .payload()
-                .downcast_ref::<String>()
-                .map(String::as_str)
-                .or_else(|| info.payload().downcast_ref::<&str>().copied())
-                .is_some_and(|m| m.starts_with("injected fault:") || m.contains("always fails"));
-            if !injected {
-                previous(info);
-            }
-        }));
-    });
-}
-
-/// A small trajectory digest for batch jobs: the full report sequence, so
-/// any perturbation anywhere shows up as inequality.
-fn small_sim(seed: u64) -> (Vec<RoundReport>, usize) {
-    let mut engine = engine(seed, 16, 1);
-    let reports = trace(&mut engine, 8, Threads::Serial);
-    (reports, engine.population())
-}
-
 proptest! {
     /// The headline invariant: crash mid-run, recover from the newest
     /// valid checkpoint, finish — the stitched trajectory equals the
@@ -237,58 +201,6 @@ proptest! {
             clean_slots(&base, 3);
         }
     }
-
-    /// Injected job panics (deterministic subset, first attempts) are
-    /// absorbed by the retry policy: the faulty sweep is clean and
-    /// bit-identical to the fault-free one.
-    #[test]
-    fn injected_job_panics_do_not_perturb_batch_results(
-        seed in 0u64..300,
-        fault_seed in 0u64..300,
-        njobs in 1usize..24,
-        workers in 1usize..5,
-    ) {
-        quiet_injected_panics();
-        let jobs: Vec<u64> = (0..njobs as u64).map(|i| job_seed(seed, i)).collect();
-        let runner = BatchRunner::new(workers);
-        let clean = runner.run(jobs.clone(), |_, job| small_sim(job));
-
-        let plan = FaultPlan::new(fault_seed).panic_rate(0.4).panic_attempts(2);
-        let report = runner.run_faulty(jobs, RetryPolicy::attempts(3), |i, attempt, job| {
-            plan.maybe_panic(i, attempt);
-            small_sim(*job)
-        });
-        prop_assert!(report.is_clean(), "retries within the policy must recover");
-        prop_assert_eq!(report.into_results().unwrap(), clean);
-    }
-}
-
-#[test]
-fn persistent_failures_are_quarantined_without_collateral() {
-    quiet_injected_panics();
-    let jobs: Vec<u64> = (0..12).map(|i| job_seed(3, i)).collect();
-    let runner = BatchRunner::new(3);
-    let clean = runner.run(jobs.clone(), |_, job| small_sim(job));
-
-    let report = runner.run_faulty(jobs, RetryPolicy::attempts(2), |i, _, job| {
-        if i == 5 {
-            panic!("job 5 always fails");
-        }
-        small_sim(*job)
-    });
-    assert!(!report.is_clean());
-    let failures: Vec<_> = report.failures().cloned().collect();
-    assert_eq!(failures.len(), 1);
-    assert_eq!(failures[0].index, 5);
-    assert_eq!(failures[0].attempts, 2);
-    assert_eq!(failures[0].message, "job 5 always fails");
-    // Every other job's outcome equals the clean sweep's, in order.
-    for (i, outcome) in report.outcomes().iter().enumerate() {
-        match outcome.as_ok() {
-            Some(result) => assert_eq!(result, &clean[i], "job {i} perturbed"),
-            None => assert_eq!(i, 5),
-        }
-    }
 }
 
 #[test]
@@ -323,15 +235,6 @@ fn malformed_snapshots_always_err_and_never_panic() {
         Snapshot::from_bytes(&foreign),
         Err(SnapshotError::UnsupportedVersion { found: 99 })
     ));
-    // Seeded corruption through the fault plan exercises the same paths.
-    for key in 0..32u64 {
-        let plan = FaultPlan::new(key);
-        let mut dirty = bytes.clone();
-        plan.corrupt(&mut dirty, key).unwrap();
-        assert!(Snapshot::from_bytes(&dirty).is_err());
-        let cut = plan.truncate_len(bytes.len(), key);
-        assert!(Snapshot::from_bytes(&bytes[..cut]).is_err());
-    }
 }
 
 #[test]
@@ -352,7 +255,8 @@ fn recovery_scan_skips_corrupt_checkpoints_and_falls_back() {
     // back to round 10, which restores and matches the original engine's
     // history (bit-identical recovery is pinned by the proptest above).
     let mut dirty = std::fs::read(&newest).unwrap();
-    FaultPlan::new(9).corrupt(&mut dirty, 0).unwrap();
+    let mid = dirty.len() / 2;
+    dirty[mid] ^= 1;
     std::fs::write(&newest, &dirty).unwrap();
 
     let scan = Checkpoint::scan(&base, 3);
