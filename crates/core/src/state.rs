@@ -10,7 +10,7 @@
 
 use std::fmt;
 
-use popstab_sim::snapshot::{self, SnapshotError, SnapshotReader, SnapshotState};
+use popstab_sim::snapshot::{SnapshotError, SnapshotReader, SnapshotState};
 use popstab_sim::{Observable, Observation};
 
 use crate::params::Params;
@@ -175,34 +175,100 @@ impl Observable for AgentState {
     }
 }
 
+/// Bytes of one [`AgentState`] snapshot record (format v3): `round` (u32),
+/// the `active`, colour and `recruiting` bytes, `to_recruit` (u32), the
+/// `is_leader` byte, `lineage` (u64) and `epoch_len` (u32), little-endian
+/// and unpadded.
+const RECORD_LEN: usize = 24;
+
+/// Decodes one record field by field, the way the record is laid out.
+/// [`SnapshotState::decode`] reads a whole record at once and comes here
+/// only for a record the column cuts short, so such a column fails at the
+/// field it ends inside, after any bad flag before it.
+#[cold]
+fn decode_fields(r: &mut SnapshotReader<'_>) -> Result<AgentState, SnapshotError> {
+    Ok(AgentState {
+        round: r.u32()?,
+        active: r.bool()?,
+        color: Color::from_bit(r.u8()?),
+        recruiting: r.bool()?,
+        to_recruit: r.u32()?,
+        is_leader: r.bool()?,
+        lineage: r.u64()?,
+        epoch_len: r.u32()?,
+    })
+}
+
+// `encode` and `decode` run once per agent from the engine's generic
+// capture and restore loops, which instantiate in the caller's crate; the
+// `#[inline]`s make the record codec available for inlining there.
 impl SnapshotState for AgentState {
     fn state_tag() -> String {
         "population-stability".to_string()
     }
 
+    #[inline]
     fn encode(&self, out: &mut Vec<u8>) {
-        snapshot::write_u32(out, self.round);
-        snapshot::write_bool(out, self.active);
-        snapshot::write_u8(out, self.color.as_bit());
-        snapshot::write_bool(out, self.recruiting);
-        snapshot::write_u32(out, self.to_recruit);
-        snapshot::write_bool(out, self.is_leader);
-        snapshot::write_u64(out, self.lineage);
-        snapshot::write_u32(out, self.epoch_len);
+        let mut rec = [0u8; RECORD_LEN];
+        rec[0..4].copy_from_slice(&self.round.to_le_bytes());
+        rec[4] = u8::from(self.active);
+        rec[5] = self.color.as_bit();
+        rec[6] = u8::from(self.recruiting);
+        rec[7..11].copy_from_slice(&self.to_recruit.to_le_bytes());
+        rec[11] = u8::from(self.is_leader);
+        rec[12..20].copy_from_slice(&self.lineage.to_le_bytes());
+        rec[20..24].copy_from_slice(&self.epoch_len.to_le_bytes());
+        if out.capacity() == 0 {
+            // `Snapshot::capture` sizes the column from its first record.
+            // Grow an empty column through the 8-, 16- and 32-byte
+            // allocations the per-field writes made, so a checkpoint
+            // allocates exactly as before: those small chunks decide
+            // whether glibc hands the next 24 MiB buffers warm pages
+            // (ROADMAP, "Heap layout is a benchmark input").
+            for cap in [8, 16, 32] {
+                out.reserve_exact(cap);
+            }
+        }
+        out.extend_from_slice(&rec);
     }
 
+    #[inline]
     fn decode(r: &mut SnapshotReader<'_>) -> Result<Self, SnapshotError> {
+        let start = r.offset();
+        let Ok(rec) = r.bytes(RECORD_LEN) else {
+            return decode_fields(r);
+        };
+        let rec: &[u8; RECORD_LEN] = rec.try_into().expect("bytes(RECORD_LEN) is a whole record");
+        if (rec[4] | rec[6] | rec[11]) > 1 {
+            return Err(bad_flag(r, rec, start));
+        }
+        let u32_at =
+            |at: usize| u32::from_le_bytes([rec[at], rec[at + 1], rec[at + 2], rec[at + 3]]);
+        let mut lineage = [0u8; 8];
+        lineage.copy_from_slice(&rec[12..20]);
         Ok(AgentState {
-            round: r.u32()?,
-            active: r.bool()?,
-            color: Color::from_bit(r.u8()?),
-            recruiting: r.bool()?,
-            to_recruit: r.u32()?,
-            is_leader: r.bool()?,
-            lineage: r.u64()?,
-            epoch_len: r.u32()?,
+            round: u32_at(0),
+            active: rec[4] == 1,
+            color: Color::from_bit(rec[5]),
+            recruiting: rec[6] == 1,
+            to_recruit: u32_at(7),
+            is_leader: rec[11] == 1,
+            lineage: u64::from_le_bytes(lineage),
+            epoch_len: u32_at(20),
         })
     }
+}
+
+/// The error for a record starting at `start` whose `active`,
+/// `recruiting` or `is_leader` byte is neither 0 nor 1: the first such
+/// byte's, at the offset the per-field reads report. Kept out of line so
+/// the record decoder stays one test on its hot path.
+#[cold]
+fn bad_flag(r: &SnapshotReader<'_>, rec: &[u8; RECORD_LEN], start: usize) -> SnapshotError {
+    [4, 6, 11]
+        .into_iter()
+        .find_map(|at| r.bool_byte(rec[at], start + at + 1).err())
+        .expect("some flag byte is out of range")
 }
 
 #[cfg(test)]
@@ -227,6 +293,134 @@ mod tests {
             let mut r = SnapshotReader::new(&bytes);
             assert_eq!(AgentState::decode(&mut r).unwrap(), state);
             assert_eq!(r.remaining(), 0);
+        }
+    }
+
+    #[test]
+    fn snapshot_record_is_the_pinned_v3_layout() {
+        // Every field distinct and non-zero, so a reordered, resized or
+        // dropped field moves bytes this array pins.
+        let state = AgentState {
+            round: 0x1122_3344,
+            active: true,
+            color: Color::One,
+            recruiting: true,
+            to_recruit: 0x5566_7788,
+            is_leader: true,
+            lineage: 0x99AA_BBCC_DDEE_FF0F,
+            epoch_len: 0x0A0B_0C0D,
+        };
+        let record: [u8; 24] = [
+            0x44, 0x33, 0x22, 0x11, // round
+            1,    // active
+            1,    // color
+            1,    // recruiting
+            0x88, 0x77, 0x66, 0x55, // to_recruit
+            1,    // is_leader
+            0x0F, 0xFF, 0xEE, 0xDD, 0xCC, 0xBB, 0xAA, 0x99, // lineage
+            0x0D, 0x0C, 0x0B, 0x0A, // epoch_len
+        ];
+        let mut bytes = Vec::new();
+        state.encode(&mut bytes);
+        assert_eq!(bytes, record);
+        // An empty column grows as the per-field writes grew it.
+        assert_eq!(bytes.capacity(), 32);
+        let mut r = SnapshotReader::new(&record);
+        assert_eq!(AgentState::decode(&mut r).unwrap(), state);
+        assert_eq!(r.remaining(), 0);
+    }
+
+    /// Restores a three-agent snapshot of the paper's protocol whose agent
+    /// column `patch` rewrote (the length word follows, and the file is
+    /// resealed), so the edit reaches `Engine::restore`'s record decoder
+    /// the way a corrupt-but-sealed file would.
+    fn restore_patched(patch: impl FnOnce(&mut Vec<u8>)) -> Result<(), SnapshotError> {
+        use crate::PopulationStability;
+        use popstab_sim::{Engine, NoOpAdversary, SimConfig, Snapshot};
+        let p = params();
+        let cfg = SimConfig::builder().seed(3).target(1024).build().unwrap();
+        let file = Engine::with_population(PopulationStability::new(p.clone()), cfg, 3)
+            .snapshot()
+            .to_bytes();
+        let col_start = file.len() - 8 - 3 * 24;
+        let mut column = file[col_start..file.len() - 8].to_vec();
+        patch(&mut column);
+        let mut patched = file[..col_start - 8].to_vec();
+        patched.extend_from_slice(&(column.len() as u64).to_le_bytes());
+        patched.extend_from_slice(&column);
+        let trailer = popstab_sim::snapshot::seal(&patched);
+        patched.extend_from_slice(&trailer.to_le_bytes());
+        let snap = Snapshot::from_bytes(&patched)?;
+        Engine::restore(PopulationStability::new(p), NoOpAdversary, &snap).map(|_| ())
+    }
+
+    #[test]
+    fn out_of_range_flag_bytes_are_malformed_just_past_the_byte() {
+        // Record 1 of 3 starts at column byte 24; a flag byte other than
+        // 0/1 is reported at the offset just past it, in "agent states".
+        assert!(restore_patched(|_| {}).is_ok());
+        for (field, at, want) in [
+            ("active", 4, 29),
+            ("recruiting", 6, 31),
+            ("is_leader", 11, 36),
+        ] {
+            match restore_patched(|col| col[24 + at] = 2) {
+                Err(SnapshotError::Malformed {
+                    what,
+                    offset,
+                    section,
+                }) => assert_eq!(
+                    (what, offset, section),
+                    ("bool byte out of range", want, "agent states"),
+                    "{field}"
+                ),
+                other => panic!("{field}: expected a malformed flag, got {other:?}"),
+            }
+        }
+    }
+
+    #[test]
+    fn a_column_cut_mid_record_reports_the_first_field_that_does_not_fit() {
+        // Record 2 of 3 starts at column byte 48. Each cut names the field
+        // the column ends inside; a bad flag before the cut still wins.
+        for (len, want) in [(49, 48), (58, 55), (63, 60), (70, 68)] {
+            match restore_patched(|col| col.truncate(len)) {
+                Err(SnapshotError::Truncated { offset, section }) => {
+                    assert_eq!((offset, section), (want, "agent states"), "cut at {len}");
+                }
+                other => panic!("cut at {len}: expected truncation, got {other:?}"),
+            }
+        }
+        match restore_patched(|col| {
+            col.truncate(58);
+            col[52] = 2;
+        }) {
+            Err(SnapshotError::Malformed {
+                offset, section, ..
+            }) => assert_eq!((offset, section), (53, "agent states")),
+            other => panic!("expected a malformed flag before the cut, got {other:?}"),
+        }
+    }
+
+    mod record_twin {
+        use super::*;
+        use proptest::prelude::*;
+
+        proptest! {
+            /// The whole-record decoder and the per-field reads agree on
+            /// every 24-byte record: the same state, or the same error.
+            /// Flag bytes are drawn from 0..=3 so both outcomes occur.
+            #[test]
+            fn record_decode_matches_the_per_field_reads(
+                words in prop::collection::vec(any::<u8>(), 24..=24),
+                flags in (0u8..=3, 0u8..=3, 0u8..=3),
+            ) {
+                let mut rec = words;
+                (rec[4], rec[6], rec[11]) = flags;
+                let whole = AgentState::decode(&mut SnapshotReader::new(&rec));
+                let fields = decode_fields(&mut SnapshotReader::new(&rec));
+                prop_assert_eq!(format!("{whole:?}"), format!("{fields:?}"));
+            }
         }
     }
 

@@ -40,9 +40,13 @@
 //! reinterpreted), a free-form label, the protocol-state tag, the config,
 //! the round/halt/adversary-stream words, the encoded agent column, and a
 //! trailing [`seal`] checksum over everything before it, verified before
-//! any payload field is parsed. A truncated or bit-flipped file is
-//! therefore always rejected with a contextual [`SnapshotError`] (byte
-//! offset + layout section) instead of decoding to plausible garbage.
+//! any payload field is parsed. [`to_bytes`](Snapshot::to_bytes) seals
+//! while it copies, folding each ~16 KiB chunk into the seal while the
+//! chunk is still in cache; [`from_bytes`](Snapshot::from_bytes) seals in
+//! a pass of its own, because it must verify before it parses. A
+//! truncated or bit-flipped file is therefore always rejected with a
+//! contextual [`SnapshotError`] (byte offset + layout section) instead of
+//! decoding to plausible garbage.
 //! [`write_to_file`](Snapshot::write_to_file) is atomic (temp file + fsync +
 //! rename), so a crash mid-write never leaves a half-snapshot at the target
 //! path. Format bumps follow the same coordinated protocol as stream bumps
@@ -102,6 +106,10 @@ pub const MAX_SNAPSHOT_AGENTS: u64 = 1 << 26;
 /// receive the same mix of one salt.
 const ADV_FORK_DOMAIN: u64 = 0xA5A5_1DE0_0B5E_55ED;
 
+/// Bytes [`Snapshot::to_bytes`] copies before it seals them: small enough
+/// that a chunk is still in L1/L2 when the [`Sealer`] reads it back.
+const SEAL_CHUNK: usize = 16 * 1024;
+
 /// Multiplier of every [`seal`] lane step (odd, so the multiply is a
 /// bijection on `u64`).
 const SEAL_K: u64 = 0x9E37_79B9_7F4A_7C15;
@@ -115,7 +123,9 @@ const SEAL_LANES: [u64; 4] = [
     0x082E_FA98_EC4E_6C89,
 ];
 
-/// The snapshot's std-only integrity checksum (the format-v3 trailer).
+/// The snapshot's std-only integrity checksum (the format-v3 trailer),
+/// folded over `bytes` in one piece by the same incremental `Sealer` that
+/// [`Snapshot::to_bytes`] feeds chunk by chunk.
 ///
 /// Four independent lanes run over 32-byte strides of little-endian `u64`
 /// words, lane `i` taking word `i` of every stride and stepping as
@@ -136,25 +146,84 @@ const SEAL_LANES: [u64; 4] = [
 /// (truncation, bit rot, torn writes), which is the failure model snapshot
 /// files actually face in checkpoint rotations.
 pub fn seal(bytes: &[u8]) -> u64 {
-    let mut lanes = SEAL_LANES;
-    let mut strides = bytes.chunks_exact(32);
-    for stride in &mut strides {
-        for (lane, word) in lanes.iter_mut().zip(stride.chunks_exact(8)) {
-            let w = u64::from_le_bytes(word.try_into().unwrap());
-            *lane = (*lane ^ w).wrapping_mul(SEAL_K).rotate_left(31);
+    let mut sealer = Sealer::new();
+    sealer.update(bytes);
+    sealer.finish()
+}
+
+/// The [`seal`] fold, fed in consecutive pieces: [`update`](Self::update)
+/// over any cut of the input, then [`finish`](Self::finish), gives the
+/// seal of the whole input. This is what lets
+/// [`to_bytes`](Snapshot::to_bytes) seal each chunk while it copies it.
+pub(crate) struct Sealer {
+    lanes: [u64; 4],
+    /// The bytes of a stride an update ended inside; the first
+    /// `pending_len` are live.
+    pending: [u8; 32],
+    pending_len: usize,
+    len: u64,
+}
+
+impl Sealer {
+    /// A sealer that has seen no bytes.
+    pub(crate) fn new() -> Sealer {
+        Sealer {
+            lanes: SEAL_LANES,
+            pending: [0; 32],
+            pending_len: 0,
+            len: 0,
         }
     }
-    let mut h = 0u64;
-    for word in strides.remainder().chunks(8) {
-        let mut padded = [0u8; 8];
-        padded[..word.len()].copy_from_slice(word);
-        h = splitmix_finalize(h ^ u64::from_le_bytes(padded));
+
+    /// Folds the next piece of the input into the lanes.
+    pub(crate) fn update(&mut self, mut bytes: &[u8]) {
+        self.len += bytes.len() as u64;
+        if self.pending_len > 0 {
+            let take = (32 - self.pending_len).min(bytes.len());
+            self.pending[self.pending_len..self.pending_len + take].copy_from_slice(&bytes[..take]);
+            self.pending_len += take;
+            bytes = &bytes[take..];
+            if self.pending_len < 32 {
+                return;
+            }
+            seal_stride(&mut self.lanes, &self.pending);
+            self.pending_len = 0;
+        }
+        let mut strides = bytes.chunks_exact(32);
+        let mut lanes = self.lanes;
+        for stride in &mut strides {
+            seal_stride(&mut lanes, stride);
+        }
+        self.lanes = lanes;
+        let tail = strides.remainder();
+        self.pending[..tail.len()].copy_from_slice(tail);
+        self.pending_len = tail.len();
     }
-    h = splitmix_finalize(h ^ bytes.len() as u64);
-    for lane in lanes {
-        h = splitmix_finalize(h ^ lane);
+
+    /// The seal of every byte passed to [`update`](Self::update), in order.
+    pub(crate) fn finish(self) -> u64 {
+        let mut h = 0u64;
+        for word in self.pending[..self.pending_len].chunks(8) {
+            let mut padded = [0u8; 8];
+            padded[..word.len()].copy_from_slice(word);
+            h = splitmix_finalize(h ^ u64::from_le_bytes(padded));
+        }
+        h = splitmix_finalize(h ^ self.len);
+        for lane in self.lanes {
+            h = splitmix_finalize(h ^ lane);
+        }
+        h
     }
-    h
+}
+
+/// Steps the four [`seal`] lanes over one 32-byte stride, lane `i` taking
+/// word `i`.
+#[inline(always)]
+fn seal_stride(lanes: &mut [u64; 4], stride: &[u8]) {
+    for (lane, word) in lanes.iter_mut().zip(stride.chunks_exact(8)) {
+        let w = u64::from_le_bytes(word.try_into().expect("chunks_exact(8) yields words"));
+        *lane = (*lane ^ w).wrapping_mul(SEAL_K).rotate_left(31);
+    }
 }
 
 /// What can go wrong encoding, decoding, or restoring a snapshot.
@@ -386,10 +455,23 @@ impl<'a> SnapshotReader<'a> {
 
     /// Consumes one `bool` byte; anything but `0`/`1` is malformed.
     pub fn bool(&mut self) -> Result<bool, SnapshotError> {
-        match self.u8()? {
+        let byte = self.u8()?;
+        self.bool_byte(byte, self.pos)
+    }
+
+    /// Decodes a `bool` byte that a fixed-width decoder already took as
+    /// part of a whole record (see [`bytes`](Self::bytes)); `end` is the
+    /// offset just past the byte. Anything but `0`/`1` is malformed at
+    /// `end`, the offset [`bool`](Self::bool) reports for the same byte.
+    pub fn bool_byte(&self, byte: u8, end: usize) -> Result<bool, SnapshotError> {
+        match byte {
             0 => Ok(false),
             1 => Ok(true),
-            _ => Err(self.malformed("bool byte out of range")),
+            _ => Err(SnapshotError::Malformed {
+                what: "bool byte out of range",
+                offset: end,
+                section: self.section,
+            }),
         }
     }
 
@@ -414,6 +496,13 @@ impl<'a> SnapshotReader<'a> {
 /// be restored against the wrong protocol; wrapper states compose it
 /// (e.g. the extensions crate's malice wrapper tags itself
 /// `malice<{inner}>`).
+///
+/// Capture and restore call these once per agent, so at 2²⁰ agents their
+/// per-call cost is the codec's cost. A fixed-width state should encode
+/// each record into a stack array and append it with one
+/// `extend_from_slice`, and decode it from one [`SnapshotReader::bytes`]
+/// slice, validating flag bytes with [`SnapshotReader::bool_byte`] (the
+/// paper protocol's `AgentState` does both).
 pub trait SnapshotState: Sized {
     /// A stable, human-readable name for this state type.
     fn state_tag() -> String;
@@ -541,7 +630,10 @@ impl Snapshot {
 
     /// Serializes the snapshot (see the module docs for the layout),
     /// sealing it with the [`seal`] checksum trailer. The output is
-    /// allocated once, at its exact length.
+    /// allocated once, at its exact length, and sealed while it is copied:
+    /// each chunk of about 16 KiB is folded into the seal right after
+    /// the copy, while it is still in cache, so the image is read once
+    /// rather than once to copy and once to seal.
     pub fn to_bytes(&self) -> Vec<u8> {
         let mut head = Vec::new();
         head.extend_from_slice(MAGIC);
@@ -557,10 +649,14 @@ impl Snapshot {
         write_u64(&mut head, self.agent_count);
         write_u64(&mut head, self.agent_bytes.len() as u64);
         let mut out = Vec::with_capacity(head.len() + self.agent_bytes.len() + CHECKSUM_LEN);
-        out.extend_from_slice(&head);
-        out.extend_from_slice(&self.agent_bytes);
-        let trailer = seal(&out);
-        write_u64(&mut out, trailer);
+        let mut sealer = Sealer::new();
+        for piece in [&head[..], &self.agent_bytes[..]] {
+            for chunk in piece.chunks(SEAL_CHUNK) {
+                out.extend_from_slice(chunk);
+                sealer.update(chunk);
+            }
+        }
+        write_u64(&mut out, sealer.finish());
         out
     }
 
@@ -1027,16 +1123,23 @@ mod tests {
     #[test]
     fn any_single_bit_flip_is_detected() {
         // The checksum covers every payload byte and the trailer is
-        // self-invalidating, so *no* single-bit corruption may decode.
+        // self-invalidating, so *no* single-bit corruption may decode. Past
+        // the magic and the format version (bytes 0..12) every flip must
+        // be caught by the seal, before any payload field is parsed.
         let bytes = sample().to_bytes();
         for i in 0..bytes.len() {
             for bit in 0..8 {
                 let mut flipped = bytes.clone();
                 flipped[i] ^= 1 << bit;
-                assert!(
-                    Snapshot::from_bytes(&flipped).is_err(),
-                    "flip of byte {i} bit {bit} decoded"
-                );
+                let decoded = Snapshot::from_bytes(&flipped);
+                if i >= 12 {
+                    assert!(
+                        matches!(decoded, Err(SnapshotError::ChecksumMismatch { .. })),
+                        "flip of byte {i} bit {bit} gave {decoded:?}"
+                    );
+                } else {
+                    assert!(decoded.is_err(), "flip of byte {i} bit {bit} decoded");
+                }
             }
         }
     }
@@ -1208,6 +1311,31 @@ mod tests {
         ];
         for (len, want) in pinned {
             assert_eq!(seal(&input[..len]), want, "seal of {len} bytes");
+        }
+    }
+
+    mod sealer_twin {
+        use super::*;
+        use proptest::prelude::*;
+
+        proptest! {
+            /// Any cut of the input fed to `Sealer::update` piece by piece
+            /// finishes to the one-piece `seal` of the whole input.
+            #[test]
+            fn sealer_over_any_cut_matches_seal(
+                input in prop::collection::vec(any::<u8>(), 0..=300),
+                cuts in prop::collection::vec(0usize..=300, 0..6),
+            ) {
+                let mut cuts: Vec<usize> = cuts.into_iter().map(|c| c.min(input.len())).collect();
+                cuts.sort_unstable();
+                let mut sealer = Sealer::new();
+                let mut from = 0;
+                for cut in cuts.into_iter().chain([input.len()]) {
+                    sealer.update(&input[from..cut]);
+                    from = cut;
+                }
+                prop_assert_eq!(sealer.finish(), seal(&input));
+            }
         }
     }
 

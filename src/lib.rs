@@ -169,7 +169,11 @@
 //! * **Snapshots are tamper-evident and torn-write-proof.** Since format
 //!   v2 a checksum over the entire payload is appended and verified at
 //!   decode before any field is parsed; format v3's four-lane word
-//!   checksum (`snapshot::seal`) runs at memory speed.
+//!   checksum (`snapshot::seal`) runs at memory speed, and
+//!   `Snapshot::to_bytes` seals while it copies: each ~16 KiB chunk is
+//!   folded into the seal straight after its copy, so the image is read
+//!   once. `Snapshot::from_bytes` keeps its own seal pass, verified
+//!   before any field is parsed.
 //!   `Snapshot::write_to_file` writes through a temp file + fsync + atomic
 //!   rename, so a crash mid-write leaves the previous file intact. Every decode error carries the byte
 //!   offset and section name of the damage
