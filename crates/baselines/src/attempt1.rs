@@ -27,7 +27,6 @@
 //! * [`SignalSuppressor`] deletes signal carriers the moment the coins are
 //!   flipped → every epoch looks empty → sustained growth → explosion.
 
-use popstab_sim::snapshot::{self, SnapshotError, SnapshotReader, SnapshotState};
 use popstab_sim::{
     Action, Adversary, Alteration, Observable, Observation, Protocol, RoundContext, SimRng,
 };
@@ -98,24 +97,6 @@ impl Observable for A1State {
             active: self.signal,
             ..Observation::default()
         }
-    }
-}
-
-impl SnapshotState for A1State {
-    fn state_tag() -> String {
-        "attempt1".to_string()
-    }
-
-    fn encode(&self, out: &mut Vec<u8>) {
-        snapshot::write_u32(out, self.round);
-        snapshot::write_bool(out, self.signal);
-    }
-
-    fn decode(r: &mut SnapshotReader<'_>) -> Result<Self, SnapshotError> {
-        Ok(A1State {
-            round: r.u32()?,
-            signal: r.bool()?,
-        })
     }
 }
 

@@ -11,7 +11,6 @@
 //! — "even worse than the empty protocol", as the paper puts it, and the
 //! reason the real protocol correlates colors through clusters instead.
 
-use popstab_sim::snapshot::{self, SnapshotError, SnapshotReader, SnapshotState};
 use popstab_sim::{Action, Observable, Observation, Protocol, SimRng};
 use rand::Rng;
 
@@ -61,39 +60,6 @@ impl Observable for A2State {
             color: Some(self.color),
             ..Observation::default()
         }
-    }
-}
-
-impl SnapshotState for A2State {
-    fn state_tag() -> String {
-        "attempt2".to_string()
-    }
-
-    fn encode(&self, out: &mut Vec<u8>) {
-        snapshot::write_u32(out, self.round);
-        snapshot::write_bool(out, self.color);
-        // The optional first-neighbor color as a 3-way tag.
-        snapshot::write_u8(
-            out,
-            match self.first {
-                None => 0,
-                Some(false) => 1,
-                Some(true) => 2,
-            },
-        );
-    }
-
-    fn decode(r: &mut SnapshotReader<'_>) -> Result<Self, SnapshotError> {
-        Ok(A2State {
-            round: r.u32()?,
-            color: r.bool()?,
-            first: match r.u8()? {
-                0 => None,
-                1 => Some(false),
-                2 => Some(true),
-                _ => return Err(r.malformed("unknown attempt2 first-color tag")),
-            },
-        })
     }
 }
 

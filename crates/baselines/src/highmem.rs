@@ -17,7 +17,6 @@
 
 use std::collections::BTreeSet;
 
-use popstab_sim::snapshot::{self, SnapshotError, SnapshotReader, SnapshotState};
 use popstab_sim::{Action, Observable, Observation, Protocol, SimRng};
 use rand::Rng;
 
@@ -70,36 +69,6 @@ impl Observable for HmState {
             active: true,
             ..Observation::default()
         }
-    }
-}
-
-impl SnapshotState for HmState {
-    fn state_tag() -> String {
-        "highmem".to_string()
-    }
-
-    fn encode(&self, out: &mut Vec<u8>) {
-        snapshot::write_u32(out, self.round);
-        snapshot::write_u64(out, self.id);
-        snapshot::write_u64(out, self.ids.len() as u64);
-        // BTreeSet iterates in key order, so the encoding is canonical.
-        for &id in &self.ids {
-            snapshot::write_u64(out, id);
-        }
-    }
-
-    fn decode(r: &mut SnapshotReader<'_>) -> Result<Self, SnapshotError> {
-        let round = r.u32()?;
-        let id = r.u64()?;
-        let n = r.u64()?;
-        let mut ids = BTreeSet::new();
-        for _ in 0..n {
-            ids.insert(r.u64()?);
-        }
-        if ids.len() as u64 != n {
-            return Err(r.malformed("duplicate highmem ids"));
-        }
-        Ok(HmState { round, id, ids })
     }
 }
 

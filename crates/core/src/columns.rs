@@ -18,9 +18,10 @@
 //!    and transpose them eight-at-a-time (`pack_lsb`) into four mask
 //!    words held in registers, then execute the round's transition as
 //!    bitwise algebra straight into the columns, batching coin draws with
-//!    [`biased_coin_x8`]. Blocks whose agents disagree on the round number
-//!    (possible only under adversarial insertion) run
-//!    [`PopulationStability::step`] itself, lane by lane.
+//!    [`biased_coin_x8`]. Blocks at the evaluation round (one round in T),
+//!    and blocks whose agents disagree on the round number (possible only
+//!    under adversarial insertion), run [`PopulationStability::step`]
+//!    itself, lane by lane.
 //!
 //! The engine transposes `Vec<AgentState>` in ([`ColumnarStep::load`]) only
 //! when the vector was mutated behind the columns' back, and back out
@@ -29,7 +30,9 @@
 //! bytes per agent instead of two passes over 24-byte structs. Adversarial
 //! alterations land in the columns directly ([`ColumnarStep::alter`],
 //! `O(K)` lanes), so a summary-only adversary such as churn keeps the
-//! population resident too. Recorded rounds stay resident too:
+//! population resident too. [`ColumnarStep::apply`] runs the same
+//! in-place refill plan, with the split daughters as its inserts. Recorded
+//! rounds stay resident too:
 //! [`ColumnarStep::stats`] computes a round's [`RoundStats`] as popcounts
 //! over the flag columns plus one epoch-round histogram over `round`
 //! (uniform blocks counted 64 lanes at a time), never building the vector.
@@ -43,10 +46,9 @@
 //! `Protocol::step` consumes wherever a draw's outcome is observable:
 //! leader selection evaluates each lane's biased coin at the same word
 //! positions ([`biased_coin_x8`] is pinned lane-for-lane against
-//! [`toss_biased_coin`](crate::coin::toss_biased_coin)), and the
-//! evaluation split coin is the same first-draws-of-slot-stream the scalar
-//! path uses. The rest is not a copy of the transition but the transition
-//! itself: leader winners and every lane of a mixed-round block run
+//! [`toss_biased_coin`](crate::coin::toss_biased_coin)). The rest is not a
+//! copy of the transition but the transition itself: leader winners and
+//! every lane of an evaluation or mixed-round block run
 //! [`PopulationStability::step`] on their own slot stream, with the
 //! lane's [`AgentState`] read from the columns and the partner's message
 //! rebuilt by [`Message::from_wire`] from the gathered wire bits plus the
@@ -54,9 +56,10 @@
 //! through its wire, whose round trip is the identity, and reads the
 //! lineage only where the latch took it (matched, self inactive, partner
 //! recruiting). Split and death slots are emitted in ascending slot order,
-//! and [`ColumnarStep::apply`] mirrors the engine's vector semantics
-//! (append daughters in split order, then swap-remove deaths descending),
-//! so a [`ColumnarStep::store`] after any number of resident rounds
+//! and [`ColumnarStep::apply`] reaches the engine's vector semantics
+//! (append daughters in split order, then swap-remove deaths descending)
+//! through [`fill_deleted`]'s plan, so a [`ColumnarStep::store`] after any
+//! number of resident rounds
 //! reproduces the scalar vector byte for byte. `epoch_len` needs no
 //! column: every step writes `params.epoch_len()` into every surviving
 //! agent, so `store` pins it uniformly — exact because a store can only
@@ -72,13 +75,25 @@
 //!
 //! Lineage is the one field copied partner-to-agent, and messages are
 //! simultaneous: a recruit must latch its recruiter's *pre-step* lineage
-//! even if the recruiter's own lineage changes this round. A lane
-//! advertising `recruiting` on the wire can have its own lineage
-//! overwritten only if it is at round 0 (leader coin) or inactive yet
-//! recruiting (adversarial state, itself recruited this round) — honest
-//! populations have no such lanes. The wire pass lists them (slot,
-//! pre-step lineage) in ascending order; everyone else's lineage is read
-//! live from the column, because no kernel writes it this round.
+//! even if the recruiter's own lineage changes this round. A lane latches
+//! its partner's lineage only under the latch mask `mm & !me & mx &
+//! !active`: matched, itself inactive, and the partner advertising
+//! `recruiting` on the wire (`x` set, `in_eval` clear). Lanes overwrite
+//! their own lineage this round in two cases:
+//!
+//! - a leader-coin winner (round 0) or a recruit (Algorithm 5). Such a
+//!   lane advertises `recruiting` only if it is recruiting at round 0 or
+//!   inactive yet recruiting (adversarial states, which honest populations
+//!   never hold). The wire pass lists exactly those lanes, with their
+//!   pre-step lineage, in ascending slot order: the latch hazards.
+//! - every live lane of an evaluation round, which resets its lineage
+//!   through [`PopulationStability::step`], in uniform and mixed blocks
+//!   alike. These lanes are not listed, and need not be: an evaluation
+//!   lane advertises `in_eval`, and the `!me` term of the latch mask
+//!   excludes such a partner.
+//!
+//! Every other latched lineage is read live from the column, because
+//! nothing writes it this round.
 //!
 //! Every other column is cut into per-shard `&mut` windows at word-aligned
 //! bounds ([`ShardPool::dispatch_parts`]), but a partner can sit in any
@@ -117,8 +132,8 @@ struct ShardOut {
 /// The struct-of-arrays store for [`PopulationStability`]: authoritative
 /// agent state as columns, resident across rounds inside the engine.
 pub struct StabilityColumns {
-    /// The protocol whose [`Protocol::step`] mixed-round blocks and leader
-    /// winners run lane by lane; it owns the [`Params`].
+    /// The protocol whose [`Protocol::step`] evaluation and mixed-round
+    /// blocks and leader winners run lane by lane; it owns the [`Params`].
     proto: PopulationStability,
     /// Live population; every column holds exactly this many lanes.
     len: usize,
@@ -273,8 +288,9 @@ impl StabilityColumns {
         }
     }
 
-    /// Sizes the authoritative columns for a population of `n`. Contents
-    /// are unspecified: the load pass overwrites every lane.
+    /// Sizes the authoritative columns for a population of `n`. Lanes
+    /// below both lengths keep their contents; the rest are unspecified
+    /// until the load pass or [`StabilityColumns::refill`] writes them.
     fn resize(&mut self, n: usize) {
         let nw = n.div_ceil(64);
         self.round.resize(n, 0);
@@ -285,42 +301,6 @@ impl StabilityColumns {
         self.color.resize_words(nw);
         self.is_leader.resize_words(nw);
         self.len = n;
-    }
-
-    /// Appends a copy of lane `i` (a split daughter of a stepped parent).
-    fn push_clone(&mut self, i: usize) {
-        let la = self.len;
-        let nw = (la + 1).div_ceil(64);
-        self.round.push(self.round[i]);
-        self.to_recruit.push(self.to_recruit[i]);
-        let lineage = *self.lineage[i].get_mut();
-        self.lineage.push(AtomicU64::new(lineage));
-        for col in self.flags_mut() {
-            col.resize_words(nw);
-            let v = col.get(i);
-            col.set(la, v);
-        }
-        self.len = la + 1;
-    }
-
-    /// Swap-removes lane `i`, exactly as `Vec::swap_remove` would.
-    fn swap_remove(&mut self, i: usize) {
-        let last = self.len - 1;
-        self.round.swap_remove(i);
-        self.to_recruit.swap_remove(i);
-        self.lineage.swap_remove(i);
-        let nw = last.div_ceil(64);
-        for col in self.flags_mut() {
-            if i != last {
-                let v = col.get(last);
-                col.set(i, v);
-            }
-            // The vacated lane joins the tail, whose bits stay zero
-            // (`BitCol` docs); words above ceil(len/64) hold no live lanes.
-            col.set(last, false);
-            col.resize_words(nw);
-        }
-        self.len = last;
     }
 
     /// The four flag columns.
@@ -353,6 +333,38 @@ impl StabilityColumns {
         for col in self.flags_mut() {
             let v = col.get(from);
             col.set(to, v);
+        }
+    }
+
+    /// Appends `inserts` lanes and removes the `deleted` ones (ascending,
+    /// deduplicated) as pushing the inserts and then swap-removing the
+    /// deletes in descending order would, without growing past the final
+    /// length: [`fill_deleted`]'s plan refills each deleted lane, every
+    /// column is resized once, and the leftover inserts are appended.
+    /// `insert(self, k, slot)` writes insert `k` into lane `slot`; it may
+    /// read any lane that is not deleted, since the plan writes only
+    /// deleted lanes before the resize.
+    fn refill(
+        &mut self,
+        inserts: usize,
+        deleted: &[usize],
+        mut insert: impl FnMut(&mut Self, usize, usize),
+    ) {
+        let len = self.len;
+        let end = fill_deleted(len, inserts, deleted, |slot, from| match from {
+            Refill::Slot(j) => self.copy_lane(j, slot),
+            Refill::Insert(k) => insert(self, k, slot),
+        });
+        self.resize(end);
+        // Lanes vacated in the last word join the tail, whose bits stay
+        // zero (`BitCol` docs).
+        if end % 64 != 0 {
+            for col in self.flags_mut() {
+                col.words_mut()[end / 64] &= tail_mask(end % 64);
+            }
+        }
+        for k in 0..end.saturating_sub(len) {
+            insert(self, k, len + k);
         }
     }
 
@@ -551,17 +563,23 @@ impl ColumnarStep<AgentState> for StabilityColumns {
         }
     }
 
+    /// Runs [`fill_deleted`]'s plan, as [`alter`](ColumnarStep::alter)
+    /// does, with the daughters as its inserts, each a copy of its
+    /// parent's lane. No parent dies ([`PopulationStability`] gives each
+    /// lane one action), and the plan writes only dead lanes until the
+    /// resize, so every parent is read intact.
     fn apply(&mut self, splits: &[usize], deaths: &[usize]) {
-        for &i in splits {
-            self.push_clone(i);
-        }
-        for &i in deaths.iter().rev() {
-            self.swap_remove(i);
-        }
+        debug_assert!(
+            splits.iter().all(|p| deaths.binary_search(p).is_err()),
+            "a split parent also dies"
+        );
+        self.refill(splits.len(), deaths, |cols, k, slot| {
+            cols.copy_lane(splits[k], slot);
+        });
     }
 
-    /// Runs [`fill_deleted`]'s plan lane by lane: `O(K)` work against the
-    /// `O(N)` store and reload it replaces. An insert off the majority
+    /// Runs [`fill_deleted`]'s plan after the modifies: `O(K)` work against
+    /// the `O(N)` store and reload it replaces. An insert off the majority
     /// round makes its block mixed-round, which the step runs through
     /// [`PopulationStability::step`].
     fn alter(
@@ -573,22 +591,9 @@ impl ColumnarStep<AgentState> for StabilityColumns {
         for (slot, state) in modified {
             self.write_lane(*slot, state);
         }
-        let len = self.len;
-        let end = fill_deleted(len, inserted.len(), deleted, |slot, from| match from {
-            Refill::Slot(j) => self.copy_lane(j, slot),
-            Refill::Insert(k) => self.write_lane(slot, &inserted[k]),
+        self.refill(inserted.len(), deleted, |cols, k, slot| {
+            cols.write_lane(slot, &inserted[k]);
         });
-        self.resize(end);
-        // Lanes vacated in the last word join the tail, whose bits stay
-        // zero (`BitCol` docs).
-        if end % 64 != 0 {
-            for col in self.flags_mut() {
-                col.words_mut()[end / 64] &= tail_mask(end % 64);
-            }
-        }
-        for (k, state) in inserted.iter().take(end.saturating_sub(len)).enumerate() {
-            self.write_lane(len + k, state);
-        }
         true
     }
 
@@ -835,9 +840,9 @@ fn latched_lineage(lineage: &[AtomicU64], hazards: &[(u32, u64)], p: usize) -> u
             return hazards[k].1;
         }
     }
-    // Any lineage element a kernel overwrites this round belongs to a
-    // hazard-listed lane (module docs), so this one holds its pre-step
-    // value for the whole step pass.
+    // A latched partner advertises `recruiting` and not `in_eval`, so if
+    // this round overwrites its lineage it is hazard-listed (module docs):
+    // this one holds its pre-step value for the whole step pass.
     lineage[p].load(Relaxed)
 }
 
@@ -912,18 +917,15 @@ fn step_range(
             let p = partners[w * 64 + l] as usize;
             plin[l] = latched_lineage(lin, hazards, p);
         }
-        if block_uniform[w] {
-            let rn = block_round[w];
-            if rn == 0 {
-                leader_block(proto, round_key, &blk, st, w, lin, deaths);
-            } else if rn == eval {
-                eval_block(params, round_key, rn, &blk, st, w, lin, splits, deaths);
-            } else {
-                recruit_block(params, rn, &blk, st, w, lin, &plin, deaths);
-            }
+        let rn = block_round[w];
+        if block_uniform[w] && rn == 0 {
+            leader_block(proto, round_key, &blk, st, w, lin, deaths);
+        } else if block_uniform[w] && rn != eval {
+            recruit_block(params, rn, &blk, st, w, lin, &plin, deaths);
         } else {
-            // Lanes disagree on the round (adversarial desync): run the
-            // protocol's own transition lane by lane, in slot order.
+            // The evaluation round (one in T), or lanes that disagree on the
+            // round (adversarial desync): run the protocol's own transition
+            // lane by lane, in slot order.
             for (l, &partner) in plin.iter().enumerate().take(lanes) {
                 match scalar_step(proto, round_key, &blk, l, partner, st, w, lin) {
                     Action::Split => splits.push(blk.slot0 + l),
@@ -940,8 +942,10 @@ fn step_range(
 /// from the gathered wire bits and `plin` (the latched partner lineage,
 /// valid wherever the recruitment rule reads it), draws from the lane's
 /// own slot stream, and writes the state back. The lineage element is
-/// written only if the step changed it, so every overwritten element
-/// belongs to a hazard-listed lane (module docs).
+/// written only if the step changed it: at a lane that advertises no
+/// `recruiting`, at a hazard-listed lane, or at an evaluation lane, which
+/// advertises `in_eval` and so fails the latch mask `mm & !me & mx &
+/// !active` (module docs).
 #[allow(clippy::too_many_arguments)]
 fn scalar_step(
     proto: &PopulationStability,
@@ -1103,81 +1107,6 @@ fn recruit_block(
         let l = bits.trailing_zeros() as usize;
         bits &= bits - 1;
         deaths.push(blk.slot0 + l);
-    }
-}
-
-/// Round `T−1` (Algorithm 6, `EvaluationPhase`) over one uniform block.
-#[allow(clippy::too_many_arguments)]
-fn eval_block(
-    params: &Params,
-    round_key: u64,
-    rn: u32,
-    blk: &Block,
-    st: &mut StateRange<'_>,
-    w: usize,
-    lin: &[AtomicU64],
-    splits: &mut Vec<usize>,
-    deaths: &mut Vec<usize>,
-) {
-    // Consistency: a matched partner NOT in eval kills us, and the scalar
-    // path early-returns — those lanes keep their whole state.
-    let die_c = blk.mm & !blk.me;
-    let live = !die_c & blk.tail;
-    let active = st.active[w];
-    let color = st.color[w];
-    // In eval the partner's wire `x` bit IS its active flag.
-    let decision = active & blk.mm & blk.mx & live;
-    let diff = decision & (blk.my ^ color);
-    let same = decision & !(blk.my ^ color);
-    let mut split_mask = 0u64;
-    if same != 0 {
-        let exp = params.split_bias_exp();
-        for g in 0..blk.lanes.div_ceil(LANES) {
-            let gm = (same >> (g * LANES)) as u8;
-            if gm == 0 {
-                continue;
-            }
-            let keys = slot_key_x8(round_key, (blk.slot0 + g * LANES) as u64);
-            // `true` = all heads = keep; split on the complement. Unused
-            // lanes cost nothing: draws are addressable, so computing a
-            // lane the scalar path would not have drawn perturbs no other
-            // draw position.
-            let heads = biased_coin_x8(exp, &keys);
-            split_mask |= u64::from(!heads & gm) << (g * LANES);
-        }
-    }
-    // Reset every live lane for the next epoch (including different-color
-    // deaths: Algorithm 6 resets before returning Die). Consistency deaths
-    // keep their state bar the normalized round.
-    let rounds = &mut st.round[w * 64..w * 64 + blk.lanes];
-    for (l, r) in rounds.iter_mut().enumerate() {
-        *r = if die_c >> l & 1 != 0 { rn } else { 0 };
-    }
-    st.active[w] = active & die_c;
-    st.recruiting[w] &= die_c;
-    st.color[w] = color & die_c;
-    st.is_leader[w] &= die_c;
-    // An eval lane's own lineage element; eval lanes advertise `in_eval`
-    // on the wire, so no partner latches them.
-    let lin = &lin[blk.slot0..blk.slot0 + blk.lanes];
-    for (l, lineage) in lin.iter().enumerate() {
-        let keep32 = 0u32.wrapping_sub((die_c >> l & 1) as u32);
-        st.to_recruit[w * 64 + l] &= keep32;
-        let keep64 = 0u64.wrapping_sub(die_c >> l & 1);
-        lineage.store(lineage.load(Relaxed) & keep64, Relaxed);
-    }
-    // One ascending sweep emits deaths and splits in slot order, exactly
-    // as the scalar loop pushes them (a lane is in at most one set).
-    let die_all = die_c | diff;
-    let mut bits = die_all | split_mask;
-    while bits != 0 {
-        let l = bits.trailing_zeros() as usize;
-        bits &= bits - 1;
-        if die_all >> l & 1 != 0 {
-            deaths.push(blk.slot0 + l);
-        } else {
-            splits.push(blk.slot0 + l);
-        }
     }
 }
 
@@ -1496,6 +1425,57 @@ mod tests {
         }
 
 
+        /// Applying splits and deaths to resident columns equals loading
+        /// the vector that the engine's push-daughters-then-swap-remove
+        /// semantics leave: stores, stats and tail bits alike. Lanes hold
+        /// rounds past the epoch, and the lists are disjoint and ascending,
+        /// of any sizes from empty to every lane.
+        #[test]
+        fn apply_matches_loading_the_applied_vector(
+            lanes in proptest::collection::vec((0u8..3, 0u32..2000, 0u8..16), 0..300),
+            split_odds in 0u8..=8,
+            death_odds in 0u8..=8,
+        ) {
+            let params = Params::for_target(1024).unwrap();
+            let agents: Vec<AgentState> = lanes
+                .iter()
+                .map(|&(kind, round, _)| match kind {
+                    0 => AgentState::desynced(&params, round),
+                    1 => AgentState::leader(&params, Color::One, u64::from(round) | 1),
+                    _ => AgentState::active_at(&params, round.max(1), Color::Zero),
+                })
+                .collect();
+            let (mut splits, mut deaths) = (Vec::new(), Vec::new());
+            for (i, &(_, _, act)) in lanes.iter().enumerate() {
+                if act < split_odds {
+                    splits.push(i);
+                } else if act >= 16 - death_odds {
+                    deaths.push(i);
+                }
+            }
+
+            let mut want = agents.clone();
+            for &i in &splits {
+                want.push(agents[i]);
+            }
+            for &i in deaths.iter().rev() {
+                want.swap_remove(i);
+            }
+            let mut loaded = StabilityColumns::new(params.clone());
+            loaded.load(&want, None);
+
+            let mut applied = StabilityColumns::new(params.clone());
+            applied.load(&agents, None);
+            applied.apply(&splits, &deaths);
+            proptest::prop_assert_eq!(applied.len(), want.len());
+            proptest::prop_assert!(applied.tail_bits_clear(), "tail bits set");
+            let (mut got, mut reference) = (Vec::new(), Vec::new());
+            applied.store(&mut got);
+            loaded.store(&mut reference);
+            proptest::prop_assert_eq!(got, reference);
+            proptest::prop_assert_eq!(applied.stats(), loaded.stats());
+        }
+
         /// On load and after every step and apply, the stats kernel counts
         /// what observing the stored vector counts. The populations mix
         /// desynced rounds (so blocks fall back to per-lane counting),
@@ -1605,6 +1585,29 @@ mod tests {
         assert!(stepper.alter(&inserted, &modified, &[3, 64, 500, 1023]));
         assert_eq!(stepper.len(), 1024);
         assert_eq!(capacities(&stepper), before, "a column reallocated");
+        assert!(stepper.tail_bits_clear());
+    }
+
+    /// A round with at least as many deaths as splits fills the dead lanes
+    /// with the daughters in place: no column grows, which pushing the
+    /// daughters before removing the deaths would have made them do.
+    #[test]
+    fn apply_without_growth_keeps_mem_bytes() {
+        let params = Params::for_target(1024).unwrap();
+        let agents: Vec<AgentState> = (0..1024)
+            .map(|i| AgentState::leader(&params, Color::One, i | 1))
+            .collect();
+        let mut stepper = StabilityColumns::new(params);
+        stepper.load(&agents, None);
+        assert_eq!(
+            stepper.round.capacity(),
+            stepper.len(),
+            "load sizes exactly"
+        );
+        let before = stepper.mem_bytes();
+        stepper.apply(&[5, 700, 1000], &[3, 64, 500, 1023]);
+        assert_eq!(stepper.len(), 1023);
+        assert_eq!(stepper.mem_bytes(), before, "a column grew");
         assert!(stepper.tail_bits_clear());
     }
 

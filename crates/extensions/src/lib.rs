@@ -34,7 +34,6 @@
 
 use std::fmt;
 
-use popstab_sim::snapshot::{self, SnapshotError, SnapshotReader, SnapshotState};
 use popstab_sim::{
     Action, Adversary, Alteration, Observable, Observation, Protocol, RoundContext, SimRng,
 };
@@ -60,40 +59,6 @@ impl<S: Observable> Observable for MaliceState<S> {
             // Malicious agents report nothing; experiments count them by
             // inspecting states directly.
             MaliceState::Malicious { .. } => Observation::default(),
-        }
-    }
-}
-
-impl<S: SnapshotState> SnapshotState for MaliceState<S> {
-    fn state_tag() -> String {
-        format!("malice<{}>", S::state_tag())
-    }
-
-    fn encode(&self, out: &mut Vec<u8>) {
-        match self {
-            MaliceState::Honest(s) => {
-                snapshot::write_u8(out, 0);
-                s.encode(out);
-            }
-            MaliceState::Malicious {
-                replicate_period,
-                age,
-            } => {
-                snapshot::write_u8(out, 1);
-                snapshot::write_u32(out, *replicate_period);
-                snapshot::write_u32(out, *age);
-            }
-        }
-    }
-
-    fn decode(r: &mut SnapshotReader<'_>) -> Result<Self, SnapshotError> {
-        match r.u8()? {
-            0 => Ok(MaliceState::Honest(S::decode(r)?)),
-            1 => Ok(MaliceState::Malicious {
-                replicate_period: r.u32()?,
-                age: r.u32()?,
-            }),
-            _ => Err(r.malformed("unknown malice state tag")),
         }
     }
 }

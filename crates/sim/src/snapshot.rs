@@ -493,9 +493,9 @@ impl<'a> SnapshotReader<'a> {
 /// Implementations must round-trip exactly (`decode(encode(s)) == s` field
 /// for field) — the snapshot determinism guarantee is only as strong as
 /// the state encoding. The tag names the state type so a snapshot cannot
-/// be restored against the wrong protocol; wrapper states compose it
-/// (e.g. the extensions crate's malice wrapper tags itself
-/// `malice<{inner}>`).
+/// be restored against the wrong protocol; a wrapper state should compose
+/// it from its inner state's tag (say `wrapper<{inner}>`), so a wrapped
+/// and a bare state never share one.
 ///
 /// Capture and restore call these once per agent, so at 2²⁰ agents their
 /// per-call cost is the codec's cost. A fixed-width state should encode

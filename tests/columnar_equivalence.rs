@@ -10,8 +10,9 @@
 //! and reads after an observer's panic was caught mid-run — comparing
 //! per-round reports, the **full agent state vector** (every field, every
 //! slot), the halt state, and the encoded snapshot bytes across random
-//! `(seed, rounds, workers)`, plus one fixed run at the population where
-//! the keyed-permutation matching takes over. The golden fixtures pin the
+//! `(seed, rounds, workers)`, plus two fixed runs at the population where
+//! the keyed-permutation matching takes over, one of them across an
+//! evaluation round. The golden fixtures pin the
 //! same trajectories against history; this suite pins the two live paths
 //! against each other.
 
@@ -27,7 +28,7 @@ use population_stability::adversary::{
 };
 use population_stability::core::columns::StabilityColumns;
 use population_stability::core::message::Message;
-use population_stability::core::state::AgentState;
+use population_stability::core::state::{AgentState, Color};
 use population_stability::prelude::*;
 use population_stability::sim::batch::ShardPool;
 use population_stability::sim::matching::KEYED_PERMUTATION_MIN_POPULATION;
@@ -101,13 +102,15 @@ fn proliferation_engine(seed: u64) -> Engine<PopulationStability, Trauma> {
 /// Runs `rounds` rounds and fingerprints everything observable afterwards:
 /// the per-round report trace, the final agent vector, the round counter,
 /// and the engine's snapshot bytes (label-free, so byte-comparable).
-fn fingerprint<A>(
-    mut engine: Engine<PopulationStability, A>,
+fn fingerprint<P, A>(
+    mut engine: Engine<P, A>,
     columnar: bool,
     rounds: u64,
     threads: Threads,
 ) -> (Vec<RoundReport>, Vec<AgentState>, u64, Vec<u8>)
 where
+    P: Protocol<State = AgentState> + Sync,
+    P::Message: Send,
     A: Adversary<AgentState>,
 {
     engine.set_columnar(columnar);
@@ -254,6 +257,79 @@ fn columnar_matches_scalar_at_the_keyed_permutation_threshold() {
             .0
             .iter()
             .all(|r| r.population_before >= LARGE as usize));
+        assert_eq!(scalar.0, columnar.0, "{threads:?}: report traces diverged");
+        assert_eq!(scalar.1, columnar.1, "{threads:?}: agent vectors diverged");
+        assert_eq!(scalar.2, columnar.2);
+        assert_eq!(scalar.3, columnar.3, "{threads:?}: snapshot bytes diverged");
+        runs.push(columnar);
+    }
+    assert_eq!(runs[0], runs[1], "serial and sharded rounds diverged");
+}
+
+/// The paper's protocol, but every agent starts two rounds before the
+/// evaluation round: active with either color, or inactive.
+#[derive(Debug)]
+struct NearEval(PopulationStability);
+
+impl Protocol for NearEval {
+    type State = AgentState;
+    type Message = Message;
+
+    fn initial_state(&self, rng: &mut SimRng) -> AgentState {
+        use rand::Rng;
+        let params = self.0.params();
+        let round = params.eval_round() - 1;
+        match rng.random::<u32>() % 3 {
+            0 => AgentState::active_at(params, round, Color::Zero),
+            1 => AgentState::active_at(params, round, Color::One),
+            _ => AgentState::desynced(params, round),
+        }
+    }
+
+    fn message(&self, state: &AgentState) -> Message {
+        self.0.message(state)
+    }
+
+    fn step(&self, state: &mut AgentState, incoming: Option<&Message>, rng: &mut SimRng) -> Action {
+        self.0.step(state, incoming, rng)
+    }
+
+    fn columnar(&self) -> Option<Box<dyn ColumnarStep<AgentState>>> {
+        self.0.columnar()
+    }
+}
+
+/// An evaluation round at the keyed-permutation scale: rounds `T−2`, `T−1`
+/// and 0 over uniform blocks of both colors, where the evaluation round
+/// splits and kills and the columns refill the deaths with daughters.
+/// Scalar and columnar must agree on serial and sharded rounds alike.
+#[test]
+fn columnar_matches_scalar_across_an_evaluation_round_at_scale() {
+    const LARGE: u64 = 1 << 16;
+    let engine = || {
+        let params = Params::for_target(LARGE).unwrap();
+        let cfg = SimConfig::builder()
+            .seed(2019)
+            .target(LARGE)
+            .build()
+            .unwrap();
+        Engine::with_population(
+            NearEval(PopulationStability::new(params)),
+            cfg,
+            LARGE as usize,
+        )
+    };
+    let mut runs = Vec::new();
+    for threads in [Threads::Serial, Threads::Sharded(3)] {
+        let scalar = fingerprint(engine(), false, 3, threads);
+        let columnar = fingerprint(engine(), true, 3, threads);
+        let eval = &scalar.0[1];
+        assert!(
+            eval.splits > 0 && eval.deaths > 0,
+            "the evaluation round split {} and killed {}",
+            eval.splits,
+            eval.deaths
+        );
         assert_eq!(scalar.0, columnar.0, "{threads:?}: report traces diverged");
         assert_eq!(scalar.1, columnar.1, "{threads:?}: agent vectors diverged");
         assert_eq!(scalar.2, columnar.2);
