@@ -43,7 +43,9 @@ impl Adversary<AgentState> for RandomDeleter {
 /// A *state-oblivious* deleter: removes the `k` oldest slots (lowest
 /// indices) each round, a schedule fixed in advance that never depends on
 /// agent state or coin flips. This is the weak adversary model of §1.3.1
-/// under which Attempt 1 is sound.
+/// under which Attempt 1 is sound. It reads only the population size, so
+/// it attacks any protocol's state type, baselines included; wrap it in
+/// [`Throttle`](crate::Throttle) to delete on every `p`-th round only.
 #[derive(Debug, Clone, Copy)]
 pub struct ObliviousDeleter {
     k: usize,
@@ -56,17 +58,12 @@ impl ObliviousDeleter {
     }
 }
 
-impl Adversary<AgentState> for ObliviousDeleter {
+impl<S> Adversary<S> for ObliviousDeleter {
     fn name(&self) -> &'static str {
         "oblivious-delete"
     }
 
-    fn act(
-        &mut self,
-        ctx: &RoundContext,
-        _agents: &[AgentState],
-        _rng: &mut SimRng,
-    ) -> Vec<Alteration<AgentState>> {
+    fn act(&mut self, ctx: &RoundContext, _agents: &[S], _rng: &mut SimRng) -> Vec<Alteration<S>> {
         (0..self.k.min(ctx.population))
             .map(Alteration::Delete)
             .collect()
@@ -231,7 +228,11 @@ mod tests {
         let p = params();
         let agents = vec![AgentState::fresh(&p); 10];
         let mut adv = ObliviousDeleter::new(3);
-        let out = adv.act(&ctx(3, &agents), &[], &mut rng_from_seed(4));
+        let out = adv.act(
+            &ctx(3, &agents),
+            &[] as &[AgentState],
+            &mut rng_from_seed(4),
+        );
         assert_eq!(
             out,
             vec![

@@ -9,7 +9,8 @@
 //!
 //! * [`RandomDeleter`] / [`RandomInserter`] / [`Churn`] — bulk pressure,
 //! * [`ObliviousDeleter`] — state-blind deletion (the weak adversary model
-//!   under which Attempt 1 works),
+//!   under which Attempt 1 works), generic over the state type, so the
+//!   baselines face it too,
 //! * [`LeaderSniper`] — deletes leaders as soon as they are chosen, the
 //!   attack that kills leader-election-style protocols (§1.3.1),
 //! * [`ColorFlooder`] — inserts leaders of one fixed color to bias the
@@ -91,7 +92,8 @@ pub fn throttled_suite(
 mod tests {
     use super::*;
     use popstab_core::params::Params;
-    use popstab_sim::RoundContext;
+    use popstab_sim::protocols::Inert;
+    use popstab_sim::{Engine, RoundContext, RunSpec, SimConfig};
 
     /// The majority round the adversaries forge with comes from the round
     /// context, which takes it from the agents' `round` fields.
@@ -120,5 +122,17 @@ mod tests {
         names.sort_unstable();
         names.dedup();
         assert!(names.len() >= 8, "strategy names should be distinct");
+    }
+
+    #[test]
+    fn oblivious_deleter_shrinks_inert_population() {
+        let cfg = SimConfig::builder()
+            .seed(1)
+            .adversary_budget(2)
+            .build()
+            .unwrap();
+        let mut engine = Engine::with_adversary(Inert, ObliviousDeleter::new(2), cfg, 20);
+        engine.run(RunSpec::rounds(5), &mut ());
+        assert_eq!(engine.population(), 10);
     }
 }

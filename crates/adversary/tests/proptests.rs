@@ -184,7 +184,7 @@ proptest! {
         let mut fired = 0u64;
         for round in 0..rounds {
             let ctx = RoundContext::observe(round, k, 1024, &pop);
-            let alts = adv.act(&ctx, &[], &mut rng);
+            let alts = adv.act(&ctx, &[] as &[AgentState], &mut rng);
             if round % period == phase {
                 prop_assert_eq!(alts.len(), k.min(20));
                 fired += 1;

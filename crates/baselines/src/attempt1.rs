@@ -214,6 +214,7 @@ impl Adversary<A1State> for SignalSuppressor {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use popstab_adversary::{ObliviousDeleter, Throttle};
     use popstab_sim::{Engine, HaltReason, RunSpec, SimConfig};
 
     const N: u64 = 1024;
@@ -263,7 +264,7 @@ mod tests {
         // restoring capacity.
         let proto = Attempt1::new(N);
         let epoch = u64::from(proto.epoch_len());
-        let adv = crate::ObliviousDeleter::with_period(1, 4);
+        let adv = Throttle::new(ObliviousDeleter::new(1), 4, 0);
         let mut engine = Engine::with_adversary(proto, adv, cfg(2, 1), N as usize);
         let (lo, hi) = engine
             .run(RunSpec::rounds(30 * epoch), &mut ())

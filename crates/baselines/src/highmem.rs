@@ -187,7 +187,7 @@ mod tests {
     fn recovers_from_sustained_oblivious_deletion() {
         let proto = HighMemory::new(N);
         let epoch = u64::from(proto.epoch_len());
-        let adv = crate::ObliviousDeleter::new(4);
+        let adv = popstab_adversary::ObliviousDeleter::new(4);
         let mut engine = Engine::with_adversary(proto, adv, cfg(2, 4), N as usize);
         let (lo, _) = engine
             .run(RunSpec::rounds(10 * epoch), &mut ())

@@ -30,65 +30,3 @@ pub use attempt1::Attempt1;
 pub use attempt2::Attempt2;
 pub use highmem::HighMemory;
 pub use popstab_sim::protocols::Inert as Empty;
-
-use popstab_sim::{Adversary, Alteration, RoundContext, SimRng};
-
-/// A state-blind deleter usable against any baseline: removes the first `k`
-/// slots on every `period`-th round by fixed schedule (the "oblivious"
-/// adversary of §1.3.1 — its actions never depend on agent state or coins).
-#[derive(Debug, Clone, Copy)]
-pub struct ObliviousDeleter {
-    k: usize,
-    period: u64,
-}
-
-impl ObliviousDeleter {
-    /// Deletes `k` agents every round.
-    pub fn new(k: usize) -> Self {
-        ObliviousDeleter { k, period: 1 }
-    }
-
-    /// Deletes `k` agents every `period` rounds.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `period` is zero.
-    pub fn with_period(k: usize, period: u64) -> Self {
-        assert!(period > 0, "period must be positive");
-        ObliviousDeleter { k, period }
-    }
-}
-
-impl<S> Adversary<S> for ObliviousDeleter {
-    fn name(&self) -> &'static str {
-        "oblivious-delete"
-    }
-
-    fn act(&mut self, ctx: &RoundContext, agents: &[S], _rng: &mut SimRng) -> Vec<Alteration<S>> {
-        if !ctx.round.is_multiple_of(self.period) {
-            return Vec::new();
-        }
-        (0..self.k.min(agents.len()))
-            .map(Alteration::Delete)
-            .collect()
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use popstab_sim::protocols::Inert;
-    use popstab_sim::{Engine, SimConfig};
-
-    #[test]
-    fn oblivious_deleter_shrinks_inert_population() {
-        let cfg = SimConfig::builder()
-            .seed(1)
-            .adversary_budget(2)
-            .build()
-            .unwrap();
-        let mut engine = Engine::with_adversary(Inert, ObliviousDeleter::new(2), cfg, 20);
-        engine.run(popstab_sim::RunSpec::rounds(5), &mut ());
-        assert_eq!(engine.population(), 10);
-    }
-}

@@ -15,10 +15,11 @@
 //! batch on [`Exec::runner`] (the `--jobs` flag of the `experiments`
 //! binary controls the worker count; results are identical for any value).
 
+use popstab_adversary::{ObliviousDeleter, Throttle};
 use popstab_analysis::report::Table;
 use popstab_baselines::attempt1::{SignalFlooder, SignalSuppressor};
 use popstab_baselines::highmem::IdFlooder;
-use popstab_baselines::{Attempt1, Attempt2, Empty, HighMemory, ObliviousDeleter};
+use popstab_baselines::{Attempt1, Attempt2, Empty, HighMemory};
 use popstab_core::params::Params;
 use popstab_sim::{Adversary, Engine, NoOpAdversary, Protocol, RunSpec, SimConfig};
 
@@ -95,9 +96,8 @@ pub fn run(exec: &Exec) {
         adv: "oblivious-delete",
         sim: {
             let a1_job = a1.clone();
-            Box::new(move || {
-                run_baseline(a1_job, ObliviousDeleter::with_period(1, 4), 1, horizon, 2)
-            })
+            let every_4 = Throttle::new(ObliviousDeleter::new(1), 4, 0);
+            Box::new(move || run_baseline(a1_job, every_4, 1, horizon, 2))
         },
         verdict: Box::new(|r| {
             if r.2 > N as usize / 3 {
@@ -170,9 +170,10 @@ pub fn run(exec: &Exec) {
     cases.push(Case {
         proto: "empty",
         adv: "oblivious-delete",
-        sim: Box::new(move || {
-            run_baseline(Empty, ObliviousDeleter::with_period(1, 16), 1, horizon, 7)
-        }),
+        sim: {
+            let every_16 = Throttle::new(ObliviousDeleter::new(1), 16, 0);
+            Box::new(move || run_baseline(Empty, every_16, 1, horizon, 7))
+        },
         verdict: Box::new(move |r| {
             if r.3 || r.2 + scheduled / 2 <= N as usize {
                 "decays (no correction)"

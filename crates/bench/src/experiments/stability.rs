@@ -23,7 +23,7 @@ pub fn run(exec: &Exec) {
     let epochs: u64 = if exec.quick { 15 } else { 40 };
 
     println!("T1: stability with no adversary ({epochs} epochs, {seeds} seeds)");
-    println!("    band: [0.6, 1.4]·m° where m° is the exact finite-N equilibrium\n");
+    println!("    band: [0.6·m°, 1.4·max(m°, N)] where m° is the exact finite-N equilibrium\n");
     let mut table = Table::new([
         "N",
         "seed",

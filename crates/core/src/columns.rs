@@ -17,8 +17,9 @@
 //! 2. **step pass**: per block, gather one masked `wire8` byte per lane
 //!    and transpose them eight-at-a-time (`pack_lsb`) into four mask
 //!    words held in registers, then execute the round's transition as
-//!    bitwise algebra straight into the columns, batching coin draws with
-//!    [`biased_coin_x8`]. Blocks at the evaluation round (one round in T),
+//!    bitwise algebra straight into the columns; at round 0 each lane
+//!    flips its leader coin with [`toss_biased_coin`] on its own slot
+//!    stream. Blocks at the evaluation round (one round in T),
 //!    and blocks whose agents disagree on the round number (possible only
 //!    under adversarial insertion), run [`PopulationStability::step`]
 //!    itself, lane by lane.
@@ -41,12 +42,11 @@
 //!
 //! The agent stream (v3) is counter-addressable: agent `slot`'s draw `j`
 //! in a round is a pure finalizer of `(round_key, slot, j)`, independent
-//! of any other agent's draws, so *batching* evaluation cannot move any
-//! draw. The word kernels consume exactly the draw positions
-//! `Protocol::step` consumes wherever a draw's outcome is observable:
-//! leader selection evaluates each lane's biased coin at the same word
-//! positions ([`biased_coin_x8`] is pinned lane-for-lane against
-//! [`toss_biased_coin`](crate::coin::toss_biased_coin)). The rest is not a
+//! of any other agent's draws, so stepping lanes in any order cannot move
+//! any draw. The word kernels draw only where `Protocol::step` draws:
+//! leader selection flips each lane's coin with the same
+//! [`toss_biased_coin`] on the lane's slot stream, which is the first draw
+//! `step` makes in round 0, and recruitment draws nothing. The rest is not a
 //! copy of the transition but the transition itself: leader winners and
 //! every lane of an evaluation or mixed-round block run
 //! [`PopulationStability::step`] on their own slot stream, with the
@@ -114,9 +114,10 @@ use popstab_sim::columns::{
     fill_deleted, tail_mask, word_shard_range, BitCol, ColumnarStep, Refill,
 };
 use popstab_sim::matching::UNMATCHED;
-use popstab_sim::rng::{biased_coin_x8, slot_key_x8, slot_rng, LANES};
+use popstab_sim::rng::slot_rng;
 use popstab_sim::{Action, Protocol, RoundHistogram, RoundStats};
 
+use crate::coin::toss_biased_coin;
 use crate::message::{Message, Wire};
 use crate::params::Params;
 use crate::protocol::PopulationStability;
@@ -1005,14 +1006,16 @@ fn leader_block(
     let die = blk.mm & blk.me;
     let live = !die & blk.tail;
     let exp = proto.params().leader_bias_exp();
+    // Each lane's coin is the first draw `Protocol::step` makes on its slot
+    // stream in round 0.
     let mut win = 0u64;
-    for g in 0..blk.lanes.div_ceil(LANES) {
-        let keys = slot_key_x8(round_key, (blk.slot0 + g * LANES) as u64);
-        win |= u64::from(biased_coin_x8(exp, &keys)) << (g * LANES);
+    for l in 0..blk.lanes {
+        let mut rng = slot_rng(round_key, (blk.slot0 + l) as u64);
+        win |= u64::from(toss_biased_coin(exp, &mut rng)) << l;
     }
     win &= live;
     // Winners are ~2^-exp rare: each runs `Protocol::step` on its own slot
-    // stream, which draws the coin words, color and lineage. Round 0 never
+    // stream, which redraws the coin, then color and lineage. Round 0 never
     // reads a partner's lineage, so none is latched.
     let mut bits = win;
     while bits != 0 {
@@ -1021,7 +1024,7 @@ fn leader_block(
         scalar_step(proto, round_key, blk, l, 0, st, w, lin);
         debug_assert!(
             st.active[w] >> l & 1 != 0,
-            "x8 winner must replay as a scalar winner"
+            "a coin winner must replay as a scalar winner"
         );
     }
     let rounds = &mut st.round[w * 64..w * 64 + blk.lanes];
@@ -1162,16 +1165,18 @@ mod tests {
         partners
     }
 
-    /// Drives one load → step → store cycle and the scalar `Protocol::step`
-    /// loop over the same population + matching and asserts bit-identical
-    /// states, splits, and deaths — the unit-level twin of the engine-level
-    /// equivalence tests.
+    /// Drives one load → step → store cycle (on `pool`, or one shard) and
+    /// the scalar `Protocol::step` loop over the same population + matching
+    /// and asserts bit-identical states, splits, and deaths — the
+    /// unit-level twin of the engine-level equivalence tests. Returns the
+    /// stepped population.
     fn assert_step_phase_matches_scalar(
         proto: &PopulationStability,
         agents: &[AgentState],
         seed: u64,
         round: u64,
-    ) {
+        pool: Option<&ShardPool>,
+    ) -> Vec<AgentState> {
         let partners = partner_table(agents.len(), seed, round);
         let rkey = round_key(seed, round);
 
@@ -1188,16 +1193,58 @@ mod tests {
         );
 
         let mut stepper = StabilityColumns::new(proto.params().clone());
-        stepper.load(agents, None);
+        stepper.load(agents, pool);
         let mut c_splits = Vec::new();
         let mut c_deaths = Vec::new();
-        stepper.step(&partners, rkey, None, &mut c_splits, &mut c_deaths);
+        stepper.step(&partners, rkey, pool, &mut c_splits, &mut c_deaths);
         let mut columnar = Vec::new();
         stepper.store(&mut columnar);
 
         assert_eq!(scalar, columnar, "states diverged at round {round}");
         assert_eq!(s_splits, c_splits, "splits diverged at round {round}");
         assert_eq!(s_deaths, c_deaths, "deaths diverged at round {round}");
+        columnar
+    }
+
+    /// The leader round at every coin width: exponents at and across the
+    /// 64-flip word boundary, low ones that mix winners and losers in one
+    /// word, and the default; 300 lanes are 4 full words plus a 44-lane
+    /// tail, stepped on one shard and on three.
+    #[test]
+    fn leader_round_matches_scalar_at_every_coin_width() {
+        for exp in [
+            Some(0),
+            Some(1),
+            Some(2),
+            None,
+            Some(63),
+            Some(64),
+            Some(65),
+            Some(128),
+        ] {
+            let builder = Params::builder(1024);
+            let params = match exp {
+                Some(e) => builder.leader_bias_exp(e),
+                None => builder,
+            }
+            .build()
+            .unwrap();
+            let proto = PopulationStability::new(params.clone());
+            let agents: Vec<AgentState> = (0..300).map(|_| AgentState::fresh(&params)).collect();
+            for seed in [3, 17, 2018] {
+                let serial = assert_step_phase_matches_scalar(&proto, &agents, seed, 0, None);
+                let sharded = ShardPool::with(3, |pool| {
+                    assert_step_phase_matches_scalar(&proto, &agents, seed, 0, Some(pool))
+                });
+                assert_eq!(serial, sharded, "exp {exp:?} seed {seed}: shards diverged");
+                if exp == Some(1) {
+                    assert!(
+                        serial.iter().any(|s| s.active) && serial.iter().any(|s| !s.active),
+                        "exp 1 seed {seed}: no mixed verdicts"
+                    );
+                }
+            }
+        }
     }
 
     #[test]
@@ -1209,7 +1256,7 @@ mod tests {
         // every round's step phase on the way (covers leader, boundary,
         // plain recruitment, and eval rounds).
         for round in 0..u64::from(params.epoch_len()) + 3 {
-            assert_step_phase_matches_scalar(&proto, &agents, 77, round);
+            assert_step_phase_matches_scalar(&proto, &agents, 77, round, None);
             let partners = partner_table(agents.len(), 77, round);
             let rkey = round_key(77, round);
             let (mut splits, mut deaths) = (Vec::new(), Vec::new());
@@ -1294,7 +1341,7 @@ mod tests {
             })
             .collect();
         for round in 0..6 {
-            assert_step_phase_matches_scalar(&proto, &agents, 1234, round);
+            assert_step_phase_matches_scalar(&proto, &agents, 1234, round, None);
         }
     }
 

@@ -9,8 +9,8 @@
 //! from [`Protocol::columnar`](crate::Protocol::columnar): agent state
 //! lives transposed in contiguous columns (`Vec<u32>`/`Vec<u64>` words,
 //! packed [`BitCol`] bitmasks) and the round's transition runs as
-//! word-at-a-time kernels over 64-agent blocks, batching coin draws with
-//! the `_x8` kernels in [`rng`](crate::rng).
+//! word-at-a-time kernels over 64-agent blocks, each lane drawing its coins
+//! from its own slot stream ([`slot_rng`](crate::rng::slot_rng)).
 //!
 //! # Residency: who owns the state
 //!

@@ -119,8 +119,7 @@ impl SeedableRng for CounterRng {
 
 /// The SplitMix64 Weyl increment: the draw-counter spacing of every
 /// [`CounterRng`] stream. Output `i` of the stream keyed by `k` is
-/// `finalize(k + (i + 1)·GAMMA)` — which is what makes draws *addressable*
-/// ([`nth_draw`]) and hence lane-batchable ([`nth_draw_x8`]).
+/// `finalize(k + (i + 1)·GAMMA)`.
 const GAMMA: u64 = 0x9E37_79B9_7F4A_7C15;
 
 impl RngCore for CounterRng {
@@ -225,8 +224,7 @@ pub fn counter_seed(master: u64, round: u64, slot: u64) -> u64 {
 }
 
 /// The stream key of agent `slot` under a precomputed [`round_key`]:
-/// `counter_seed` with the round fold hoisted out. Scalar reference twin of
-/// [`slot_key_x8`].
+/// `counter_seed` with the round fold hoisted out.
 #[inline]
 pub fn slot_key(round_key: u64, slot: u64) -> u64 {
     round_key.wrapping_add(slot.wrapping_mul(SLOT_WEYL))
@@ -238,82 +236,6 @@ pub fn slot_key(round_key: u64, slot: u64) -> u64 {
 #[inline]
 pub fn slot_rng(round_key: u64, slot: u64) -> SimRng {
     CounterRng::keyed(slot_key(round_key, slot))
-}
-
-/// Number of lanes in the batched `_x8` kernels below. Eight 64-bit lanes
-/// fill an AVX-512 register and split evenly across two AVX2 / NEON
-/// registers; the kernels are plain array loops, sized and shaped so LLVM
-/// autovectorizes them (this workspace is `std`-only — no `std::simd`, no
-/// intrinsics).
-pub const LANES: usize = 8;
-
-/// Stream keys of [`LANES`] consecutive slots under one [`round_key`]:
-/// lane `l` equals the scalar twin `slot_key(round_key, base_slot + l)`
-/// (pinned lane-for-lane by `slot_key_x8_matches_scalar_twin`).
-#[inline]
-pub fn slot_key_x8(round_key: u64, base_slot: u64) -> [u64; LANES] {
-    let mut keys = [0u64; LANES];
-    for (l, key) in keys.iter_mut().enumerate() {
-        *key = slot_key(round_key, base_slot.wrapping_add(l as u64));
-    }
-    keys
-}
-
-/// Output `draw` (0-based) of the [`CounterRng`] stream keyed by `key`,
-/// computed positionally: `finalize(key + (draw + 1)·γ)`. Scalar reference
-/// twin of [`nth_draw_x8`]; equals the `draw + 1`-th `next_u64`
-/// (RngCore::next_u64) of `CounterRng::keyed(key)` (pinned by
-/// `nth_draw_matches_sequential_stream`).
-#[inline]
-pub fn nth_draw(key: u64, draw: u64) -> u64 {
-    splitmix_finalize(key.wrapping_add(draw.wrapping_add(1).wrapping_mul(GAMMA)))
-}
-
-/// Output `draw` of [`LANES`] streams at once: lane `l` equals the scalar
-/// twin `nth_draw(keys[l], draw)`. One Weyl offset plus [`LANES`]
-/// independent finalizers — branch-free, so LLVM vectorizes the loop.
-#[inline]
-pub fn nth_draw_x8(keys: &[u64; LANES], draw: u64) -> [u64; LANES] {
-    let offset = draw.wrapping_add(1).wrapping_mul(GAMMA);
-    let mut out = [0u64; LANES];
-    for (l, word) in out.iter_mut().enumerate() {
-        *word = splitmix_finalize(keys[l].wrapping_add(offset));
-    }
-    out
-}
-
-/// [`LANES`] biased coins at once: bit `l` of the result is the scalar twin
-/// `biased_coin(bias_exp, &mut CounterRng::keyed(keys[l]))` (pinned
-/// lane-for-lane by `biased_coin_x8_matches_scalar_twin`).
-///
-/// Lanes are exact, not just equidistributed, because [`biased_coin`]'s
-/// early exit never moves a *later* draw: a stream either passes every mask
-/// word (consuming all `⌈bias_exp / 64⌉` draws) or fails and draws nothing
-/// further, and each word is addressable by [`nth_draw`] regardless.
-/// Computing every lane's word unconditionally therefore reads exactly the
-/// positions the scalar twin would have read wherever the result bit is
-/// observed.
-pub fn biased_coin_x8(bias_exp: u32, keys: &[u64; LANES]) -> u8 {
-    let mut alive: u8 = 0xFF;
-    let mut remaining = bias_exp;
-    let mut draw = 0u64;
-    while remaining > 0 && alive != 0 {
-        let take = remaining.min(64);
-        let mask = if take == 64 {
-            u64::MAX
-        } else {
-            (1u64 << take) - 1
-        };
-        let words = nth_draw_x8(keys, draw);
-        let mut pass: u8 = 0;
-        for (l, word) in words.iter().enumerate() {
-            pass |= u8::from(word & mask == mask) << l;
-        }
-        alive &= pass;
-        remaining -= take;
-        draw += 1;
-    }
-    alive
 }
 
 /// Draws `true` with probability `2^-bias_exp`, mirroring the paper's
@@ -607,95 +529,5 @@ mod tests {
             (1u64 << take) - 1
         };
         CounterRng::keyed(key).next_u64() & mask == mask
-    }
-
-    // ---- Lane-batched kernels: every `_x8` kernel pinned lane-for-lane
-    // ---- against its scalar twin over random keys/counters.
-
-    mod x8_twins {
-        use super::*;
-        use proptest::prelude::*;
-
-        proptest! {
-            /// `slot_key_x8` lane `l` is exactly the scalar twin
-            /// `slot_key(round_key, base + l)`, including at wrapping
-            /// slot positions.
-            #[test]
-            fn slot_key_x8_matches_scalar_twin(
-                master in any::<u64>(),
-                round in 0u64..1 << 48,
-                base in any::<u64>(),
-            ) {
-                let rk = round_key(master, round);
-                let lanes = slot_key_x8(rk, base);
-                for (l, &lane) in lanes.iter().enumerate() {
-                    assert_eq!(lane, slot_key(rk, base.wrapping_add(l as u64)), "lane {l}");
-                }
-            }
-
-            /// `nth_draw(key, i)` addresses the same output the sequential
-            /// stream reaches by drawing `i + 1` times.
-            #[test]
-            fn nth_draw_matches_sequential_stream(key in any::<u64>()) {
-                let mut rng = CounterRng::keyed(key);
-                for draw in 0..16u64 {
-                    assert_eq!(nth_draw(key, draw), rng.next_u64(), "draw {draw}");
-                }
-            }
-
-            /// `nth_draw_x8` lane `l` is exactly the scalar twin
-            /// `nth_draw(keys[l], draw)` over random keys and counters.
-            #[test]
-            fn nth_draw_x8_matches_scalar_twin(
-                seed in any::<u64>(),
-                draw in any::<u64>(),
-            ) {
-                let mut g = rng_from_seed(seed);
-                let mut keys = [0u64; LANES];
-                for key in keys.iter_mut() {
-                    *key = g.next_u64();
-                }
-                let lanes = nth_draw_x8(&keys, draw);
-                for (l, &lane) in lanes.iter().enumerate() {
-                    assert_eq!(lane, nth_draw(keys[l], draw), "lane {l}");
-                }
-            }
-
-            /// `biased_coin_x8` bit `l` is exactly the scalar twin
-            /// `biased_coin(exp, keyed(keys[l]))` — across word-boundary
-            /// exponents (0, 1, 63..=65, 128) and random keys. Exercises
-            /// production exponents (3..=13) densely via the sampled range.
-            #[test]
-            fn biased_coin_x8_matches_scalar_twin(
-                seed in any::<u64>(),
-                exp in 0u32..=130,
-            ) {
-                let mut g = rng_from_seed(seed);
-                let mut keys = [0u64; LANES];
-                for key in keys.iter_mut() {
-                    *key = g.next_u64();
-                }
-                let batch = biased_coin_x8(exp, &keys);
-                for (l, &key) in keys.iter().enumerate() {
-                    let scalar = biased_coin(exp, &mut CounterRng::keyed(key));
-                    assert_eq!(batch & (1 << l) != 0, scalar, "exp {exp} lane {l}");
-                }
-            }
-        }
-
-        /// Low exponents hit often enough that the lane mask is exercised
-        /// with a mixed pass/fail population, not just all-zeros.
-        #[test]
-        fn biased_coin_x8_sees_mixed_verdicts_at_low_exponents() {
-            let mut any_pass = false;
-            let mut any_fail = false;
-            for group in 0..64u64 {
-                let keys = slot_key_x8(round_key(31, 2), group * LANES as u64);
-                let mask = biased_coin_x8(1, &keys);
-                any_pass |= mask != 0;
-                any_fail |= mask != 0xFF;
-            }
-            assert!(any_pass && any_fail, "exp-1 coin lanes are degenerate");
-        }
     }
 }

@@ -116,7 +116,7 @@ const SEAL_K: u64 = 0x9E37_79B9_7F4A_7C15;
 
 /// Initial states of the four [`seal`] lanes (the first hex digits of π's
 /// fraction), distinct so equal words in different lanes hash apart.
-const SEAL_LANES: [u64; 4] = [
+const SEAL_INIT: [u64; 4] = [
     0x243F_6A88_85A3_08D3,
     0x1319_8A2E_0370_7344,
     0xA409_3822_299F_31D0,
@@ -168,7 +168,7 @@ impl Sealer {
     /// A sealer that has seen no bytes.
     pub(crate) fn new() -> Sealer {
         Sealer {
-            lanes: SEAL_LANES,
+            lanes: SEAL_INIT,
             pending: [0; 32],
             pending_len: 0,
             len: 0,

@@ -106,8 +106,8 @@
 //! for counterfactual "what if the attack had differed from round R?"
 //! ensembles; salt `0` is the identity branch. On the CLI:
 //! `experiments snapshot <name> --at <round> -o <file>`,
-//! `experiments resume <file> --rounds <n> [--trace]`, and the `fork-*`
-//! registry scenarios.
+//! `experiments resume <file> --rounds <n> [--trace]`, and the
+//! `fork-recovery-1024` registry scenario.
 //!
 //! # Memory layout & scaling
 //!
@@ -120,11 +120,11 @@
 //!   ([`Protocol::columnar`](prelude::Protocol)) steps on it: for the
 //!   paper's protocol that is [`core::columns::StabilityColumns`] — 1-bit
 //!   and 1-byte columns (alive/color/phase flags, packed wire bytes)
-//!   evaluated 64 agents per
-//!   machine word with the lane-batched `_x8` [`CounterRng`](prelude::SimRng)
-//!   kernels. The columns stay *resident* across rounds, recorded ones
-//!   included ([`RecordStats`](prelude::RecordStats) reads the columns'
-//!   stats kernel), and transpose back to the vector only when something
+//!   evaluated 64 agents per machine word, each agent drawing its coins
+//!   from its own [`CounterRng`](prelude::SimRng) slot stream. The
+//!   columns stay *resident* across rounds, recorded ones included
+//!   ([`RecordStats`](prelude::RecordStats) reads the columns' stats
+//!   kernel), and transpose back to the vector only when something
 //!   actually reads it (an observer calling `EngineView::agents`, an
 //!   adversary that reads agent states, a checkpoint,
 //!   [`Engine::snapshot`](prelude::Engine),
@@ -134,10 +134,11 @@
 //!   deleters, trauma) never transpose them.
 //!   [`Engine::set_columnar(false)`](prelude::Engine) forces the scalar
 //!   loop, which is how the equivalence tests pin the two paths.
-//! * **Bit-for-bit identical, by construction and by gate.** Batching can
-//!   never move a draw: every agent draw is already addressed by `(seed,
-//!   round, slot)`, so evaluating eight slots per call reads exactly the
-//!   words the scalar loop would have read. No stream version changes —
+//! * **Bit-for-bit identical, by construction and by gate.** Stepping
+//!   agents 64 to a word can never move a draw: every agent draw is
+//!   already addressed by `(seed, round, slot)`, and the word kernels draw
+//!   a lane's coin with the same `toss_biased_coin` call the scalar step
+//!   makes, on the same stream. No stream version changes —
 //!   the agent stream, matching stream and snapshot format are
 //!   untouched, snapshots restore across the two paths, and the golden
 //!   fixtures pass unchanged against the columnar path. `tests/columnar_equivalence.rs`
@@ -214,7 +215,7 @@
 //! workspace source file into code/comment channels, parses the code
 //! channel into items (`fn`s, `use`/`type` aliases), links an approximate
 //! workspace-wide call graph filtered by the manifests' dependency
-//! closure, and checks seven rules over it. The table below is generated
+//! closure, and checks six rules over it. The table below is generated
 //! from the rule registry (`cargo run -p popstab-lint -- --rules-md`) and
 //! a docs-drift test asserts this copy matches it:
 //!
@@ -224,7 +225,6 @@
 //! | `forbid-unordered-iteration` | `HashMap`/`HashSet` (per-process `RandomState` iteration order) anywhere in a result-affecting crate |
 //! | `float-order-determinism` | order-sensitive `f64` reductions (`sum`, `fold`) outside the order-fixed `ordered_sum` helper in result/statistics crates |
 //! | `unsafe-needs-safety-comment` | `unsafe` blocks, fns, or impls without an adjacent `// SAFETY:` soundness argument |
-//! | `simd-scalar-twin` | lane-batched `_x8` kernels without a same-file scalar twin and lane-for-lane equivalence test |
 //! | `stream-version-coherence` | partial stream bumps — version constants, golden-fixture tables, and `BENCH_engine.json` disagreeing |
 //! | `workspace-manifest-invariants` | workspace crates missing the per-package dev/test `opt-level` overrides that keep `cargo test` fast |
 //!

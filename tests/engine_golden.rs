@@ -163,7 +163,7 @@ fn golden_popstab_n1024() {
 
 #[test]
 fn golden_attempt1_oblivious_deleter() {
-    use population_stability::baselines::ObliviousDeleter;
+    use population_stability::adversary::{ObliviousDeleter, Throttle};
     let proto = Attempt1::new(1024);
     let epoch = u64::from(proto.epoch_len());
     check_golden_all_specs("attempt1_oblivious_deleter", 2 * epoch, || {
@@ -176,7 +176,7 @@ fn golden_attempt1_oblivious_deleter() {
             .unwrap();
         Engine::with_adversary(
             proto.clone(),
-            ObliviousDeleter::with_period(2, 3),
+            Throttle::new(ObliviousDeleter::new(2), 3, 0),
             cfg,
             1024,
         )

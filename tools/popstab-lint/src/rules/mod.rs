@@ -14,7 +14,6 @@ use crate::workspace::Workspace;
 pub mod float_order;
 pub mod manifest;
 pub mod safety;
-pub mod simd;
 pub mod stream_version;
 pub mod taint;
 pub mod unordered;
@@ -69,7 +68,6 @@ pub fn all() -> Vec<Box<dyn Rule>> {
         Box::new(unordered::ForbidUnorderedIteration),
         Box::new(float_order::FloatOrderDeterminism),
         Box::new(safety::UnsafeNeedsSafetyComment),
-        Box::new(simd::SimdScalarTwin),
         Box::new(stream_version::StreamVersionCoherence),
         Box::new(manifest::WorkspaceManifestInvariants),
     ]

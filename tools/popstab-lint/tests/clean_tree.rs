@@ -103,8 +103,6 @@ fn write_seeded_workspace(seeded: &Path) {
             "fn f(p: *mut u8) { unsafe { *p = 0 }; }\n",
             // float-order-determinism:
             "fn mean(xs: &[f64]) -> f64 { xs.iter().sum::<f64>() }\n",
-            // simd-scalar-twin: kernel with no scalar twin, no test.
-            "fn dash_x8(xs: &[u64; 8]) -> [u64; 8] { *xs }\n",
             // forbid-unordered-iteration again, under a would-be escape
             // comment: the lint has none, so the finding still fires.
             "// lint:allow(forbid-unordered-iteration): membership only, never iterated.\n",
@@ -155,7 +153,6 @@ fn the_binary_exits_zero_on_the_tree_and_nonzero_on_a_seeded_tree() {
         "forbid-unordered-iteration",
         "float-order-determinism",
         "unsafe-needs-safety-comment",
-        "simd-scalar-twin",
         "stream-version-coherence",
         "workspace-manifest-invariants",
     ] {
@@ -163,7 +160,7 @@ fn the_binary_exits_zero_on_the_tree_and_nonzero_on_a_seeded_tree() {
     }
     // A `lint:allow` comment is inert: the `HashSet` below it is reported.
     assert!(
-        stdout.contains("crates/sim/src/rng.rs:9: [forbid-unordered-iteration]"),
+        stdout.contains("crates/sim/src/rng.rs:8: [forbid-unordered-iteration]"),
         "a lint:allow comment suppressed a finding:\n{stdout}"
     );
     // The laundering finding names the cross-crate call chain: the read in
