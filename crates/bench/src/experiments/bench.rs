@@ -32,7 +32,11 @@
 //!   multi-core number the intra-round parallelism exists for. On a
 //!   single-core host this degenerates to the serial fast path run through
 //!   the parallel machinery (measuring its overhead); the ≥3× target at
-//!   `N = 65536` applies to 4+-core hosts.
+//!   `N = 65536` applies to 4+-core hosts,
+//! * `checkpoint_ms` — the median of five in-memory checkpoint cycles
+//!   ([`Engine::snapshot`] → [`Snapshot::to_bytes`] →
+//!   [`Snapshot::from_bytes`] → [`Engine::restore`]) of the first rep's
+//!   engine after its fast run, timed outside every rps window.
 //!
 //! The JSON lands in the working directory so CI can archive the perf
 //! trajectory; a `--quick` run uses shorter horizons but the same shape.
@@ -45,7 +49,9 @@ use std::time::Instant;
 use popstab_core::params::Params;
 use popstab_core::protocol::PopulationStability;
 use popstab_sim::batch::job_seed;
-use popstab_sim::{BatchRunner, Engine, MetricsRecorder, RecordStats, RunSpec, SimConfig};
+use popstab_sim::{
+    BatchRunner, Engine, MetricsRecorder, NoOpAdversary, RecordStats, RunSpec, SimConfig, Snapshot,
+};
 
 use crate::Exec;
 
@@ -70,7 +76,12 @@ struct Workload {
     /// `single_recorded_rps / single_fast_rps`: what recording every
     /// round costs against the recording-free path (the target is ≥ 0.9).
     recorded_over_fast: f64,
+    /// Median milliseconds of one in-memory checkpoint cycle.
+    checkpoint_ms: f64,
 }
+
+/// Checkpoint cycles timed per scale; `checkpoint_ms` is their median.
+const CHECKPOINT_CYCLES: usize = 5;
 
 /// Whether `n` is a scale [`Params::for_target`] accepts — a power of
 /// four no smaller than the paper's minimum population.
@@ -84,6 +95,27 @@ fn engine_at(n: u64, seed: u64) -> Engine<PopulationStability> {
     Engine::with_population(PopulationStability::new(params), cfg, n as usize)
 }
 
+/// The median milliseconds of [`CHECKPOINT_CYCLES`] checkpoint cycles
+/// (snapshot → `to_bytes` → `from_bytes` → restore), each snapshotting the
+/// engine the one before restored. Every buffer is dropped as soon as the
+/// next step has consumed it.
+fn checkpoint_ms(mut engine: Engine<PopulationStability>) -> f64 {
+    let mut ms: Vec<f64> = (0..CHECKPOINT_CYCLES)
+        .map(|_| {
+            let start = Instant::now();
+            let bytes = engine.snapshot().to_bytes();
+            let snap =
+                Snapshot::from_bytes(&bytes).expect("a snapshot this process encoded decodes");
+            drop(bytes);
+            engine = Engine::restore(engine.protocol().clone(), NoOpAdversary, &snap)
+                .expect("a decoded snapshot restores into its own protocol");
+            start.elapsed().as_secs_f64() * 1e3
+        })
+        .collect();
+    ms.sort_by(f64::total_cmp);
+    ms[CHECKPOINT_CYCLES / 2]
+}
+
 fn measure(n: u64, rounds: u64, workers: usize, round_threads: usize, reps: u32) -> Workload {
     // Warm-up: populate allocator and branch predictors out of band.
     engine_at(n, 0).run(RunSpec::rounds(rounds / 10 + 1), &mut ());
@@ -95,8 +127,9 @@ fn measure(n: u64, rounds: u64, workers: usize, round_threads: usize, reps: u32)
     let (mut single_recorded_rps, mut single_fast_rps, mut batch_rps) = (0f64, 0f64, 0f64);
     let mut par_rps = 0f64;
     let mut mem_bytes = 0usize;
+    let mut checkpoint = 0f64;
     let runner = BatchRunner::new(workers);
-    for _ in 0..reps {
+    for rep in 0..reps {
         let mut engine = engine_at(n, 1);
         let mut rec = MetricsRecorder::new();
         let start = Instant::now();
@@ -111,6 +144,9 @@ fn measure(n: u64, rounds: u64, workers: usize, round_threads: usize, reps: u32)
         // Footprint after a settled fast run: buffers are at their
         // steady-state capacities, columns still resident.
         mem_bytes = mem_bytes.max(engine.approx_mem_bytes());
+        if rep == 0 {
+            checkpoint = checkpoint_ms(engine);
+        }
 
         let engines: Vec<_> = (0..workers as u64)
             .map(|job| engine_at(n, job_seed(1, job)))
@@ -141,6 +177,7 @@ fn measure(n: u64, rounds: u64, workers: usize, round_threads: usize, reps: u32)
         mem_bytes_per_agent: mem_bytes as f64 / n as f64,
         par_rps_per_core: par_rps / round_threads as f64,
         recorded_over_fast: single_recorded_rps / single_fast_rps,
+        checkpoint_ms: checkpoint,
     }
 }
 
@@ -216,9 +253,10 @@ pub fn run(exec: &Exec) {
         .map(|&(n, rounds)| {
             let w = measure(n, rounds.max(20), workers, round_threads, reps);
             println!(
-                "N={:<7} rounds={:<5} single_recorded={:>9.0} rps  single_fast={:>9.0} rps  recorded/fast={:.2}  batch({}x)={:>9.0} rps  par({}t)={:>9.0} rps  mem={:>5.1} B/agent",
+                "N={:<7} rounds={:<5} single_recorded={:>9.0} rps  single_fast={:>9.0} rps  recorded/fast={:.2}  batch({}x)={:>9.0} rps  par({}t)={:>9.0} rps  mem={:>5.1} B/agent  checkpoint={:.2} ms",
                 w.n, w.rounds, w.single_recorded_rps, w.single_fast_rps, w.recorded_over_fast,
-                w.batch_jobs, w.batch_rps, w.par_workers, w.par_rps, w.mem_bytes_per_agent
+                w.batch_jobs, w.batch_rps, w.par_workers, w.par_rps, w.mem_bytes_per_agent,
+                w.checkpoint_ms
             );
             w
         })
@@ -264,7 +302,7 @@ pub fn run(exec: &Exec) {
              \"single_fast_rps\": {:.1}, \"batch_rps\": {:.1}, \"batch_jobs\": {}, \
              \"par_rps\": {:.1}, \"par_workers\": {}, \
              \"mem_bytes_per_agent\": {:.1}, \"par_rps_per_core\": {:.1}, \
-             \"recorded_over_fast\": {:.3}}}{}\n",
+             \"recorded_over_fast\": {:.3}, \"checkpoint_ms\": {:.4}}}{}\n",
             w.n,
             w.rounds,
             w.single_recorded_rps,
@@ -276,6 +314,7 @@ pub fn run(exec: &Exec) {
             w.mem_bytes_per_agent,
             w.par_rps_per_core,
             w.recorded_over_fast,
+            w.checkpoint_ms,
             if i + 1 == workloads.len() { "" } else { "," }
         ));
     }

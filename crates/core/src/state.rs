@@ -181,6 +181,54 @@ impl Observable for AgentState {
 /// and unpadded.
 const RECORD_LEN: usize = 24;
 
+/// Records [`SnapshotState::encode_all`] builds in a stack block before it
+/// appends them with one copy.
+const BLOCK_RECORDS: usize = 64;
+
+impl AgentState {
+    /// This state's snapshot record.
+    #[inline]
+    fn record(&self) -> [u8; RECORD_LEN] {
+        let mut rec = [0u8; RECORD_LEN];
+        rec[0..4].copy_from_slice(&self.round.to_le_bytes());
+        rec[4] = u8::from(self.active);
+        rec[5] = self.color.as_bit();
+        rec[6] = u8::from(self.recruiting);
+        rec[7..11].copy_from_slice(&self.to_recruit.to_le_bytes());
+        rec[11] = u8::from(self.is_leader);
+        rec[12..20].copy_from_slice(&self.lineage.to_le_bytes());
+        rec[20..24].copy_from_slice(&self.epoch_len.to_le_bytes());
+        rec
+    }
+
+    /// The state a record holds, read as if its flag bytes were 0 or 1;
+    /// the caller rejects a record whose flags are not.
+    #[inline]
+    fn from_record(rec: &[u8; RECORD_LEN]) -> AgentState {
+        let u32_at =
+            |at: usize| u32::from_le_bytes([rec[at], rec[at + 1], rec[at + 2], rec[at + 3]]);
+        let mut lineage = [0u8; 8];
+        lineage.copy_from_slice(&rec[12..20]);
+        AgentState {
+            round: u32_at(0),
+            active: rec[4] == 1,
+            color: Color::from_bit(rec[5]),
+            recruiting: rec[6] == 1,
+            to_recruit: u32_at(7),
+            is_leader: rec[11] == 1,
+            lineage: u64::from_le_bytes(lineage),
+            epoch_len: u32_at(20),
+        }
+    }
+}
+
+/// The OR of a record's `active`, `recruiting` and `is_leader` bytes:
+/// above 1 exactly when one of them is neither 0 nor 1.
+#[inline]
+fn flag_bits(rec: &[u8; RECORD_LEN]) -> u8 {
+    rec[4] | rec[6] | rec[11]
+}
+
 /// Decodes one record field by field, the way the record is laid out.
 /// [`SnapshotState::decode`] reads a whole record at once and comes here
 /// only for a record the column cuts short, so such a column fails at the
@@ -199,9 +247,12 @@ fn decode_fields(r: &mut SnapshotReader<'_>) -> Result<AgentState, SnapshotError
     })
 }
 
-// `encode` and `decode` run once per agent from the engine's generic
-// capture and restore loops, which instantiate in the caller's crate; the
-// `#[inline]`s make the record codec available for inlining there.
+// The per-record `encode` and `decode` are the reference codec; capture and
+// restore move the whole column through `encode_all` and `decode_all`,
+// which must give the same bytes, states and errors (pinned by the
+// `column_twin` tests). The engine's generic capture and restore
+// instantiate in the caller's crate; the `#[inline]`s make the codec
+// available for inlining there.
 impl SnapshotState for AgentState {
     fn state_tag() -> String {
         "population-stability".to_string()
@@ -209,15 +260,6 @@ impl SnapshotState for AgentState {
 
     #[inline]
     fn encode(&self, out: &mut Vec<u8>) {
-        let mut rec = [0u8; RECORD_LEN];
-        rec[0..4].copy_from_slice(&self.round.to_le_bytes());
-        rec[4] = u8::from(self.active);
-        rec[5] = self.color.as_bit();
-        rec[6] = u8::from(self.recruiting);
-        rec[7..11].copy_from_slice(&self.to_recruit.to_le_bytes());
-        rec[11] = u8::from(self.is_leader);
-        rec[12..20].copy_from_slice(&self.lineage.to_le_bytes());
-        rec[20..24].copy_from_slice(&self.epoch_len.to_le_bytes());
         if out.capacity() == 0 {
             // `Snapshot::capture` sizes the column from its first record.
             // Grow an empty column through the 8-, 16- and 32-byte
@@ -229,7 +271,7 @@ impl SnapshotState for AgentState {
                 out.reserve_exact(cap);
             }
         }
-        out.extend_from_slice(&rec);
+        out.extend_from_slice(&self.record());
     }
 
     #[inline]
@@ -239,23 +281,61 @@ impl SnapshotState for AgentState {
             return decode_fields(r);
         };
         let rec: &[u8; RECORD_LEN] = rec.try_into().expect("bytes(RECORD_LEN) is a whole record");
-        if (rec[4] | rec[6] | rec[11]) > 1 {
+        if flag_bits(rec) > 1 {
             return Err(bad_flag(r, rec, start));
         }
-        let u32_at =
-            |at: usize| u32::from_le_bytes([rec[at], rec[at + 1], rec[at + 2], rec[at + 3]]);
-        let mut lineage = [0u8; 8];
-        lineage.copy_from_slice(&rec[12..20]);
-        Ok(AgentState {
-            round: u32_at(0),
-            active: rec[4] == 1,
-            color: Color::from_bit(rec[5]),
-            recruiting: rec[6] == 1,
-            to_recruit: u32_at(7),
-            is_leader: rec[11] == 1,
-            lineage: u64::from_le_bytes(lineage),
-            epoch_len: u32_at(20),
-        })
+        Ok(AgentState::from_record(rec))
+    }
+
+    /// The first record goes through [`encode`](SnapshotState::encode), so
+    /// the column grows as the per-record loop grows it; the rest are built
+    /// 64 at a time on the stack, one append per block.
+    fn encode_all(states: &[Self], out: &mut Vec<u8>) {
+        let Some((first, rest)) = states.split_first() else {
+            return;
+        };
+        first.encode(out);
+        out.reserve_exact(RECORD_LEN * rest.len());
+        let mut block = [0u8; RECORD_LEN * BLOCK_RECORDS];
+        for states in rest.chunks(BLOCK_RECORDS) {
+            let block = &mut block[..RECORD_LEN * states.len()];
+            for (rec, state) in block.chunks_exact_mut(RECORD_LEN).zip(states) {
+                rec.copy_from_slice(&state.record());
+            }
+            out.extend_from_slice(block);
+        }
+    }
+
+    /// Takes the whole column as one slice and decodes it in one pass,
+    /// OR-ing the flag bytes as it goes. A column cut short goes record by
+    /// record through [`decode`](SnapshotState::decode), and a bad flag is
+    /// reported at its record; both give the per-record loop's error.
+    fn decode_all(
+        r: &mut SnapshotReader<'_>,
+        count: usize,
+        out: &mut Vec<Self>,
+    ) -> Result<(), SnapshotError> {
+        let start = r.offset();
+        let Some(column) = count
+            .checked_mul(RECORD_LEN)
+            .and_then(|len| r.bytes(len).ok())
+        else {
+            for _ in 0..count {
+                out.push(AgentState::decode(r)?);
+            }
+            return Ok(());
+        };
+        let before = out.len();
+        let mut flags = 0u8;
+        out.extend(column.chunks_exact(RECORD_LEN).map(|rec| {
+            let rec = rec.try_into().expect("chunks_exact yields whole records");
+            flags |= flag_bits(rec);
+            AgentState::from_record(rec)
+        }));
+        if flags > 1 {
+            return Err(first_bad_flag(r, column, start, out, before));
+        }
+        Ok(())
     }
 }
 
@@ -269,6 +349,27 @@ fn bad_flag(r: &SnapshotReader<'_>, rec: &[u8; RECORD_LEN], start: usize) -> Sna
         .into_iter()
         .find_map(|at| r.bool_byte(rec[at], start + at + 1).err())
         .expect("some flag byte is out of range")
+}
+
+/// The error for a `column` starting at `start` that holds a bad flag
+/// byte: [`bad_flag`]'s for the first record with one. `out` is cut back
+/// to the states before that record, as the per-record loop leaves it.
+#[cold]
+fn first_bad_flag(
+    r: &SnapshotReader<'_>,
+    column: &[u8],
+    start: usize,
+    out: &mut Vec<AgentState>,
+    before: usize,
+) -> SnapshotError {
+    let (i, rec) = column
+        .chunks_exact(RECORD_LEN)
+        .map(|rec| -> &[u8; RECORD_LEN] { rec.try_into().expect("a whole record") })
+        .enumerate()
+        .find(|(_, rec)| flag_bits(rec) > 1)
+        .expect("some record has a bad flag");
+    out.truncate(before + i);
+    bad_flag(r, rec, start + i * RECORD_LEN)
 }
 
 #[cfg(test)]
@@ -420,6 +521,174 @@ mod tests {
                 let whole = AgentState::decode(&mut SnapshotReader::new(&rec));
                 let fields = decode_fields(&mut SnapshotReader::new(&rec));
                 prop_assert_eq!(format!("{whole:?}"), format!("{fields:?}"));
+            }
+        }
+    }
+
+    /// The column codec against the per-record reference it replaces: the
+    /// bytes, final capacity, states and errors of `encode_all` and
+    /// `decode_all` are those of `encode` and `decode` in a loop.
+    mod column_twin {
+        use super::*;
+        use proptest::prelude::*;
+
+        /// Bytes ahead of the column in every reader, so the offsets the
+        /// errors carry are checked as absolute positions.
+        const PREFIX: usize = 5;
+
+        /// A state with every field free: rounds past any epoch, any
+        /// `to_recruit` and lineage, and each flag bit drawn on its own.
+        fn adversarial(round: u32, bits: u8, to_recruit: u32, lineage: u64, t: u32) -> AgentState {
+            AgentState {
+                round,
+                active: bits & 1 != 0,
+                color: Color::from_bit(bits >> 1),
+                recruiting: bits & 4 != 0,
+                to_recruit,
+                is_leader: bits & 8 != 0,
+                lineage,
+                epoch_len: t,
+            }
+        }
+
+        /// `n` adversarial states from a fixed mix, for the block-edge
+        /// lengths.
+        fn column(n: usize) -> Vec<AgentState> {
+            (0..n as u64)
+                .map(|i| {
+                    let h = (i + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15).rotate_left(23);
+                    let to_recruit = if i % 3 == 0 { u32::MAX } else { h as u32 };
+                    adversarial((h >> 32) as u32, h as u8, to_recruit, h, (h >> 40) as u32)
+                })
+                .collect()
+        }
+
+        /// The capture loop the column encoder replaced.
+        fn encode_each(states: &[AgentState]) -> Vec<u8> {
+            let mut out = Vec::new();
+            if let Some((first, rest)) = states.split_first() {
+                first.encode(&mut out);
+                out.reserve_exact(RECORD_LEN * rest.len());
+                for state in rest {
+                    state.encode(&mut out);
+                }
+            }
+            out
+        }
+
+        fn encode_column(states: &[AgentState]) -> Vec<u8> {
+            let mut out = Vec::new();
+            AgentState::encode_all(states, &mut out);
+            out
+        }
+
+        /// Decodes `count` states from `column` behind [`PREFIX`] bytes,
+        /// record by record (`each`) or through `decode_all`: the states,
+        /// the outcome, and the reader's final offset on success.
+        fn decode(column: &[u8], count: usize, each: bool) -> String {
+            let mut bytes = vec![0xEE; PREFIX];
+            bytes.extend_from_slice(column);
+            let mut r = SnapshotReader::new(&bytes);
+            r.set_section("agent states");
+            r.bytes(PREFIX).unwrap();
+            let mut out = Vec::new();
+            let result = if each {
+                (0..count).try_for_each(|_| {
+                    out.push(AgentState::decode(&mut r)?);
+                    Ok(())
+                })
+            } else {
+                AgentState::decode_all(&mut r, count, &mut out)
+            };
+            let end = result.as_ref().ok().map(|_| r.offset());
+            format!("{out:?} {result:?} {end:?}")
+        }
+
+        /// Pins both halves of the codec on one column.
+        fn assert_twins(states: &[AgentState]) {
+            let (each, all) = (encode_each(states), encode_column(states));
+            assert_eq!(all, each, "{} states", states.len());
+            assert_eq!(all.capacity(), each.capacity(), "{} states", states.len());
+            assert_eq!(
+                decode(&all, states.len(), false),
+                decode(&all, states.len(), true)
+            );
+            let mut decoded = Vec::new();
+            let mut r = SnapshotReader::new(&all);
+            AgentState::decode_all(&mut r, states.len(), &mut decoded).unwrap();
+            assert_eq!(decoded, states);
+        }
+
+        #[test]
+        fn block_edge_lengths_match_the_per_record_codec() {
+            for n in [0, 1, 2, 63, 64, 65, 127, 128, 129, 200] {
+                assert_twins(&column(n));
+            }
+        }
+
+        #[test]
+        fn every_bad_flag_reports_the_per_record_error() {
+            let good = encode_column(&column(3));
+            for record in 0..3 {
+                for at in [4, 6, 11] {
+                    for value in [2, 3, 0x80, 0xFF] {
+                        let mut bad = good.clone();
+                        bad[record * RECORD_LEN + at] = value;
+                        let all = decode(&bad, 3, false);
+                        assert_eq!(all, decode(&bad, 3, true), "record {record} byte {at}");
+                        assert!(all.contains("bool byte out of range"), "{all}");
+                    }
+                }
+            }
+        }
+
+        #[test]
+        fn a_cut_at_every_offset_reports_the_per_record_error() {
+            let good = encode_column(&column(3));
+            let mut flagged = good.clone();
+            flagged[RECORD_LEN + 6] = 2;
+            for column in [&good, &flagged] {
+                for len in 0..column.len() {
+                    let all = decode(&column[..len], 3, false);
+                    assert_eq!(all, decode(&column[..len], 3, true), "cut at {len}");
+                    assert!(all.contains("Err"), "cut at {len}: {all}");
+                }
+            }
+        }
+
+        proptest! {
+            /// Random lengths of fully adversarial states, then one bad
+            /// flag byte anywhere in the column.
+            #[test]
+            fn random_columns_match_the_per_record_codec(
+                fields in prop::collection::vec(
+                    (
+                        any::<u32>(),
+                        any::<u8>(),
+                        prop_oneof![Just(u32::MAX), any::<u32>()],
+                        any::<u64>(),
+                        any::<u32>(),
+                    ),
+                    0..=300,
+                ),
+                flag in (any::<usize>(), 0usize..3, 2u8..=255),
+            ) {
+                let states: Vec<AgentState> = fields
+                    .into_iter()
+                    .map(|(round, bits, to_recruit, lineage, t)| {
+                        adversarial(round, bits, to_recruit, lineage, t)
+                    })
+                    .collect();
+                assert_twins(&states);
+                if !states.is_empty() {
+                    let (record, field, value) = flag;
+                    let mut bad = encode_column(&states);
+                    bad[record % states.len() * RECORD_LEN + [4, 6, 11][field]] = value;
+                    prop_assert_eq!(
+                        decode(&bad, states.len(), false),
+                        decode(&bad, states.len(), true)
+                    );
+                }
             }
         }
     }

@@ -295,12 +295,10 @@ impl<P: Protocol, A: Adversary<P::State>> Engine<P, A> {
             .map_err(|_| reader.malformed("population too large"))?;
         // Pre-reserve from the *byte column*, not the claimed count: a
         // hand-sealed snapshot may claim billions of agents over an empty
-        // column, and the decode loop below errors out long before the Vec
+        // column, and the column decoder below errors out long before the Vec
         // would grow that far.
         let mut agents = Vec::with_capacity(count.min(snap.agent_bytes.len().max(1024)));
-        for _ in 0..count {
-            agents.push(P::State::decode(&mut reader)?);
-        }
+        P::State::decode_all(&mut reader, count, &mut agents)?;
         if reader.remaining() != 0 {
             return Err(reader.malformed("agent column longer than the captured population"));
         }

@@ -40,13 +40,13 @@
 //! reinterpreted), a free-form label, the protocol-state tag, the config,
 //! the round/halt/adversary-stream words, the encoded agent column, and a
 //! trailing [`seal`] checksum over everything before it, verified before
-//! any payload field is parsed. [`to_bytes`](Snapshot::to_bytes) seals
-//! while it copies, folding each ~16 KiB chunk into the seal while the
-//! chunk is still in cache; [`from_bytes`](Snapshot::from_bytes) seals in
-//! a pass of its own, because it must verify before it parses. A
-//! truncated or bit-flipped file is therefore always rejected with a
-//! contextual [`SnapshotError`] (byte offset + layout section) instead of
-//! decoding to plausible garbage.
+//! any payload field is acted on. [`to_bytes`](Snapshot::to_bytes) and
+//! [`from_bytes`](Snapshot::from_bytes) both seal while they copy the
+//! agent column, folding each ~16 KiB chunk into the seal while the chunk
+//! is still in cache; `from_bytes` holds back every header error until
+//! the seal has been checked. A truncated or bit-flipped file is therefore
+//! always rejected with a contextual [`SnapshotError`] (byte offset +
+//! layout section) instead of decoding to plausible garbage.
 //! [`write_to_file`](Snapshot::write_to_file) is atomic (temp file + fsync +
 //! rename), so a crash mid-write never leaves a half-snapshot at the target
 //! path. Format bumps follow the same coordinated protocol as stream bumps
@@ -106,8 +106,9 @@ pub const MAX_SNAPSHOT_AGENTS: u64 = 1 << 26;
 /// receive the same mix of one salt.
 const ADV_FORK_DOMAIN: u64 = 0xA5A5_1DE0_0B5E_55ED;
 
-/// Bytes [`Snapshot::to_bytes`] copies before it seals them: small enough
-/// that a chunk is still in L1/L2 when the [`Sealer`] reads it back.
+/// Bytes [`Snapshot::to_bytes`] and [`Snapshot::from_bytes`] copy before
+/// they seal them: small enough that a chunk is still in L1/L2 when the
+/// [`Sealer`] reads it back.
 const SEAL_CHUNK: usize = 16 * 1024;
 
 /// Multiplier of every [`seal`] lane step (odd, so the multiply is a
@@ -154,7 +155,8 @@ pub fn seal(bytes: &[u8]) -> u64 {
 /// The [`seal`] fold, fed in consecutive pieces: [`update`](Self::update)
 /// over any cut of the input, then [`finish`](Self::finish), gives the
 /// seal of the whole input. This is what lets
-/// [`to_bytes`](Snapshot::to_bytes) seal each chunk while it copies it.
+/// [`to_bytes`](Snapshot::to_bytes) and [`from_bytes`](Snapshot::from_bytes)
+/// seal each chunk while they copy it.
 pub(crate) struct Sealer {
     lanes: [u64; 4],
     /// The bytes of a stride an update ended inside; the first
@@ -497,12 +499,15 @@ impl<'a> SnapshotReader<'a> {
 /// it from its inner state's tag (say `wrapper<{inner}>`), so a wrapped
 /// and a bare state never share one.
 ///
-/// Capture and restore call these once per agent, so at 2²⁰ agents their
-/// per-call cost is the codec's cost. A fixed-width state should encode
-/// each record into a stack array and append it with one
-/// `extend_from_slice`, and decode it from one [`SnapshotReader::bytes`]
-/// slice, validating flag bytes with [`SnapshotReader::bool_byte`] (the
-/// paper protocol's `AgentState` does both).
+/// Capture and restore call the whole-column methods
+/// [`encode_all`](SnapshotState::encode_all) and
+/// [`decode_all`](SnapshotState::decode_all) once per snapshot. Their
+/// defaults loop over the per-record [`encode`](SnapshotState::encode) and
+/// [`decode`](SnapshotState::decode), so at 2²⁰ agents the per-call cost is
+/// the codec's cost. A fixed-width state should override both to move the
+/// column a block at a time, and keep the per-record methods as the
+/// reference the overrides must match byte for byte and error for error
+/// (the paper protocol's `AgentState` does).
 pub trait SnapshotState: Sized {
     /// A stable, human-readable name for this state type.
     fn state_tag() -> String;
@@ -517,6 +522,40 @@ pub trait SnapshotState: Sized {
     /// bytes do not hold a valid state (build the latter with
     /// [`SnapshotReader::malformed`], which stamps the offset context in).
     fn decode(r: &mut SnapshotReader<'_>) -> Result<Self, SnapshotError>;
+
+    /// Appends the encodings of `states`, in order, to `out`. The column
+    /// is sized from the first record's encoding: after it, `out` reserves
+    /// exactly that many bytes for each remaining state, so a fixed-width
+    /// state fills the column in one allocation.
+    fn encode_all(states: &[Self], out: &mut Vec<u8>) {
+        let Some((first, rest)) = states.split_first() else {
+            return;
+        };
+        let start = out.len();
+        first.encode(out);
+        out.reserve_exact((out.len() - start) * rest.len());
+        for state in rest {
+            state.encode(out);
+        }
+    }
+
+    /// Decodes `count` states from the reader and appends them to `out`
+    /// (the inverse of [`encode_all`](SnapshotState::encode_all)).
+    ///
+    /// # Errors
+    ///
+    /// The first record's [`decode`](SnapshotState::decode) error; `out`
+    /// then holds the states decoded before it.
+    fn decode_all(
+        r: &mut SnapshotReader<'_>,
+        count: usize,
+        out: &mut Vec<Self>,
+    ) -> Result<(), SnapshotError> {
+        for _ in 0..count {
+            out.push(Self::decode(r)?);
+        }
+        Ok(())
+    }
 }
 
 /// A checkpoint of a running engine: everything its future depends on.
@@ -599,8 +638,8 @@ impl Snapshot {
 
     /// Captures a population and the engine words its future depends on —
     /// the one capture path behind [`Engine::snapshot`](crate::Engine::snapshot)
-    /// and [`EngineView::snapshot`]. The column is sized from the first
-    /// agent's encoding, so a fixed-width state fills it in one allocation.
+    /// and [`EngineView::snapshot`]. The column is encoded by one
+    /// [`SnapshotState::encode_all`] call.
     pub(crate) fn capture<S: SnapshotState>(
         agents: &[S],
         config: &SimConfig,
@@ -609,13 +648,7 @@ impl Snapshot {
         adv_rng_state: u64,
     ) -> Snapshot {
         let mut agent_bytes = Vec::new();
-        if let Some((first, rest)) = agents.split_first() {
-            first.encode(&mut agent_bytes);
-            agent_bytes.reserve_exact(agent_bytes.len() * rest.len());
-            for agent in rest {
-                agent.encode(&mut agent_bytes);
-            }
-        }
+        S::encode_all(agents, &mut agent_bytes);
         Snapshot {
             label: String::new(),
             state_tag: S::state_tag(),
@@ -662,8 +695,16 @@ impl Snapshot {
 
     /// Deserializes a snapshot, rejecting wrong magic, unknown format
     /// versions, corrupted payloads (checksum verified before any payload
-    /// field is parsed), and snapshots captured under a different
+    /// field is acted on), and snapshots captured under a different
     /// randomness stream generation.
+    ///
+    /// The agent column is sealed while it is copied, as in
+    /// [`to_bytes`](Snapshot::to_bytes): the header before it is parsed
+    /// first, to find the column, but none of its errors is reported until
+    /// the seal has been checked. So the image is read once, and the
+    /// column is allocated once, at its exact length; any corruption past
+    /// the format version still reports
+    /// [`SnapshotError::ChecksumMismatch`].
     ///
     /// # Errors
     ///
@@ -682,9 +723,9 @@ impl Snapshot {
             return Err(SnapshotError::UnsupportedVersion { found: format });
         }
         // Trailer: the final 8 bytes checksum everything before them.
-        // Verified *now*, before any payload parsing, so corruption anywhere
-        // in the payload reports as a checksum mismatch rather than as
-        // whatever decode error the flipped bytes happen to trip.
+        // Verified before any payload field is acted on, so corruption
+        // anywhere in the payload reports as a checksum mismatch rather
+        // than as whatever decode error the flipped bytes happen to trip.
         r.set_section("checksum trailer");
         if bytes.len() < r.offset() + CHECKSUM_LEN {
             return Err(SnapshotError::Truncated {
@@ -694,10 +735,41 @@ impl Snapshot {
         }
         let body_len = bytes.len() - CHECKSUM_LEN;
         let found = u64::from_le_bytes(bytes[body_len..].try_into().unwrap());
-        let expected = seal(&bytes[..body_len]);
+        let head = Snapshot::parse_head(&mut r);
+        let col_start = r.offset();
+        let fits = matches!(&head, Ok((_, len)) if col_start.checked_add(*len) == Some(body_len));
+        let mut sealer = Sealer::new();
+        let mut agent_bytes = Vec::new();
+        if fits {
+            sealer.update(&bytes[..col_start]);
+            agent_bytes.reserve_exact(body_len - col_start);
+            for chunk in bytes[col_start..body_len].chunks(SEAL_CHUNK) {
+                agent_bytes.extend_from_slice(chunk);
+                sealer.update(chunk);
+            }
+        } else {
+            // A header that does not parse, or a column that does not end
+            // at the trailer: seal the body whole, then report why.
+            sealer.update(&bytes[..body_len]);
+        }
+        let expected = sealer.finish();
         if found != expected {
             return Err(SnapshotError::ChecksumMismatch { expected, found });
         }
+        let (mut snap, col_len) = head?;
+        if !fits {
+            r.bytes(col_len)?;
+            return Err(r.malformed("trailing bytes"));
+        }
+        snap.agent_bytes = agent_bytes;
+        Ok(snap)
+    }
+
+    /// Parses everything [`from_bytes`](Snapshot::from_bytes) reads between
+    /// the format version and the agent column, leaving `r` at the
+    /// column's first byte: a snapshot with an empty column, and the
+    /// column's length in bytes.
+    fn parse_head(r: &mut SnapshotReader<'_>) -> Result<(Snapshot, usize), SnapshotError> {
         r.set_section("stream versions");
         for (stream, expected) in [
             ("agent", AGENT_STREAM_VERSION),
@@ -717,10 +789,10 @@ impl Snapshot {
         r.set_section("state tag");
         let state_tag = r.str()?;
         r.set_section("config");
-        let config = decode_config(&mut r)?;
+        let config = decode_config(r)?;
         r.set_section("round/halt/adversary stream");
         let round = r.u64()?;
-        let halted = decode_halt(&mut r)?;
+        let halted = decode_halt(r)?;
         let adv_rng_state = r.u64()?;
         r.set_section("agent column");
         let agent_count = r.u64()?;
@@ -730,11 +802,7 @@ impl Snapshot {
         let agent_len = r.u64()?;
         let agent_len =
             usize::try_from(agent_len).map_err(|_| r.malformed("agent column too large"))?;
-        let agent_bytes = r.bytes(agent_len)?.to_vec();
-        if r.remaining() != CHECKSUM_LEN {
-            return Err(r.malformed("trailing bytes"));
-        }
-        Ok(Snapshot {
+        let head = Snapshot {
             label,
             state_tag,
             config,
@@ -742,8 +810,9 @@ impl Snapshot {
             halted,
             adv_rng_state,
             agent_count,
-            agent_bytes,
-        })
+            agent_bytes: Vec::new(),
+        };
+        Ok((head, agent_len))
     }
 
     /// Writes [`to_bytes`](Snapshot::to_bytes) to a file **atomically**:
@@ -1111,11 +1180,34 @@ mod tests {
 
     #[test]
     fn truncation_anywhere_is_detected() {
+        // Every prefix reports exactly the error it reported when the seal
+        // was a pass of its own: the magic or the format version it cuts,
+        // a trailer that does not fit, and past that a seal over whatever
+        // body the prefix leaves against its last 8 bytes.
         let bytes = sample().to_bytes();
         for len in 0..bytes.len() {
-            assert!(
-                Snapshot::from_bytes(&bytes[..len]).is_err(),
-                "prefix of {len} bytes decoded"
+            let want = match len {
+                0..8 => SnapshotError::Truncated {
+                    offset: 0,
+                    section: "magic",
+                },
+                8..12 => SnapshotError::Truncated {
+                    offset: 8,
+                    section: "format version",
+                },
+                12..20 => SnapshotError::Truncated {
+                    offset: len,
+                    section: "checksum trailer",
+                },
+                _ => SnapshotError::ChecksumMismatch {
+                    expected: seal(&bytes[..len - CHECKSUM_LEN]),
+                    found: u64::from_le_bytes(bytes[len - CHECKSUM_LEN..len].try_into().unwrap()),
+                },
+            };
+            assert_eq!(
+                format!("{:?}", Snapshot::from_bytes(&bytes[..len])),
+                format!("{:?}", Err::<Snapshot, _>(want)),
+                "prefix of {len} bytes"
             );
         }
     }
@@ -1265,6 +1357,54 @@ mod tests {
     fn to_bytes_allocates_exactly_once() {
         let bytes = sample().to_bytes();
         assert_eq!(bytes.capacity(), bytes.len());
+    }
+
+    #[test]
+    fn from_bytes_copies_a_many_chunk_column_once() {
+        let mut snap = sample();
+        snap.agent_bytes = (0..3 * SEAL_CHUNK as u32 + 5).map(|i| i as u8).collect();
+        let back = Snapshot::from_bytes(&snap.to_bytes()).unwrap();
+        assert_eq!(back, snap);
+        assert_eq!(back.agent_bytes.capacity(), back.agent_bytes.len());
+    }
+
+    #[test]
+    fn a_column_length_that_misses_the_trailer_is_reported_after_the_seal() {
+        // The length word sits just before the column. A resealed file
+        // whose column would end before or inside the trailer has trailing
+        // bytes; one whose column would run past the file is truncated at
+        // the column's start. Unsealed, each edit is a checksum mismatch.
+        let bytes = sample().to_bytes();
+        let col_start = bytes.len() - CHECKSUM_LEN - sample().agent_bytes.len();
+        let len_at = col_start - 8;
+        let trailing = |len: u64| SnapshotError::Malformed {
+            what: "trailing bytes",
+            offset: col_start + len as usize,
+            section: "agent column",
+        };
+        let truncated = || SnapshotError::Truncated {
+            offset: col_start,
+            section: "agent column",
+        };
+        for (len, want) in [
+            (3, trailing(3)),
+            (5, trailing(5)),
+            (20, truncated()),
+            (u64::MAX, truncated()),
+        ] {
+            let mut edited = bytes.clone();
+            edited[len_at..col_start].copy_from_slice(&len.to_le_bytes());
+            assert!(matches!(
+                Snapshot::from_bytes(&edited),
+                Err(SnapshotError::ChecksumMismatch { .. })
+            ));
+            reseal(&mut edited);
+            assert_eq!(
+                format!("{:?}", Snapshot::from_bytes(&edited)),
+                format!("{:?}", Err::<Snapshot, _>(want)),
+                "length {len}"
+            );
+        }
     }
 
     #[test]

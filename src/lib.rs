@@ -171,13 +171,14 @@
 //!   v2 a checksum over the entire payload is appended and verified at
 //!   decode before any field is parsed; format v3's four-lane word
 //!   checksum (`snapshot::seal`) runs at memory speed, and
-//!   `Snapshot::to_bytes` seals while it copies: each ~16 KiB chunk is
-//!   folded into the seal straight after its copy, so the image is read
-//!   once. `Snapshot::from_bytes` keeps its own seal pass, verified
-//!   before any field is parsed.
+//!   `Snapshot::to_bytes` and `Snapshot::from_bytes` seal while they
+//!   copy: each ~16 KiB chunk is folded into the seal straight after its
+//!   copy, so the image is read once. `from_bytes` reports no header
+//!   error before the seal has been checked, so any corruption past the
+//!   format version is a checksum mismatch.
 //!   `Snapshot::write_to_file` writes through a temp file + fsync + atomic
-//!   rename, so a crash mid-write leaves the previous file intact. Every decode error carries the byte
-//!   offset and section name of the damage
+//!   rename, so a crash mid-write leaves the previous file intact. Every
+//!   decode error carries the byte offset and section name of the damage
 //!   ([`SnapshotError`](prelude::SnapshotError)), and a malformed file of
 //!   any shape — truncated anywhere, any single bit flipped, absurd length
 //!   prefixes — is rejected with `Err`, never a panic or an OOM.
