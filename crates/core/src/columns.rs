@@ -5,24 +5,76 @@
 //! [`Protocol::columnar`]). It holds the population *resident* as compact
 //! columns — `round`/`to_recruit`/`lineage` vectors plus packed flag
 //! bitmasks — and advances them round after round without materializing
-//! `Vec<AgentState>`:
+//! `Vec<AgentState>`.
+//!
+//! # The round structure
+//!
+//! In a recruitment round (rounds `1 … T−2`) an agent that does not
+//! recruit, and whose partner neither recruits nor is at the evaluation
+//! round, does only two things: its round advances, and at a subphase
+//! boundary it re-arms if it is active. Algorithm 5 and Algorithm 7's
+//! consistency check read nothing else, and draw no coin. Such a *quiet*
+//! agent also sends a quiet wire (`x` and `in_eval` clear), so every lane
+//! that hears anything else is the partner of a *loud* lane. Most rounds
+//! are like this: each recruiter stands down after one recruit per
+//! subphase, so after a subphase's first round or two almost no lane is
+//! loud. A step therefore takes one of two paths.
+//!
+//! **The quiet path**, when lane 0 sits in recruitment and at most one lane
+//! in `DENSE_SHARE × shards` recruits (a popcount of the `recruiting`
+//! column, since every recruiting lane is loud):
+//!
+//! 1. **classification pass** (sharded): record each 64-agent block's
+//!    round and whether its lanes share it, and count the loud lanes: the
+//!    recruiting lanes of uniform recruitment blocks, and every lane of
+//!    every other block (mixed-round blocks, which only adversarial
+//!    insertion makes, and uniform blocks at round 0 or the evaluation
+//!    round). More loud lanes than the cutoff send the round to the dense
+//!    path, which then reuses the classification;
+//! 2. **loud pairs** (serial, in slot order): each loud lane is stepped
+//!    together with its partner, read from the engine's
+//!    [`RoundMatching`] one slot at a time, so the partner table is never
+//!    built. Both lanes' [`AgentState`]s are read from the columns, the
+//!    two messages composed, and both stepped through
+//!    [`PopulationStability::step`] on their own slot streams before
+//!    either is written back; their rounds are marked `STEPPED` so that
+//!    a loud partner further on is not stepped again;
+//! 3. **quiet pass** (sharded): every uniform recruitment block advances
+//!    as its quiet lanes do (`advance_quiet`), which is what its stepped
+//!    lanes already did, and every other block clears its marks.
+//!
+//! **The dense path**, at round 0, at the evaluation round, and in
+//! recruitment rounds with many loud lanes (the first round or two after
+//! a late subphase boundary), builds the partner table
+//! ([`RoundMatching::table`]) and runs two sharded passes over it:
 //!
 //! 1. **wire pass**: from the columns, compose every agent's three-bit
 //!    [`Wire`] (Algorithm 2) as *word algebra*, publishing it in one
 //!    partner-readable byte column (`wire8`, the wire bits plus an
 //!    always-set presence bit — cache-resident even at million-agent
-//!    scale), record each 64-agent block's round uniformity, and list the
-//!    rare *latch-hazard* lanes whose pre-step lineage a partner might
-//!    copy while this round overwrites it;
+//!    scale), record each 64-agent block's round uniformity (unless the
+//!    classification pass did), and list the rare *latch-hazard* lanes
+//!    whose pre-step lineage a partner might copy while this round
+//!    overwrites it;
 //! 2. **step pass**: per block, gather one masked `wire8` byte per lane
 //!    and transpose them eight-at-a-time (`pack_lsb`) into four mask
-//!    words held in registers, then execute the round's transition as
-//!    bitwise algebra straight into the columns; at round 0 each lane
-//!    flips its leader coin with [`toss_biased_coin`] on its own slot
-//!    stream. Blocks at the evaluation round (one round in T),
-//!    and blocks whose agents disagree on the round number (possible only
-//!    under adversarial insertion), run [`PopulationStability::step`]
-//!    itself, lane by lane.
+//!    words held in registers, then run one of two word kernels: a uniform
+//!    block at round 0 runs the leader kernel `leader_block` (each lane
+//!    flips its coin with [`toss_biased_coin`] on its own slot stream, and
+//!    the rare winners run [`PopulationStability::step`]); a uniform
+//!    recruitment block runs `recruit_block`, Algorithm 5 as mask algebra.
+//!    Every lane of an evaluation or mixed-round block runs
+//!    [`PopulationStability::step`] itself.
+//!
+//! The cutoff between the paths is measured (single recruitment rounds and
+//! whole epochs, at 2¹⁶ and 2²⁰ agents, on a 2-vCPU VM). On one shard,
+//! stepping the loud pairs one at a time costs less than the dense passes
+//! up to one loud lane in 16 and about as much at one in 8. On two shards
+//! it costs less up to one in 32, and about as much at one in 16. Beyond
+//! that it loses (at 1/2 loud, 2.2–2.8 ms against 0.5–0.8 ms at 2¹⁶). The
+//! dense passes divide across shards and the serial pairs do not, so the
+//! cutoff is one loud lane in `DENSE_SHARE × shards`; more than two
+//! shards are unmeasured.
 //!
 //! The engine transposes `Vec<AgentState>` in ([`ColumnarStep::load`]) only
 //! when the vector was mutated behind the columns' back, and back out
@@ -46,16 +98,21 @@
 //! any draw. The word kernels draw only where `Protocol::step` draws:
 //! leader selection flips each lane's coin with the same
 //! [`toss_biased_coin`] on the lane's slot stream, which is the first draw
-//! `step` makes in round 0, and recruitment draws nothing. The rest is not a
-//! copy of the transition but the transition itself: leader winners and
-//! every lane of an evaluation or mixed-round block run
-//! [`PopulationStability::step`] on their own slot stream, with the
-//! lane's [`AgentState`] read from the columns and the partner's message
-//! rebuilt by [`Message::from_wire`] from the gathered wire bits plus the
-//! latched lineage. That is exact because the step reads the message only
-//! through its wire, whose round trip is the identity, and reads the
-//! lineage only where the latch took it (matched, self inactive, partner
-//! recruiting). Split and death slots are emitted in ascending slot order,
+//! `step` makes in round 0, and recruitment draws nothing. The rest is not
+//! a copy of the transition but the transition itself: every loud lane and
+//! its partner on the quiet path, and on the dense path leader winners and
+//! every lane of an evaluation or mixed-round block, run
+//! [`PopulationStability::step`] on their own slot stream. On
+//! the quiet path both messages come from both lanes' pre-step states, as
+//! in the scalar loop. On the dense path the lane's [`AgentState`] is read
+//! from the columns and the partner's message rebuilt by
+//! [`Message::from_wire`] from the gathered wire bits plus the latched
+//! lineage. That is exact because the step reads the message only through
+//! its wire, whose round trip is the identity, and reads the lineage only
+//! where the latch took it (matched, self inactive, partner recruiting).
+//! The quiet path steps the same pairs the table holds, because
+//! [`RoundMatching::partner`] equals the table entry for every slot. Split
+//! and death slots are emitted in ascending slot order,
 //! and [`ColumnarStep::apply`] reaches the engine's vector semantics
 //! (append daughters in split order, then swap-remove deaths descending)
 //! through [`fill_deleted`]'s plan, so a [`ColumnarStep::store`] after any
@@ -72,6 +129,9 @@
 //! bit-for-bit, and the golden fixtures pin both against history.
 //!
 //! # Latch hazards
+//!
+//! This section concerns the dense path; the quiet path reads both lanes
+//! of a pair before it writes either, and pairs are disjoint.
 //!
 //! Lineage is the one field copied partner-to-agent, and messages are
 //! simultaneous: a recruit must latch its recruiter's *pre-step* lineage
@@ -113,7 +173,7 @@ use popstab_sim::batch::ShardPool;
 use popstab_sim::columns::{
     fill_deleted, tail_mask, word_shard_range, BitCol, ColumnarStep, Refill,
 };
-use popstab_sim::matching::UNMATCHED;
+use popstab_sim::matching::{RoundMatching, UNMATCHED};
 use popstab_sim::rng::slot_rng;
 use popstab_sim::{Action, Protocol, RoundHistogram, RoundStats};
 
@@ -123,12 +183,56 @@ use crate::params::Params;
 use crate::protocol::PopulationStability;
 use crate::state::{AgentState, Color};
 
-/// Per-shard split/death output lists, merged in shard (= slot) order.
+/// Per-shard outputs: the split/death lists of the dense step pass, merged
+/// in shard (= slot) order, and the loud-lane count of the classification
+/// pass.
 #[derive(Debug, Default)]
 struct ShardOut {
     splits: Vec<usize>,
     deaths: Vec<usize>,
+    loud: usize,
 }
+
+/// Where a round's partners come from: a built table, or the engine's
+/// matching, which builds its table only when the dense path asks.
+enum Partners<'m, 'a> {
+    Table(&'m [u32]),
+    Matching(&'m mut RoundMatching<'a>),
+}
+
+impl Partners<'_, '_> {
+    /// Slot `i`'s partner, or `None` when it is unmatched.
+    #[inline]
+    fn partner(&self, i: usize) -> Option<usize> {
+        match self {
+            Partners::Table(table) => {
+                let p = table[i];
+                (p != UNMATCHED).then_some(p as usize)
+            }
+            Partners::Matching(matching) => matching.partner(i),
+        }
+    }
+
+    /// The whole partner table, built on `pool` if it was not yet.
+    fn table(&mut self, pool: &ShardPool) -> &[u32] {
+        match self {
+            Partners::Table(table) => table,
+            Partners::Matching(matching) => matching.table(pool),
+        }
+    }
+}
+
+/// Rounds have this bit set while the quiet path runs, on the lanes it has
+/// already stepped (module docs, "The round structure"). Normalized rounds
+/// stay below it whenever the epoch is at most `2³¹` rounds long, which
+/// [`StabilityColumns::quiet_fits`] checks.
+const STEPPED: u32 = 1 << 31;
+
+/// The dense path runs a recruitment round in which more than one lane in
+/// `DENSE_SHARE × shards` is loud: the measured crossover between the
+/// serial loud pairs and the sharded dense passes (module docs, "The round
+/// structure").
+const DENSE_SHARE: usize = 16;
 
 /// The struct-of-arrays store for [`PopulationStability`]: authoritative
 /// agent state as columns, resident across rounds inside the engine.
@@ -325,6 +429,20 @@ impl StabilityColumns {
         self.is_leader.set(i, s.is_leader);
     }
 
+    /// Lane `i` as an [`AgentState`]; `epoch_len` pinned (module docs).
+    fn read_lane(&self, i: usize) -> AgentState {
+        AgentState {
+            round: self.round[i],
+            active: self.active.get(i),
+            color: Color::from_bit(u8::from(self.color.get(i))),
+            recruiting: self.recruiting.get(i),
+            to_recruit: self.to_recruit[i],
+            is_leader: self.is_leader.get(i),
+            lineage: self.lineage[i].load(Relaxed),
+            epoch_len: self.proto.params().epoch_len(),
+        }
+    }
+
     /// Copies lane `from` into lane `to`.
     fn copy_lane(&mut self, from: usize, to: usize) {
         self.round[to] = self.round[from];
@@ -408,12 +526,196 @@ impl StabilityColumns {
         });
     }
 
-    /// The wire + step passes, sharded over word-aligned ranges of `pool`,
-    /// with a barrier in between (the step pass reads *global* wire bits
-    /// and hazards written by the wire pass).
-    fn step_pooled(
+    /// One step phase (module docs, "The round structure"): the quiet path
+    /// when lane 0 sits in recruitment and both the recruiters and the
+    /// loud lanes the classification pass counts are few, the dense path
+    /// over the partner table otherwise.
+    fn step_round(
+        &mut self,
+        mut partners: Partners<'_, '_>,
+        round_key: u64,
+        pool: Option<&ShardPool>,
+        splits: &mut Vec<usize>,
+        deaths: &mut Vec<usize>,
+    ) {
+        let Some(pool) = pool else {
+            return ShardPool::with(1, |pool| {
+                self.step_round(partners, round_key, Some(pool), splits, deaths);
+            });
+        };
+        let params = self.proto.params();
+        let lane0 = self
+            .round
+            .first()
+            .map(|&r| normalized_round(r, params.epoch_len()));
+        let cutoff = self.len / (DENSE_SHARE * pool.shards());
+        let nw = self.len.div_ceil(64);
+        self.block_round.resize(nw, 0);
+        self.block_uniform.resize(nw, false);
+        // Every recruiting lane is loud, so more recruiters than the cutoff
+        // settle the round without the classification pass.
+        let classified = lane0.is_none_or(|r| r != 0 && r != params.eval_round())
+            && self.quiet_fits()
+            && self
+                .recruiting
+                .words()
+                .iter()
+                .map(|w| w.count_ones() as usize)
+                .sum::<usize>()
+                <= cutoff;
+        if classified && self.classify(pool) <= cutoff {
+            self.step_quiet(&partners, round_key, pool, splits, deaths);
+            return;
+        }
+        let partners = partners.table(pool);
+        debug_assert_eq!(partners.len(), self.len);
+        // Contents are unspecified: the wire pass stores every block whole.
+        self.wire8.resize(nw * 64, 0);
+        self.step_dense(partners, classified, round_key, pool, splits, deaths);
+    }
+
+    /// Whether every normalized round stays below [`STEPPED`].
+    fn quiet_fits(&self) -> bool {
+        self.proto.params().epoch_len() <= STEPPED
+    }
+
+    /// The classification pass, sharded over word-aligned ranges of
+    /// `pool`: records each block's round and uniformity, and returns the
+    /// number of loud lanes: the recruiting lanes of uniform recruitment
+    /// blocks, and every lane of every other block.
+    fn classify(&mut self, pool: &ShardPool) -> usize {
+        let (n, shards) = (self.len, pool.shards());
+        if self.shard_out.len() < shards {
+            self.shard_out.resize_with(shards, ShardOut::default);
+        }
+        let params = self.proto.params();
+        let (round, recruiting) = (&self.round[..], self.recruiting.words());
+        let (mut brnd, mut buni) = (&mut self.block_round[..], &mut self.block_uniform[..]);
+        let mut parts: Vec<_> = self.shard_out[..shards]
+            .iter_mut()
+            .enumerate()
+            .map(|(s, out)| {
+                let (wlo, whi, _, _) = ranges(n, shards, s);
+                (
+                    front(&mut brnd, whi - wlo),
+                    front(&mut buni, whi - wlo),
+                    out,
+                )
+            })
+            .collect();
+        pool.dispatch_parts(&mut parts, &|s, (brnd, buni, out)| {
+            let (wlo, whi, lo, hi) = ranges(n, shards, s);
+            out.loud = classify_range(params, &round[lo..hi], &recruiting[wlo..whi], brnd, buni);
+        });
+        self.shard_out[..shards].iter().map(|out| out.loud).sum()
+    }
+
+    /// The quiet path, after [`classify`](Self::classify): steps every
+    /// loud lane with its partner, serially in slot order, then advances
+    /// the uniform recruitment blocks in one sharded pass.
+    fn step_quiet(
+        &mut self,
+        partners: &Partners<'_, '_>,
+        round_key: u64,
+        pool: &ShardPool,
+        splits: &mut Vec<usize>,
+        deaths: &mut Vec<usize>,
+    ) {
+        let (s0, d0) = (splits.len(), deaths.len());
+        let eval = self.proto.params().eval_round();
+        for w in 0..self.len.div_ceil(64) {
+            let lanes = (self.len - w * 64).min(64);
+            let rn = self.block_round[w];
+            let recruitment = self.block_uniform[w] && rn != 0 && rn != eval;
+            let mut loud = tail_mask(lanes);
+            if recruitment {
+                // Exact for every lane not stepped yet: nothing else wrote
+                // this round's bits.
+                loud &= self.recruiting.words()[w];
+            }
+            while loud != 0 {
+                let i = w * 64 + loud.trailing_zeros() as usize;
+                loud &= loud - 1;
+                // A lane already stepped as a smaller loud lane's partner.
+                if self.round[i] & STEPPED == 0 {
+                    self.step_pair(i, partners.partner(i), round_key, splits, deaths);
+                }
+            }
+        }
+
+        let (n, shards) = (self.len, pool.shards());
+        let params = self.proto.params();
+        let (block_round, block_uniform) = (&self.block_round[..], &self.block_uniform[..]);
+        let bits = [
+            &mut self.active,
+            &mut self.recruiting,
+            &mut self.color,
+            &mut self.is_leader,
+        ];
+        let mut parts = StateRange::shards(&mut self.round, &mut self.to_recruit, bits, shards);
+        pool.dispatch_parts(&mut parts, &|s, st| {
+            let (wlo, whi, _, _) = ranges(n, shards, s);
+            advance_range(params, st, &block_round[wlo..whi], &block_uniform[wlo..whi]);
+        });
+        // Pairs are stepped in the order of their smaller loud lane.
+        splits[s0..].sort_unstable();
+        deaths[d0..].sort_unstable();
+    }
+
+    /// Steps lane `i` and its partner `p` through
+    /// [`PopulationStability::step`], each on its own slot stream, with the
+    /// messages composed from both pre-step states before either lane is
+    /// written back; an unmatched `i` steps alone.
+    fn step_pair(
+        &mut self,
+        i: usize,
+        p: Option<usize>,
+        round_key: u64,
+        splits: &mut Vec<usize>,
+        deaths: &mut Vec<usize>,
+    ) {
+        let state = self.read_lane(i);
+        let Some(p) = p else {
+            self.step_lane(i, state, None, round_key, splits, deaths);
+            return;
+        };
+        debug_assert!(self.round[p] & STEPPED == 0, "lane {p} stepped twice");
+        let partner = self.read_lane(p);
+        let (to_i, to_p) = (self.proto.message(&partner), self.proto.message(&state));
+        self.step_lane(i, state, Some(&to_i), round_key, splits, deaths);
+        self.step_lane(p, partner, Some(&to_p), round_key, splits, deaths);
+    }
+
+    /// Steps `state`, lane `slot`'s pre-step state, on the lane's slot
+    /// stream, writes it back with its round marked [`STEPPED`], and pushes
+    /// its split or death.
+    fn step_lane(
+        &mut self,
+        slot: usize,
+        mut state: AgentState,
+        incoming: Option<&Message>,
+        round_key: u64,
+        splits: &mut Vec<usize>,
+        deaths: &mut Vec<usize>,
+    ) {
+        let mut rng = slot_rng(round_key, slot as u64);
+        match self.proto.step(&mut state, incoming, &mut rng) {
+            Action::Split => splits.push(slot),
+            Action::Die => deaths.push(slot),
+            Action::Continue | Action::KillPartner => {}
+        }
+        self.write_lane(slot, &state);
+        self.round[slot] |= STEPPED;
+    }
+
+    /// The dense path: the wire + step passes over the partner table,
+    /// sharded over word-aligned ranges of `pool`, with a barrier in
+    /// between (the step pass reads *global* wire bits and hazards written
+    /// by the wire pass).
+    fn step_dense(
         &mut self,
         partners: &[u32],
+        classified: bool,
         round_key: u64,
         pool: &ShardPool,
         splits: &mut Vec<usize>,
@@ -447,7 +749,7 @@ impl StabilityColumns {
         let lineage: &[AtomicU64] = lineage;
 
         // Pass 1: wire, each shard reading its own agents' state and writing
-        // its own windows of the wire columns and its own hazard list.
+        // its own window of the wire column and its own hazard list.
         let (mut w8, mut brnd, mut buni) =
             (&mut wire8[..], &mut block_round[..], &mut block_uniform[..]);
         let mut parts: Vec<_> = shard_hazards[..shards]
@@ -482,6 +784,7 @@ impl StabilityColumns {
                 &rec[wlo..whi],
                 &col[wlo..whi],
                 w8,
+                classified,
                 brnd,
                 buni,
                 hz,
@@ -542,6 +845,8 @@ impl ColumnarStep<AgentState> for StabilityColumns {
         }
     }
 
+    /// Routes the round as [`step_matched`](ColumnarStep::step_matched)
+    /// does, reading single partners from the table.
     fn step(
         &mut self,
         partners: &[u32],
@@ -551,17 +856,27 @@ impl ColumnarStep<AgentState> for StabilityColumns {
         deaths: &mut Vec<usize>,
     ) {
         debug_assert_eq!(partners.len(), self.len);
-        let nw = self.len.div_ceil(64);
-        // Contents are unspecified: the wire pass stores every block whole.
-        self.wire8.resize(nw * 64, 0);
-        self.block_round.resize(nw, 0);
-        self.block_uniform.resize(nw, false);
-        match pool {
-            Some(pool) => self.step_pooled(partners, round_key, pool, splits, deaths),
-            None => ShardPool::with(1, |pool| {
-                self.step_pooled(partners, round_key, pool, splits, deaths);
-            }),
-        }
+        self.step_round(Partners::Table(partners), round_key, pool, splits, deaths);
+    }
+
+    /// Builds the partner table only on the dense path (module docs, "The
+    /// round structure").
+    fn step_matched(
+        &mut self,
+        matching: &mut RoundMatching<'_>,
+        round_key: u64,
+        pool: Option<&ShardPool>,
+        splits: &mut Vec<usize>,
+        deaths: &mut Vec<usize>,
+    ) {
+        debug_assert_eq!(matching.population(), self.len);
+        self.step_round(
+            Partners::Matching(matching),
+            round_key,
+            pool,
+            splits,
+            deaths,
+        );
     }
 
     /// Runs [`fill_deleted`]'s plan, as [`alter`](ColumnarStep::alter)
@@ -711,6 +1026,66 @@ fn normalized_round(round: u32, t: u32) -> u32 {
     }
 }
 
+/// A block's round, normalized, and whether every lane holds the same one.
+#[inline]
+fn block_class(rounds: &[u32], t: u32) -> (u32, bool) {
+    let r0 = rounds[0];
+    let uniform = rounds.iter().fold(0, |acc, &r| acc | (r ^ r0)) == 0;
+    (normalized_round(r0, t), uniform)
+}
+
+/// Classification pass over one range: each block's round and uniformity,
+/// and the range's loud lanes, which are the recruiting lanes of uniform
+/// recruitment blocks and every lane of the other blocks.
+fn classify_range(
+    params: &Params,
+    round: &[u32],
+    recruiting: &[u64],
+    block_round: &mut [u32],
+    block_uniform: &mut [bool],
+) -> usize {
+    let (t, eval, len) = (params.epoch_len(), params.eval_round(), round.len());
+    let mut loud = 0;
+    for w in 0..len.div_ceil(64) {
+        let lanes = (len - w * 64).min(64);
+        let (rn, uniform) = block_class(&round[w * 64..w * 64 + lanes], t);
+        block_round[w] = rn;
+        block_uniform[w] = uniform;
+        loud += if uniform && rn != 0 && rn != eval {
+            (recruiting[w] & tail_mask(lanes)).count_ones() as usize
+        } else {
+            lanes
+        };
+    }
+    loud
+}
+
+/// The quiet pass over one range, after every loud lane was stepped with
+/// its partner: each uniform recruitment block advances every lane as a
+/// quiet one ([`advance_quiet`]), which is what its stepped lanes already
+/// did (and a dead lane's state is never read again); every other block,
+/// all of whose lanes were stepped, drops its [`STEPPED`] marks.
+fn advance_range(
+    params: &Params,
+    st: &mut StateRange<'_>,
+    block_round: &[u32],
+    block_uniform: &[bool],
+) {
+    let (eval, len) = (params.eval_round(), st.round.len());
+    for w in 0..len.div_ceil(64) {
+        let lanes = (len - w * 64).min(64);
+        let rounds = &mut st.round[w * 64..w * 64 + lanes];
+        let rn = block_round[w];
+        if block_uniform[w] && rn != 0 && rn != eval {
+            advance_quiet(params, rn, rounds, st.active[w], &mut st.recruiting[w]);
+        } else {
+            for r in rounds {
+                *r &= !STEPPED;
+            }
+        }
+    }
+}
+
 /// Transpose pass: stream `agents` (one range) once into the authoritative
 /// columns. Bit words are built in registers and stored whole, so stale
 /// buffer contents and tail bits never leak. Rounds are normalized on the
@@ -740,9 +1115,10 @@ fn load_range(t: u32, agents: &[AgentState], st: &mut StateRange<'_>, lineage: &
 
 /// Wire pass: compose every agent's three-bit [`Wire`] (Algorithm 2) from
 /// the columns as word algebra, publish it into the `wire8` byte column,
-/// record block round uniformity, and list latch-hazard lanes. `base` is
-/// the global slot of the range's first lane (word-aligned); `wire8` is
-/// the range's own `64 * words`-byte window.
+/// and list latch-hazard lanes. `base` is the global slot of the range's
+/// first lane (word-aligned); `wire8` is the range's own `64 * words`-byte
+/// window. Each block's round and uniformity are recorded here, unless the
+/// classification pass already did (`classified`).
 #[allow(clippy::too_many_arguments)]
 fn wire_range(
     proto: &PopulationStability,
@@ -753,6 +1129,7 @@ fn wire_range(
     recruiting: &[u64],
     color: &[u64],
     wire8: &mut [u8],
+    classified: bool,
     block_round: &mut [u32],
     block_uniform: &mut [bool],
     hazards: &mut Vec<(u32, u64)>,
@@ -764,30 +1141,25 @@ fn wire_range(
         let lanes = (len - w * 64).min(64);
         let tailm = tail_mask(lanes);
         let rounds = &round[w * 64..w * 64 + lanes];
-        let r0 = rounds[0];
-        let mut acc = 0u32;
-        for &r in rounds {
-            acc |= r ^ r0;
+        if !classified {
+            (block_round[w], block_uniform[w]) = block_class(rounds, t);
         }
-        let rn0 = if r0 < t { r0 } else { r0 % t };
+        let rn0 = block_round[w];
         let (ew, zw);
-        if acc == 0 {
+        if block_uniform[w] {
             ew = if rn0 == eval { tailm } else { 0 };
             zw = if rn0 == 0 { tailm } else { 0 };
-            block_uniform[w] = true;
         } else {
             let mut e_bits = 0u64;
             let mut z_bits = 0u64;
             for (l, &r) in rounds.iter().enumerate() {
-                let rn = if r < t { r } else { r % t };
+                let rn = normalized_round(r, t);
                 e_bits |= u64::from(rn == eval) << l;
                 z_bits |= u64::from(rn == 0) << l;
             }
             ew = e_bits;
             zw = z_bits;
-            block_uniform[w] = false;
         }
-        block_round[w] = rn0;
         let wa = active[w] & tailm;
         let wr = recruiting[w] & tailm;
         let wc = color[w] & tailm;
@@ -1113,10 +1485,22 @@ fn recruit_block(
     }
 }
 
+/// Rounds `1 … T−2` (Algorithm 5) for a uniform recruitment block at
+/// round `rn` none of whose lanes recruits or hears a recruiting or
+/// evaluating partner. Algorithm 7's check passes, and of Algorithm 5 only
+/// two things reach them: the round advances, and at a subphase boundary
+/// every active lane re-arms. Neither draws a coin.
+#[inline]
+fn advance_quiet(params: &Params, rn: u32, rounds: &mut [u32], active: u64, recruiting: &mut u64) {
+    rounds.fill(rn + 1);
+    if params.is_subphase_boundary(rn) {
+        *recruiting |= active & tail_mask(rounds.len());
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use popstab_sim::matching::sample_partners_into;
     use popstab_sim::rng::{rng_from_seed, round_key};
     use popstab_sim::{MatchingModel, Protocol};
 
@@ -1152,15 +1536,11 @@ mod tests {
 
     fn partner_table(n: usize, seed: u64, round: u64) -> Vec<u32> {
         let mut partners = Vec::new();
+        let mkey = round_key(seed ^ 0x6d61, round);
+        let mut matching =
+            RoundMatching::new(&mut partners, &mut Vec::new(), n, MatchingModel::Full, mkey);
         ShardPool::with(1, |pool| {
-            sample_partners_into(
-                &mut partners,
-                &mut Vec::new(),
-                n,
-                MatchingModel::Full,
-                round_key(seed ^ 0x6d61, round),
-                pool,
-            )
+            matching.table(pool);
         });
         partners
     }
@@ -1342,6 +1722,50 @@ mod tests {
             .collect();
         for round in 0..6 {
             assert_step_phase_matches_scalar(&proto, &agents, 1234, round, None);
+        }
+    }
+
+    /// Recruitment rounds on both paths: a few recruiters (the quiet path,
+    /// which steps them and their partners pair by pair), every other lane
+    /// recruiting (the dense path, chosen by the recruiter count alone),
+    /// and a few recruiters beside one mixed-round block (the dense path
+    /// after the classification pass, whose block rounds the wire pass
+    /// reuses), at a plain round and at a subphase boundary, where active
+    /// lanes re-arm. The other lanes are active or inactive idlers; the
+    /// mixed block holds lanes one round ahead, at round 0 and at the
+    /// evaluation round. One shard and three.
+    #[test]
+    fn recruitment_rounds_match_scalar_on_both_paths() {
+        let params = Params::for_target(1024).unwrap();
+        let proto = PopulationStability::new(params.clone());
+        for round in [5, params.t_inner() - 1] {
+            for (recruit_every, mixed) in [(2usize, false), (97, false), (97, true)] {
+                let agents: Vec<AgentState> = (0..300)
+                    .map(|i| {
+                        let color = Color::from_bit((i / 2 % 2) as u8);
+                        let mut s = if i % recruit_every == 0 {
+                            AgentState::leader(&params, color, i as u64 | 1)
+                        } else if i % 3 == 0 {
+                            AgentState::active_at(&params, round, color)
+                        } else {
+                            AgentState::desynced(&params, round)
+                        };
+                        s.round = round;
+                        if mixed && (64..128).contains(&i) {
+                            s.round = [round, round + 1, 0, params.eval_round()][i % 4];
+                        }
+                        s
+                    })
+                    .collect();
+                for seed in [3, 41] {
+                    let r = u64::from(round);
+                    let serial = assert_step_phase_matches_scalar(&proto, &agents, seed, r, None);
+                    let sharded = ShardPool::with(3, |pool| {
+                        assert_step_phase_matches_scalar(&proto, &agents, seed, r, Some(pool))
+                    });
+                    assert_eq!(serial, sharded, "round {round}: shards diverged");
+                }
+            }
         }
     }
 

@@ -17,9 +17,9 @@
 //! A [`ColumnarStep`] is a *second form* of the population, next to the
 //! agent vector. The engine holds both in one crate-private `Population`,
 //! the only code that decides which form is current and the only caller of
-//! [`ColumnarStep::load`], [`step`](ColumnarStep::step),
+//! [`ColumnarStep::load`], [`step_matched`](ColumnarStep::step_matched),
 //! [`apply`](ColumnarStep::apply) and [`store`](ColumnarStep::store).
-//! `load` transposes `Vec<P::State>` into the columns; `step` and `apply`
+//! `load` transposes `Vec<P::State>` into the columns; a step and `apply`
 //! then advance the columns round after round **without touching the
 //! vector**; `store` transposes back on demand. A columnar run loads once,
 //! keeps the columns resident, and stores once at its end — the per-round
@@ -76,6 +76,7 @@ use crate::adversary::Alteration;
 use crate::agent::Observable;
 use crate::batch::ShardPool;
 use crate::engine::RoundReport;
+use crate::matching::RoundMatching;
 use crate::metrics::RoundStats;
 
 /// A protocol's columnar state store and step-phase executor, as installed
@@ -86,6 +87,12 @@ use crate::metrics::RoundStats;
 /// through a load → (step → apply)* → store lifecycle; implementations
 /// must uphold the module-level determinism contract at every `store`
 /// point.
+///
+/// The round's partners reach a step as a [`RoundMatching`], through
+/// [`step_matched`](Self::step_matched), and its partner table is built
+/// only on demand: when the stepper asks for it, or when the stepper
+/// implements only the table-taking [`step`](Self::step), which the
+/// default `step_matched` then builds the table for.
 ///
 /// `Debug` keeps `Engine`'s derive working; `Send` lets engines holding a
 /// stepper migrate across [`BatchRunner`](crate::BatchRunner) workers.
@@ -106,9 +113,9 @@ pub trait ColumnarStep<S>: fmt::Debug + Send {
     /// current, i.e. `load` or a previous `step`/`apply` produced them).
     ///
     /// `partners` is the round's partner table as
-    /// [`sample_partners_into`](crate::matching::sample_partners_into)
-    /// builds it: one entry per resident agent, `partners[i]` agent `i`'s
-    /// partner slot (`< self.len()`, and `partners[partners[i]] == i`) or
+    /// [`RoundMatching::table`] builds it: one entry per resident agent,
+    /// `partners[i]` agent `i`'s partner slot (`< self.len()`, and
+    /// `partners[partners[i]] == i`) or
     /// [`UNMATCHED`](crate::matching::UNMATCHED). `step` is a safe method,
     /// so implementations must not index without checks on the strength of
     /// that bound: a bad table may panic or give unspecified results, but
@@ -128,6 +135,31 @@ pub trait ColumnarStep<S>: fmt::Debug + Send {
         splits: &mut Vec<usize>,
         deaths: &mut Vec<usize>,
     );
+
+    /// Runs one step phase as [`step`](Self::step) does, with the round's
+    /// partners taken from `matching` on demand. This is what the engine
+    /// calls: a stepper that reads only some agents' partners asks
+    /// [`RoundMatching::partner`] for those, and the partner table is then
+    /// never built. `matching` ranges over the resident population.
+    ///
+    /// The default builds the table ([`RoundMatching::table`], on `pool`)
+    /// and calls [`step`](Self::step) with it, so a stepper that implements
+    /// only `step` behaves exactly as before.
+    fn step_matched(
+        &mut self,
+        matching: &mut RoundMatching<'_>,
+        round_key: u64,
+        pool: Option<&ShardPool>,
+        splits: &mut Vec<usize>,
+        deaths: &mut Vec<usize>,
+    ) {
+        match pool {
+            Some(pool) => self.step(matching.table(pool), round_key, Some(pool), splits, deaths),
+            None => ShardPool::with(1, |pool| {
+                self.step_matched(matching, round_key, Some(pool), splits, deaths);
+            }),
+        }
+    }
 
     /// Applies the round's splits and deaths to the columns, mirroring the
     /// engine's vector semantics exactly: daughters are appended in
@@ -374,13 +406,13 @@ impl<S: Clone> Population<S> {
         }
     }
 
-    /// Runs the step phase in the columns ([`ColumnarStep::step`]), loading
-    /// them first if the vector was written since they were last current;
-    /// the vector is stale afterwards. Returns `false` and does nothing when
-    /// the population has no columns.
+    /// Runs the step phase in the columns ([`ColumnarStep::step_matched`]),
+    /// loading them first if the vector was written since they were last
+    /// current; the vector is stale afterwards. Returns `false` and does
+    /// nothing when the population has no columns.
     pub(crate) fn step_columns(
         &mut self,
-        partners: &[u32],
+        matching: &mut RoundMatching<'_>,
         round_key: u64,
         pool: &ShardPool,
         splits: &mut Vec<usize>,
@@ -397,7 +429,7 @@ impl<S: Clone> Population<S> {
             columns.load(agents, Some(pool));
             self.columns_current = true;
         }
-        columns.step(partners, round_key, Some(pool), splits, deaths);
+        columns.step_matched(matching, round_key, Some(pool), splits, deaths);
         if let Some(agents) = self.vector.take() {
             self.parked.set(agents);
         }
@@ -657,8 +689,16 @@ mod tests {
                 };
                 let mut pop = Population::new(agents.clone(), columns);
                 if !matches!(forms, Forms::VectorOnly) {
+                    let (mut partners, mut shuffle) = (Vec::new(), Vec::new());
+                    let mut matching = RoundMatching::new(
+                        &mut partners,
+                        &mut shuffle,
+                        len,
+                        crate::MatchingModel::Full,
+                        0,
+                    );
                     ShardPool::with(1, |pool| {
-                        pop.step_columns(&[], 0, pool, &mut Vec::new(), &mut Vec::new())
+                        pop.step_columns(&mut matching, 0, pool, &mut Vec::new(), &mut Vec::new())
                     });
                 }
                 if matches!(forms, Forms::Both) {

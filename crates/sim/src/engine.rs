@@ -29,9 +29,10 @@
 //! body on a [`ShardPool`]: [`Threads::Serial`] is simply a pool of one
 //! shard, which spawns no threads and runs inline. The matching
 //! is counter-keyed the same way (see [`crate::matching`]): round `r`'s
-//! pairs are a pure function of `round_key(match_key, r)`, and for large
-//! populations the pass that writes them into the partner table shards
-//! across the same pool as the step phase.
+//! pairs are a pure function of `round_key(match_key, r)`. Each round hands
+//! the step a [`RoundMatching`], which answers single partners on demand
+//! and builds the full partner table only when asked; for large
+//! populations that build shards across the same pool as the step phase.
 //!
 //! The population lives in a crate-private `Population` (see
 //! [`crate::columns`], "Residency"): the agent vector, plus the resident
@@ -50,7 +51,7 @@ use crate::batch::{shard_chunks, shard_range, ShardPool};
 use crate::columns::Population;
 use crate::config::SimConfig;
 use crate::driver::{EngineView, Observer, RunOutcome, RunSpec, Stop};
-use crate::matching::{sample_partners_into, UNMATCHED};
+use crate::matching::{RoundMatching, UNMATCHED};
 use crate::rng::{derive_seed, derive_stream, round_key, slot_rng, SimRng};
 use crate::snapshot::{Snapshot, SnapshotError, SnapshotReader, SnapshotState};
 
@@ -94,8 +95,9 @@ pub struct RoundReport {
 /// partner table with its small-population shuffle scratch, the
 /// simultaneous message snapshot, the split/death work lists, the second
 /// also serving as the adversary's delete list); the matching
-/// itself is never held as pairs, since [`sample_partners_into`] samples it
-/// straight into `partners`. Allocating the buffers fresh every round
+/// itself is never held as pairs, since [`RoundMatching`] builds its table
+/// straight into `partners`, and only when the step asks for it. Allocating
+/// the buffers fresh every round
 /// dominated the hot path at large `N`, so they live here and are reused;
 /// buffer reuse is invisible to the simulation semantics (asserted
 /// round-for-round by the `scratch_engine_matches_fresh_allocation_engine`
@@ -315,15 +317,13 @@ impl<P: Protocol, A: Adversary<P::State>> Engine<P, A> {
         })
     }
 
-    /// Phases 1–2: adversary alterations, then the matching over survivors,
-    /// sampled straight into its compact partner table. The matching is
-    /// counter-keyed per round, so every shard count of `pool` produces the
-    /// identical table — `pool` only changes who computes it.
-    fn phase_adversary_and_matching(
+    /// Phase 1: adversary alterations. The matching over the survivors
+    /// (phase 2) is built by [`phase_step`](Self::phase_step), which reads
+    /// it.
+    fn phase_adversary(
         &mut self,
         scratch: &mut RoundScratch<P::Message>,
         report: &mut RoundReport,
-        pool: &ShardPool,
     ) {
         // Phase 1: adversary (sees everything, blind to the coming matching).
         // Every adversary but the declared no-op ([`Adversary::is_noop`])
@@ -360,21 +360,6 @@ impl<P: Protocol, A: Adversary<P::State>> Engine<P, A> {
                 report,
             );
         }
-
-        // Phase 2: matching over survivors. Round `r`'s pairs are a pure
-        // function of `round_key(match_key, r)` — addressable per round,
-        // shardable within one (see [`crate::matching`]).
-        let population = self.pop.len();
-        let match_key = derive_seed(self.cfg.seed, "matching");
-        let mkey = round_key(match_key, self.round);
-        report.matched = sample_partners_into(
-            &mut scratch.partners,
-            &mut scratch.shuffle,
-            population,
-            self.cfg.matching,
-            mkey,
-            pool,
-        );
     }
 
     /// Phase 4 plus bookkeeping: apply splits (append daughters) then
@@ -412,8 +397,8 @@ impl<P: Protocol, A: Adversary<P::State>> Engine<P, A> {
 ///
 /// Every round runs on one persistent [`ShardPool`], whose shard count
 /// comes from [`Threads::shards`]: the two `O(population)` stretches of a
-/// round — the step phase and the partner-table pass of the matching —
-/// shard across it, and the per-agent counter RNG and the counter-keyed
+/// round — the step phase and, when the step asks for it, the
+/// partner-table pass of the matching — shard across it, and the per-agent counter RNG and the counter-keyed
 /// matching permutation make the results **bit-identical for every shard
 /// count** (asserted by the `sharded_run_*` property tests and the CI
 /// determinism diff). [`Threads::Serial`] is the one-shard pool: it spawns
@@ -561,20 +546,30 @@ where
             report.population_after = report.population_before;
             return report;
         }
-        self.phase_adversary_and_matching(scratch, &mut report, pool);
-        self.phase_step(scratch, lists, pool);
+        self.phase_adversary(scratch, &mut report);
+        self.phase_step(scratch, lists, pool, &mut report);
         self.phase_apply(scratch, &mut report);
         report
     }
 
-    /// Phase 3: simultaneous message exchange, then one step per agent
-    /// under its `(round, slot)`-keyed RNG, sharded over `pool`.
+    /// Phases 2–3: the matching over the survivors, then simultaneous
+    /// message exchange and one step per agent under its `(round,
+    /// slot)`-keyed RNG, sharded over `pool`.
+    ///
+    /// Round `r`'s pairs are a pure function of `round_key(match_key, r)`
+    /// (see [`crate::matching`]), so the [`RoundMatching`] gives the same
+    /// partners, and builds the same table, for every shard count of
+    /// `pool`; `report.matched` is its planned size, known before any
+    /// partner is computed.
     ///
     /// With a columnar form, the population steps in the columns (reloaded
     /// first if the vector was written since they were last current),
-    /// leaving the vector stale until something reads it.
+    /// leaving the vector stale until something reads it. The columns take
+    /// the matching itself, and read partners from it on demand
+    /// ([`ColumnarStep::step_matched`](crate::ColumnarStep::step_matched)).
     ///
-    /// Otherwise the scalar loop shards the message composition and the
+    /// Otherwise the partner table is built, and the scalar loop shards the
+    /// message composition and the
     /// step/split/death scan, merging per-shard work lists in slot order.
     /// The result is the same for every shard count because
     ///
@@ -590,14 +585,20 @@ where
         scratch: &mut RoundScratch<P::Message>,
         lists: &mut [StepShard],
         pool: &ShardPool,
+        report: &mut RoundReport,
     ) {
         let RoundScratch {
+            shuffle,
             partners,
             messages,
             splits,
             deaths,
-            ..
         } = scratch;
+        let match_key = derive_seed(self.cfg.seed, "matching");
+        let mkey = round_key(match_key, self.round);
+        let mut matching =
+            RoundMatching::new(partners, shuffle, self.pop.len(), self.cfg.matching, mkey);
+        report.matched = matching.matched();
         // Agent `slot`'s coin flips in round `r` are
         // `slot_rng(round_key(agent_key, r), slot)` — addressable per agent,
         // independent of execution order.
@@ -605,14 +606,17 @@ where
         let rkey = round_key(agent_key, self.round);
         splits.clear();
         deaths.clear();
-        if self.pop.step_columns(partners, rkey, pool, splits, deaths) {
+        if self
+            .pop
+            .step_columns(&mut matching, rkey, pool, splits, deaths)
+        {
             return;
         }
+        let partners = matching.table(pool);
         let agents = self.pop.agents_mut();
         let n = agents.len();
         let nshards = pool.shards();
         assert_eq!(lists.len(), nshards - 1);
-        let partners: &[u32] = partners;
         let protocol = &self.protocol;
 
         // Message composition: every shard reads agent states (no one

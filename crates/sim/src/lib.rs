@@ -89,9 +89,10 @@
 //!   The matching is counter-*keyed* the same way
 //!   ([`matching::MATCHING_STREAM_VERSION`]): each round's pairs are a
 //!   pure function of its round key, and above
-//!   [`matching::KEYED_PERMUTATION_MIN_POPULATION`] the one pass that
-//!   writes them into the round's partner table shards across the same
-//!   pool — `--round-threads 32` and
+//!   [`matching::KEYED_PERMUTATION_MIN_POPULATION`] any slot's partner can
+//!   be computed on its own ([`matching::RoundMatching`]), while the one
+//!   pass that writes the round's whole partner table, when a step asks
+//!   for it, shards across the same pool — `--round-threads 32` and
 //!   `--round-threads 1` produce the same trajectory byte for byte (CI
 //!   diffs them every push).
 //!
@@ -125,7 +126,7 @@ pub use driver::{
 };
 pub use engine::{Engine, HaltReason, RoundReport};
 pub use error::SimError;
-pub use matching::{Matching, MatchingModel};
+pub use matching::{Matching, MatchingModel, RoundMatching};
 pub use metrics::{MetricsRecorder, RoundHistogram, RoundStats};
 pub use rng::SimRng;
 pub use snapshot::{

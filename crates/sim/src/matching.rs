@@ -24,15 +24,22 @@
 //!
 //! # The engine's path and the reference
 //!
-//! The engine never materializes the pairs. [`sample_partners_into`]
-//! samples the round straight into its partner table in one pass: pair `p`
-//! writes `partners[π(2p)] = π(2p+1)` and back, and every slot `π(j)` past
-//! the matched prefix gets [`UNMATCHED`]. Because π is a bijection, every
-//! slot is written exactly once, so the table needs no pre-fill and the
-//! pass shards across the pool like the step phase does. The shards store
-//! through a `&[AtomicU32]` view of the table with `Relaxed` stores (plain
-//! moves on x86-64), so the scatter is safe code: a wrong π would build a
-//! wrong table or panic on a bounds check, never race.
+//! The engine never materializes the pairs. Each round it builds a
+//! [`RoundMatching`], which answers one slot's partner on demand: above
+//! [`KEYED_PERMUTATION_MIN_POPULATION`], slot `i` sits at position
+//! `j = π⁻¹(i)` ([`SlotPermutation::invert`]), and its partner is
+//! `π(j ^ 1)` when `j < 2·n_pairs`. A step that reads only a few partners
+//! asks for those; one that reads every partner asks the handle for the
+//! whole table ([`RoundMatching::table`]), and only then is it built.
+//!
+//! The table is built in one pass: pair `p` writes `partners[π(2p)] =
+//! π(2p+1)` and back, and every slot `π(j)` past the matched prefix gets
+//! [`UNMATCHED`]. Because π is a bijection, every slot is written exactly
+//! once, so the table needs no pre-fill and the pass shards across the pool
+//! like the step phase does. The shards store through a `&[AtomicU32]`
+//! view of the table with `Relaxed` stores (plain moves on x86-64), so the
+//! scatter is safe code: a wrong π would build a wrong table or panic on a
+//! bounds check, never race.
 //!
 //! The pair API — [`sample_matching_into`], [`sample_matching_into_par`],
 //! [`Matching`] and [`Matching::partner_table_into`] — is the reference
@@ -119,7 +126,7 @@ impl MatchingModel {
 }
 
 /// Sentinel for "unmatched" in the compact partner table built by
-/// [`sample_partners_into`] and [`Matching::partner_table`]. A real
+/// [`RoundMatching::table`] and [`Matching::partner_table`]. A real
 /// partner index cannot reach it:
 /// matchings index agents with `u32`, and the pair list itself would
 /// overflow memory long before `2³² − 1` agents.
@@ -164,8 +171,8 @@ impl Matching {
     }
 
     /// As [`partner_table`](Matching::partner_table), but reusing `table`'s
-    /// allocation. This serial scatter is the reference the engine's fused
-    /// [`sample_partners_into`] is pinned against.
+    /// allocation. This serial scatter is the reference that
+    /// [`RoundMatching`] is pinned against.
     pub fn partner_table_into(&self, table: &mut Vec<u32>, population: usize) {
         table.clear();
         table.resize(population, UNMATCHED);
@@ -247,6 +254,32 @@ const MIX_MULS: [u64; MIX_PASSES] = [
     0xC4CE_B9FE_1A85_EC53,
 ];
 
+/// The inverses of [`MIX_MULS`] modulo 2⁶⁴, hence modulo every `2^bits`:
+/// multiplying by one undoes a pass's multiply in [`SlotPermutation::invert`].
+const MIX_MUL_INVERSES: [u64; MIX_PASSES] = {
+    let mut inverses = [0u64; MIX_PASSES];
+    let mut i = 0;
+    while i < MIX_PASSES {
+        inverses[i] = mul_inverse(MIX_MULS[i]);
+        assert!(MIX_MULS[i].wrapping_mul(inverses[i]) == 1);
+        i += 1;
+    }
+    inverses
+};
+
+/// The inverse of the odd `m` modulo 2⁶⁴, by Newton's iteration
+/// `x ← x·(2 − m·x)`: an odd `m` is its own inverse modulo 8, and each step
+/// doubles the number of correct low bits (3 → 6 → … → 96).
+const fn mul_inverse(m: u64) -> u64 {
+    let mut x = m;
+    let mut k = 0;
+    while k < 5 {
+        x = x.wrapping_mul(2u64.wrapping_sub(m.wrapping_mul(x)));
+        k += 1;
+    }
+    x
+}
+
 impl SlotPermutation {
     /// The permutation of `0..n` identified by `key`.
     ///
@@ -295,6 +328,25 @@ impl SlotPermutation {
         }
     }
 
+    /// The preimage of slot `y` under the permutation: `invert(apply(i)) ==
+    /// i` and `apply(invert(y)) == y` for every slot.
+    ///
+    /// Cycle walking backwards: the inverse network is a bijection of the
+    /// walk domain too, so iterating it from `y` re-enters `[0, n)`, and the
+    /// first slot it reaches is the one whose forward walk ends at `y`. The
+    /// expected walk length is the same as [`apply`](Self::apply)'s.
+    #[inline]
+    pub fn invert(&self, y: u64) -> u64 {
+        debug_assert!(y < self.n, "slot {y} outside permutation domain {}", self.n);
+        let mut x = y;
+        loop {
+            x = self.unmix(x);
+            if x < self.n {
+                return x;
+            }
+        }
+    }
+
     /// The keyed bijection over the full walk domain: passes of (keyed
     /// xor, masked odd multiply, masked xorshift) — each step invertible
     /// mod `2^bits`, so the composition is too. The multiply diffuses low
@@ -312,6 +364,27 @@ impl SlotPermutation {
             x ^= self.pass_keys[i] & self.mask;
             x = x.wrapping_mul(MIX_MULS[i]) & self.mask;
             x ^= x >> self.shifts[i & 1];
+        }
+        x
+    }
+
+    /// The inverse of [`mix`](Self::mix): its passes undone in reverse
+    /// order. `x ^= x >> s` is undone by `x ^= x >> s`, then `x >> 2s`,
+    /// `x >> 4s` and so on while the shift stays inside the domain (over
+    /// GF(2), `(1 + T)⁻¹ = (1 + T)(1 + T²)(1 + T⁴)…` for the nilpotent shift
+    /// `T`); the multiply by multiplying with the inverse constant.
+    #[inline]
+    fn unmix(&self, x: u64) -> u64 {
+        let bits = self.mask.count_ones();
+        let mut x = x;
+        for i in (0..MIX_PASSES).rev() {
+            let mut shift = self.shifts[i & 1];
+            while shift < bits {
+                x ^= x >> shift;
+                shift *= 2;
+            }
+            x = x.wrapping_mul(MIX_MUL_INVERSES[i]) & self.mask;
+            x ^= self.pass_keys[i] & self.mask;
         }
         x
     }
@@ -367,7 +440,7 @@ fn shuffle_matching_into(
 }
 
 /// Pair `p` of the keyed-permutation branch: slots `(π(2p), π(2p+1))`. The
-/// one definition the pair samplers and [`sample_partners_into`] share.
+/// one definition the pair samplers and [`RoundMatching`]'s table share.
 #[inline]
 fn keyed_pair(perm: &SlotPermutation, p: usize) -> (u32, u32) {
     let j = 2 * p as u64;
@@ -391,7 +464,7 @@ pub fn sample_matching(population: usize, model: MatchingModel, mkey: u64) -> Ma
 /// shuffle scratch for the small-population branch (see
 /// [`KEYED_PERMUTATION_MIN_POPULATION`]), so repeated calls allocate
 /// nothing. The reference serial sampler; the engine samples through
-/// [`sample_partners_into`].
+/// [`RoundMatching`].
 pub fn sample_matching_into(
     out: &mut Matching,
     indices: &mut Vec<u32>,
@@ -452,84 +525,179 @@ pub fn sample_matching_into_par(
     });
 }
 
-/// Samples the matching of the round keyed by `mkey` straight into its
-/// partner table and returns the number of matched agents: afterwards
-/// `partners.len() == population`, and `partners[i] = j` iff `{i, j}` is
-/// matched, [`UNMATCHED`] otherwise. This is the engine's per-round path.
+/// One round's matching, read a partner at a time or as a whole table.
 ///
-/// The table and count equal [`sample_matching_into`] followed by
-/// [`Matching::partner_table_into`] and [`Matching::matched_agents`], for
-/// every shard count of `pool`. No pair buffer is built:
+/// It is a pure function of `(population, model, mkey)`, as
+/// [`sample_matching_into`] is, and the engine builds one per round from
+/// the round key and its scratch buffers. What it costs depends on what is
+/// asked:
 ///
-/// * above [`KEYED_PERMUTATION_MIN_POPULATION`], pair `p` writes
-///   `partners[π(2p)] = π(2p+1)` and back, and each slot `π(j)` with
-///   `j ≥ 2·n_pairs` gets [`UNMATCHED`]. The pair range and the unmatched
-///   range are each split with `shard_range`, so the one pass shards
-///   across `pool`. It evaluates π once per agent whatever the model's γ;
-/// * below it, the table is written straight from the keyed shuffle, the
-///   same way, serially.
+/// * [`matched`](Self::matched) is known at construction;
+/// * [`partner`](Self::partner) of one slot evaluates the keyed permutation
+///   twice above [`KEYED_PERMUTATION_MIN_POPULATION`]: slot `i` sits at
+///   position `j = π⁻¹(i)` of the permutation, and its partner is `π(j ^ 1)`
+///   when `j < 2·n_pairs`. Below the threshold the keyed shuffle is serial
+///   anyway, so construction builds the small table and `partner` reads it;
+/// * [`table`](Self::table) builds the full partner table, sharded over a
+///   pool, the first time it is asked for, into the `partners` buffer the
+///   handle borrows. A round that never asks leaves that buffer untouched.
 ///
-/// π (or the shuffle) is a permutation of `0..population`, so every slot is
-/// written exactly once. The buffer is therefore never pre-filled: an
-/// existing `partners` is only truncated or tail-extended to `population`,
-/// and its old contents are overwritten. `shuffle` is scratch for the
-/// small-population branch.
-pub fn sample_partners_into(
-    partners: &mut Vec<u32>,
-    shuffle: &mut Vec<u32>,
+/// `partner(i)` and `table()[i]` agree for every slot, and both equal the
+/// reference [`sample_matching_into`] followed by
+/// [`Matching::partner_table_into`].
+#[derive(Debug)]
+pub struct RoundMatching<'a> {
+    partners: &'a mut Vec<u32>,
     population: usize,
-    model: MatchingModel,
-    mkey: u64,
-    pool: &ShardPool,
-) -> usize {
-    partners.truncate(population);
-    partners.resize(population, UNMATCHED);
-    let n_pairs = if population < 2 {
-        0
-    } else {
-        planned_pairs(population, model, mkey)
-    };
-    if n_pairs == 0 {
-        partners.fill(UNMATCHED);
-        return 0;
+    n_pairs: usize,
+    /// The keyed permutation, at or above
+    /// [`KEYED_PERMUTATION_MIN_POPULATION`]; `None` below it, where the
+    /// table is built at construction.
+    perm: Option<SlotPermutation>,
+    /// Whether `partners` holds this round's table.
+    built: bool,
+}
+
+impl<'a> RoundMatching<'a> {
+    /// The matching of the round keyed by `mkey` over `population` agents
+    /// according to `model`. `partners` receives the partner table when it
+    /// is built; `shuffle` is scratch for the small-population branch.
+    ///
+    /// # Panics
+    ///
+    /// Panics past `u32::MAX − 1` agents, which `u32` partner slots cannot
+    /// index.
+    pub fn new(
+        partners: &'a mut Vec<u32>,
+        shuffle: &mut Vec<u32>,
+        population: usize,
+        model: MatchingModel,
+        mkey: u64,
+    ) -> Self {
+        let n_pairs = if population < 2 {
+            0
+        } else {
+            planned_pairs(population, model, mkey)
+        };
+        let mut matching = RoundMatching {
+            partners,
+            population,
+            n_pairs,
+            perm: None,
+            built: false,
+        };
+        if population < KEYED_PERMUTATION_MIN_POPULATION {
+            matching.build_small(shuffle, mkey);
+        } else {
+            // Past `UNMATCHED`, `π(j) as u32` would wrap and pair the wrong
+            // agents.
+            assert!(
+                population <= UNMATCHED as usize,
+                "{population} agents overflow u32 partner slots"
+            );
+            matching.perm = Some(SlotPermutation::new(
+                sub_seed(mkey, PERM_SUBSTREAM),
+                population as u64,
+            ));
+        }
+        matching
     }
-    if population < KEYED_PERMUTATION_MIN_POPULATION {
-        keyed_shuffle(shuffle, population, n_pairs, mkey);
-        let (pairs, rest) = shuffle.split_at(2 * n_pairs);
+
+    /// Number of agents the matching ranges over.
+    pub fn population(&self) -> usize {
+        self.population
+    }
+
+    /// Number of matched agents, `2·n_pairs`.
+    pub fn matched(&self) -> usize {
+        2 * self.n_pairs
+    }
+
+    /// Slot `i`'s partner, or `None` when `i` is unmatched this round.
+    /// `i` must be below [`population`](Self::population).
+    #[inline]
+    pub fn partner(&self, i: usize) -> Option<usize> {
+        match &self.perm {
+            Some(perm) => {
+                let j = perm.invert(i as u64);
+                (j < 2 * self.n_pairs as u64).then(|| perm.apply(j ^ 1) as usize)
+            }
+            None => {
+                let p = self.partners[i];
+                (p != UNMATCHED).then_some(p as usize)
+            }
+        }
+    }
+
+    /// The partner table: `population` entries, `table[i] = j` iff `{i, j}`
+    /// is matched, [`UNMATCHED`] otherwise. Built on the first call, with
+    /// the pair range and the unmatched range each split with `shard_range`
+    /// over `pool`, so the one pass shards and evaluates π once per agent
+    /// whatever the model's γ; the result does not depend on the shard
+    /// count.
+    pub fn table(&mut self, pool: &ShardPool) -> &[u32] {
+        if !self.built {
+            self.build_large(pool);
+            self.built = true;
+        }
+        self.partners
+    }
+
+    /// Sizes the table to the population. Every slot is written exactly
+    /// once by either build, because π (or the shuffle) is a permutation of
+    /// `0..population`, so the buffer is never pre-filled: it is only
+    /// truncated or tail-extended, and its old contents are overwritten.
+    fn size_table(&mut self) {
+        self.partners.truncate(self.population);
+        self.partners.resize(self.population, UNMATCHED);
+    }
+
+    /// Below [`KEYED_PERMUTATION_MIN_POPULATION`]: the table straight from
+    /// the keyed shuffle, serially.
+    fn build_small(&mut self, shuffle: &mut Vec<u32>, mkey: u64) {
+        self.size_table();
+        self.built = true;
+        if self.n_pairs == 0 {
+            self.partners.fill(UNMATCHED);
+            return;
+        }
+        keyed_shuffle(shuffle, self.population, self.n_pairs, mkey);
+        let (pairs, rest) = shuffle.split_at(2 * self.n_pairs);
         for c in pairs.chunks_exact(2) {
-            partners[c[0] as usize] = c[1];
-            partners[c[1] as usize] = c[0];
+            self.partners[c[0] as usize] = c[1];
+            self.partners[c[1] as usize] = c[0];
         }
         for &i in rest {
-            partners[i as usize] = UNMATCHED;
+            self.partners[i as usize] = UNMATCHED;
         }
-        return 2 * n_pairs;
     }
-    // Past `UNMATCHED`, `π(j) as u32` would wrap and pair the wrong agents.
-    assert!(
-        population <= UNMATCHED as usize,
-        "{population} agents overflow u32 partner slots"
-    );
-    let perm = SlotPermutation::new(sub_seed(mkey, PERM_SUBSTREAM), population as u64);
-    let unmatched = population - 2 * n_pairs;
-    let nshards = pool.shards();
-    // `dispatch` returns once every shard is done, and its barrier orders
-    // these `Relaxed` stores before any later plain read of `partners`.
-    let table = as_atomic(partners);
-    pool.dispatch(&|s| {
-        let put = |slot: u32, partner: u32| table[slot as usize].store(partner, Relaxed);
-        let (lo, hi) = shard_range(n_pairs, nshards, s);
-        for p in lo..hi {
-            let (a, b) = keyed_pair(&perm, p);
-            put(a, b);
-            put(b, a);
-        }
-        let (lo, hi) = shard_range(unmatched, nshards, s);
-        for j in (2 * n_pairs + lo)..(2 * n_pairs + hi) {
-            put(perm.apply(j as u64) as u32, UNMATCHED);
-        }
-    });
-    2 * n_pairs
+
+    /// At or above [`KEYED_PERMUTATION_MIN_POPULATION`]: pair `p` writes
+    /// `partners[π(2p)] = π(2p+1)` and back, and each slot `π(j)` with
+    /// `j ≥ 2·n_pairs` gets [`UNMATCHED`].
+    fn build_large(&mut self, pool: &ShardPool) {
+        self.size_table();
+        let perm = self.perm.expect("small tables are built at construction");
+        let n_pairs = self.n_pairs;
+        let unmatched = self.population - 2 * n_pairs;
+        let nshards = pool.shards();
+        // `dispatch` returns once every shard is done, and its barrier orders
+        // these `Relaxed` stores before any later plain read of `partners`.
+        let table = as_atomic(self.partners);
+        pool.dispatch(&|s| {
+            let put = |slot: u32, partner: u32| table[slot as usize].store(partner, Relaxed);
+            let (lo, hi) = shard_range(n_pairs, nshards, s);
+            for p in lo..hi {
+                let (a, b) = keyed_pair(&perm, p);
+                put(a, b);
+                put(b, a);
+            }
+            let (lo, hi) = shard_range(unmatched, nshards, s);
+            for j in (2 * n_pairs + lo)..(2 * n_pairs + hi) {
+                put(perm.apply(j as u64) as u32, UNMATCHED);
+            }
+        });
+    }
 }
 
 const _: () = assert!(
@@ -740,6 +908,29 @@ mod tests {
         }
     }
 
+    /// `invert` is `apply`'s inverse in both directions, for every slot: at
+    /// a walk-free power of two, and at sizes whose cycle walk takes more
+    /// than one step (just past 2¹⁶, 70 001, and just past 2²⁰, where the
+    /// walk domain doubles).
+    #[test]
+    fn slot_permutation_invert_undoes_apply_at_every_size() {
+        for (n, keys) in [
+            (1u64 << 16, 3u64),
+            ((1 << 16) + 1, 3),
+            (70_001, 3),
+            ((1 << 20) + 4096, 1),
+        ] {
+            for k in 0..keys {
+                let perm = SlotPermutation::new(trial_key(18, n << 4 | k), n);
+                for i in 0..n {
+                    let image = perm.apply(i);
+                    assert_eq!(perm.invert(image), i, "n={n}: invert(apply({i}))");
+                    assert_eq!(perm.apply(perm.invert(i)), i, "n={n}: apply(invert({i}))");
+                }
+            }
+        }
+    }
+
     /// Below a 16-bit walk domain four passes do not mix, so the
     /// permutation refuses such sizes rather than under-mixing them.
     #[test]
@@ -861,14 +1052,10 @@ mod tests {
                 let (mut table, mut shuffle) = (Vec::new(), Vec::new());
                 for shards in [1usize, 2, 3, 8] {
                     let matched = ShardPool::with(shards, |pool| {
-                        sample_partners_into(
-                            &mut table,
-                            &mut shuffle,
-                            population,
-                            model,
-                            mkey,
-                            pool,
-                        )
+                        let mut matching =
+                            RoundMatching::new(&mut table, &mut shuffle, population, model, mkey);
+                        matching.table(pool);
+                        matching.matched()
                     });
                     assert_eq!(
                         (&table, matched),
@@ -876,6 +1063,43 @@ mod tests {
                         "pop {population}, {shards} shards"
                     );
                 }
+            }
+        }
+    }
+
+    /// A [`RoundMatching`] answers every slot's partner exactly as the
+    /// table reads, before and after the table is built, on both sides of
+    /// [`KEYED_PERMUTATION_MIN_POPULATION`], at odd and even populations,
+    /// under every model; its matched count is the reference's.
+    #[test]
+    fn round_matching_partners_equal_the_partner_table() {
+        use crate::batch::ShardPool;
+        let models = [
+            MatchingModel::Full,
+            MatchingModel::ExactFraction(0.5),
+            MatchingModel::RandomFraction { min_gamma: 0.25 },
+        ];
+        let populations = [0, 1, 2, 3, 1000, 1001, 65_535, 65_536, 65_537, 70_001];
+        for population in populations {
+            for (t, model) in models.into_iter().enumerate() {
+                let mkey = trial_key(19, (population as u64) << 8 | t as u64);
+                let (want, want_matched) = reference_partners(population, model, mkey);
+                let (mut partners, mut shuffle) = (Vec::new(), Vec::new());
+                let mut matching =
+                    RoundMatching::new(&mut partners, &mut shuffle, population, model, mkey);
+                let what = format!("pop {population}, {model:?}");
+                assert_eq!(matching.population(), population, "{what}");
+                assert_eq!(matching.matched(), want_matched, "{what}");
+                let on_demand: Vec<u32> = (0..population)
+                    .map(|i| matching.partner(i).map_or(UNMATCHED, |p| p as u32))
+                    .collect();
+                assert_eq!(on_demand, want, "{what}: partner()");
+                let table = ShardPool::with(2, |pool| matching.table(pool).to_vec());
+                assert_eq!(table, want, "{what}: table()");
+                let after: Vec<u32> = (0..population)
+                    .map(|i| matching.partner(i).map_or(UNMATCHED, |p| p as u32))
+                    .collect();
+                assert_eq!(after, want, "{what}: partner() after table()");
             }
         }
     }
@@ -894,14 +1118,15 @@ mod tests {
                 for shards in [1usize, 2] {
                     let mut table = vec![GARBAGE; population + 97];
                     let matched = ShardPool::with(shards, |pool| {
-                        sample_partners_into(
+                        let mut matching = RoundMatching::new(
                             &mut table,
                             &mut Vec::new(),
                             population,
                             model,
                             mkey,
-                            pool,
-                        )
+                        );
+                        matching.table(pool);
+                        matching.matched()
                     });
                     assert_eq!(
                         (&table, matched),

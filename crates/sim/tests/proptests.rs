@@ -5,7 +5,7 @@
 use proptest::prelude::*;
 
 use popstab_sim::batch::{job_seed, BatchRunner, ShardPool};
-use popstab_sim::matching::{sample_matching, sample_partners_into, MatchingModel, UNMATCHED};
+use popstab_sim::matching::{sample_matching, MatchingModel, RoundMatching, UNMATCHED};
 use popstab_sim::protocols::{Inert, InertState};
 use popstab_sim::rng::counter_seed;
 use popstab_sim::{
@@ -159,7 +159,9 @@ proptest! {
         let key = counter_seed(seed, 3, 0);
         let mut table = Vec::new();
         let matched = ShardPool::with(shards, |pool| {
-            sample_partners_into(&mut table, &mut Vec::new(), population, model, key, pool)
+            let mut matching = RoundMatching::new(&mut table, &mut Vec::new(), population, model, key);
+            matching.table(pool);
+            matching.matched()
         });
         prop_assert_eq!(table.len(), population);
         for (i, &p) in table.iter().enumerate() {

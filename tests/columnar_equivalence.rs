@@ -31,7 +31,7 @@ use population_stability::core::message::Message;
 use population_stability::core::state::{AgentState, Color};
 use population_stability::prelude::*;
 use population_stability::sim::batch::ShardPool;
-use population_stability::sim::matching::KEYED_PERMUTATION_MIN_POPULATION;
+use population_stability::sim::matching::{MatchingModel, KEYED_PERMUTATION_MIN_POPULATION};
 use population_stability::sim::{
     Action, Checkpoint, ColumnarStep, MetricsRecorder, NoOpAdversary, OnRound, Protocol,
     RecordStats, RoundReport, RoundStats, RunSpec, SimRng, Tee, Threads,
@@ -337,6 +337,217 @@ fn columnar_matches_scalar_across_an_evaluation_round_at_scale() {
         runs.push(columnar);
     }
     assert_eq!(runs[0], runs[1], "serial and sharded rounds diverged");
+}
+
+/// The keyed-permutation population with 8-round subphases, so that a
+/// 64-round epoch (round 0, seven subphase boundaries and their recruiting
+/// bursts, the evaluation round at 63) fits a short test.
+const SHORT: u64 = 1 << 16;
+
+fn short_params() -> Params {
+    Params::builder(SHORT).t_inner(8).build().unwrap()
+}
+
+/// An engine of [`SHORT`] agents on [`short_params`] under `model` and the
+/// adversary `make` builds, with budget `budget`.
+fn short_engine<A: Adversary<AgentState>>(
+    seed: u64,
+    model: MatchingModel,
+    budget: usize,
+    make: impl Fn(Params) -> A,
+) -> Engine<PopulationStability, A> {
+    let params = short_params();
+    let cfg = SimConfig::builder()
+        .seed(seed)
+        .target(SHORT)
+        .matching(model)
+        .adversary_budget(budget)
+        .build()
+        .unwrap();
+    let adv = make(params.clone());
+    Engine::with_adversary(PopulationStability::new(params), adv, cfg, SHORT as usize)
+}
+
+/// The quiet path steps only the loud lanes, each pair once, with partners
+/// computed on demand; it must leave exactly what the scalar loop leaves.
+/// Two short epochs at the keyed-permutation scale cover round 0, every
+/// subphase boundary's recruiting burst, two evaluation rounds, `Churn`, a
+/// desync inserter's mixed-round blocks and a random matched fraction;
+/// serial and sharded rounds alike.
+#[test]
+fn quiet_rounds_match_scalar_at_the_keyed_permutation_scale() {
+    const ROUNDS: u64 = 2 * 64 + 5;
+    assert_eq!(short_params().epoch_len(), 64);
+    let full = MatchingModel::Full;
+    let fraction = MatchingModel::RandomFraction { min_gamma: 0.5 };
+    assert_paths_agree(
+        "clean",
+        || short_engine(2018, full, 0, |_| NoOpAdversary),
+        ROUNDS,
+        3,
+    );
+    assert_paths_agree(
+        "fraction",
+        || short_engine(7, fraction, 0, |_| NoOpAdversary),
+        ROUNDS,
+        3,
+    );
+    assert_paths_agree(
+        "churn",
+        || short_engine(11, full, 8, |params| Churn::new(params, 8)),
+        ROUNDS,
+        3,
+    );
+    assert_paths_agree(
+        "desync",
+        || {
+            short_engine(13, full, 64, |params| {
+                Throttle::new(DesyncInserter::new(params, 64, 5), 3, 1)
+            })
+        },
+        ROUNDS,
+        3,
+    );
+}
+
+/// The paper's protocol with a stepper that implements only `ColumnarStep`'s
+/// required methods, as the benchmark's timing wrapper does: the engine's
+/// `step_matched` then falls back to building the table and calling the
+/// table-taking `step`.
+#[derive(Debug)]
+struct TableStepped(PopulationStability);
+
+/// [`TableStepped`]'s stepper.
+#[derive(Debug)]
+struct TableOnly(StabilityColumns);
+
+impl Protocol for TableStepped {
+    type State = AgentState;
+    type Message = Message;
+
+    fn initial_state(&self, rng: &mut SimRng) -> AgentState {
+        self.0.initial_state(rng)
+    }
+
+    fn message(&self, state: &AgentState) -> Message {
+        self.0.message(state)
+    }
+
+    fn step(&self, state: &mut AgentState, incoming: Option<&Message>, rng: &mut SimRng) -> Action {
+        self.0.step(state, incoming, rng)
+    }
+
+    fn columnar(&self) -> Option<Box<dyn ColumnarStep<AgentState>>> {
+        Some(Box::new(TableOnly(StabilityColumns::new(
+            self.0.params().clone(),
+        ))))
+    }
+}
+
+impl ColumnarStep<AgentState> for TableOnly {
+    fn load(&mut self, agents: &[AgentState], pool: Option<&ShardPool>) {
+        self.0.load(agents, pool);
+    }
+
+    fn step(
+        &mut self,
+        partners: &[u32],
+        round_key: u64,
+        pool: Option<&ShardPool>,
+        splits: &mut Vec<usize>,
+        deaths: &mut Vec<usize>,
+    ) {
+        self.0.step(partners, round_key, pool, splits, deaths);
+    }
+
+    fn apply(&mut self, splits: &[usize], deaths: &[usize]) {
+        self.0.apply(splits, deaths);
+    }
+
+    fn store(&self, agents: &mut Vec<AgentState>) {
+        self.0.store(agents);
+    }
+
+    fn len(&self) -> usize {
+        self.0.len()
+    }
+}
+
+/// The table-taking `ColumnarStep::step` routes each round as
+/// `step_matched` does: the same trajectory, agents and snapshot bytes as
+/// the engine's own stepper and the scalar loop, serial and sharded.
+#[test]
+fn the_table_taking_step_matches_step_matched() {
+    const ROUNDS: u64 = 64 + 3;
+    let engine = |threads: Threads| {
+        let cfg = SimConfig::builder().seed(29).target(SHORT).build().unwrap();
+        let mut engine = Engine::with_population(
+            TableStepped(PopulationStability::new(short_params())),
+            cfg,
+            SHORT as usize,
+        );
+        assert!(engine.columnar_enabled());
+        let mut trace = Vec::new();
+        engine.run(
+            RunSpec::rounds(ROUNDS).threads(threads),
+            &mut OnRound(|r: &RoundReport| trace.push(*r)),
+        );
+        let bytes = engine.snapshot().to_bytes();
+        (trace, engine.agents().to_vec(), engine.round(), bytes)
+    };
+    let own = |columnar: bool, threads: Threads| {
+        let cfg = SimConfig::builder().seed(29).target(SHORT).build().unwrap();
+        let e = Engine::with_population(
+            PopulationStability::new(short_params()),
+            cfg,
+            SHORT as usize,
+        );
+        fingerprint(e, columnar, ROUNDS, threads)
+    };
+    let scalar = own(false, Threads::Serial);
+    for threads in [Threads::Serial, Threads::Sharded(3)] {
+        let table = engine(threads);
+        assert_eq!(scalar.0, table.0, "{threads:?}: report traces diverged");
+        assert_eq!(scalar.1, table.1, "{threads:?}: agent vectors diverged");
+        assert_eq!(scalar.3, table.3, "{threads:?}: snapshot bytes diverged");
+        assert_eq!(
+            own(true, threads),
+            table,
+            "{threads:?}: step_matched diverged"
+        );
+    }
+}
+
+/// A mid-epoch engine steps its recruitment rounds without the partner
+/// table: restored from a snapshot taken after round 0, it runs a
+/// subphase boundary and holds at least the table's 4 B per agent less than
+/// the uninterrupted engine, whose round 0 built one.
+#[test]
+fn recruitment_rounds_never_build_the_partner_table() {
+    let make = || short_engine(31, MatchingModel::Full, 0, |_| NoOpAdversary);
+    let mut straight = make();
+    straight.run(RunSpec::rounds(12), &mut ());
+    let mut prefix = make();
+    prefix.run(RunSpec::rounds(3), &mut ());
+    let snap = Snapshot::from_bytes(&prefix.snapshot().to_bytes()).expect("round-trip");
+    let mut restored = Engine::restore(
+        PopulationStability::new(short_params()),
+        NoOpAdversary,
+        &snap,
+    )
+    .expect("restore");
+    restored.run(RunSpec::rounds(9), &mut ());
+    assert!(
+        restored.agents() == straight.agents(),
+        "resumed agents diverged"
+    );
+    let table = 4 * SHORT as usize;
+    assert!(
+        restored.approx_mem_bytes() + table <= straight.approx_mem_bytes(),
+        "restored {} B, straight {} B",
+        restored.approx_mem_bytes(),
+        straight.approx_mem_bytes()
+    );
 }
 
 /// Recording under an adversary that inserts agents off the majority
